@@ -7,8 +7,7 @@ and ``fig3`` (inner/outer frontier pair at a fixed reference configuration
 with a gap report).
 
 Every command is deterministic for fixed flags and seed: output files are
-byte-identical across re-runs and metadata carries no timestamps.  The
-environment variable ``COGREGIONS_THREADS`` caps internal parallelism.
+byte-identical across re-runs and metadata carries no timestamps.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .oracles import (
     verify_th3_capacity,
 )
 from .outer_bounds import (
-    _alpha_axis,
     bc_dms_region,
     bc_pr_bound,
     bergmans_frontier,
@@ -46,21 +44,44 @@ from .region_geometry import (
     Frontier,
     concavify,
     contains,
+    grid_axis,
     sweep_grid,
 )
 
 __all__ = ["main"]
 
-BOUNDS = (
-    "unifying",
-    "cor2",
-    "bcdms",
-    "th1",
-    "bcpr",
-    "bergmans",
-    "schemeE",
-    "capacity",
-)
+# Bound selectors: ``build(params, cfg)`` returns a Frontier, or a
+# CapacityResult for ``capacity``.  The entries look the builders up by name
+# at call time.
+_SELECTORS = {
+    "unifying": lambda params, cfg: unifying_region(
+        params, alpha_grid=cfg["alpha_grid"]
+    ),
+    "cor2": lambda params, cfg: cor2_region(params, alpha_grid=cfg["alpha_grid"]),
+    "bcdms": lambda params, cfg: bc_dms_region(params, split_grid=cfg["split_grid"]),
+    "th1": lambda params, cfg: th1_bound(
+        params, split_grid=cfg["split_grid"], alpha_grid=cfg["alpha_grid"]
+    ),
+    "bcpr": lambda params, cfg: bc_pr_bound(
+        params, split_grid=cfg["split_grid"], alpha_grid=cfg["alpha_grid"]
+    ),
+    "bergmans": lambda params, cfg: bergmans_frontier(
+        params.p1, params.b, alpha_grid=cfg["alpha_grid"]
+    ),
+    "schemeE": lambda params, cfg: scheme_e_region(params, beta_grid=cfg["beta_grid"]),
+    "capacity": lambda params, cfg: capacity_region(
+        params,
+        alpha_grid=cfg["alpha_grid"],
+        beta_grid=cfg["beta_grid"],
+        split_grid=cfg["split_grid"],
+    ),
+}
+
+# The selectors whose pentagons meet split for split at ``a = 0`` under the
+# change of variable ``beta = beta_of_alpha(alpha)``.
+MATCHED_PAIR = {"cor2", "schemeE"}
+
+BOUNDS = tuple(_SELECTORS)
 
 SUITES = ("mc", "degraded", "cond5", "cond6", "th3", "all")
 
@@ -169,35 +190,13 @@ def _emit_frontier(cfg: dict, frontier: Frontier, meta: dict, extra_json: dict) 
 
 def _frontier_for(selector: str, params: ChannelParams, cfg: dict):
     """Compute the frontier for a selector; returns (frontier, meta extras)."""
-    alpha_grid = cfg["alpha_grid"]
-    beta_grid = cfg["beta_grid"]
-    split_grid = cfg["split_grid"]
-    if selector == "unifying":
-        return unifying_region(params, alpha_grid=alpha_grid), {}
-    if selector == "cor2":
-        return cor2_region(params, alpha_grid=alpha_grid), {}
-    if selector == "bcdms":
-        return bc_dms_region(params, split_grid=split_grid), {}
-    if selector == "th1":
-        return th1_bound(params, split_grid=split_grid, alpha_grid=alpha_grid), {}
-    if selector == "bcpr":
-        return bc_pr_bound(params, split_grid=split_grid, alpha_grid=alpha_grid), {}
-    if selector == "bergmans":
-        return bergmans_frontier(params.p1, params.b, alpha_grid=alpha_grid), {}
-    if selector == "schemeE":
-        return scheme_e_region(params, beta_grid=beta_grid), {}
-    if selector == "capacity":
-        result = capacity_region(
-            params,
-            alpha_grid=alpha_grid,
-            beta_grid=beta_grid,
-            split_grid=split_grid,
-        )
-        extras = {"status": result.status}
-        if result.outer is not None:
-            extras["outer"] = result.outer
-        return result.frontier, extras
-    raise ValueError(f"unknown bound selector: {selector}")
+    result = _SELECTORS[selector](params, cfg)
+    if isinstance(result, Frontier):
+        return result, {}
+    extras = {"status": result.status}
+    if result.outer is not None:
+        extras["outer"] = result.outer
+    return result.frontier, extras
 
 
 def _region_meta(cfg: dict, selector: str, params: ChannelParams) -> dict:
@@ -242,25 +241,14 @@ def cmd_region(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     params = _params(cfg)
-    matched = False
-    if {args.first, args.second} == {"schemeE", "cor2"} and params.a == 0.0:
-        # Same one-parameter pentagon family on both sides: sample the
-        # scheme at power splits matched to the outer bound's through the
-        # change of variable, else staircase sampling noise (~1e-2 bits)
-        # would swamp the frontier comparison.
-        axis = _alpha_axis(cfg["alpha_grid"])
-        by_name = {
-            "cor2": lambda: cor2_region(params, alpha_grid=axis),
-            "schemeE": lambda: scheme_e_region(
-                params, beta_grid=beta_of_alpha(axis, params.p1)
-            ),
-        }
-        first = by_name[args.first]()
-        second = by_name[args.second]()
-        matched = True
-    else:
-        first, _ = _frontier_for(args.first, params, cfg)
-        second, _ = _frontier_for(args.second, params, cfg)
+    matched = {args.first, args.second} == MATCHED_PAIR and params.a == 0.0
+    if matched:
+        # Sample both families at matched power splits, else staircase
+        # sampling noise (~1e-2 bits) would swamp the frontier comparison.
+        axis = grid_axis(cfg["alpha_grid"], "alpha grid")
+        cfg = dict(cfg, alpha_grid=axis, beta_grid=beta_of_alpha(axis, params.p1))
+    first, _ = _frontier_for(args.first, params, cfg)
+    second, _ = _frontier_for(args.second, params, cfg)
     report = contains(outer=second, inner=first, tol=cfg["tol"])
     top = min(first.max_r1, second.max_r1)
     xs = np.unique(

@@ -10,9 +10,8 @@ the exact frontier; elsewhere it returns the best inner/outer pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -20,17 +19,20 @@ from .channel import ChannelParams, classify, gaussian_rate
 from .outer_bounds import (
     DEFAULT_ALPHA_POINTS,
     DEFAULT_SPLIT_POINTS,
-    GridAxis,
+    _coherent_rate,
+    _cooperative_rate,
     bc_pr_bound,
     cor2_region,
     th1_bound,
     unifying_region,
 )
 from .region_geometry import (
-    DEFAULT_R1_POINTS,
     Frontier,
+    GridAxis,
     Pentagon,
     concavify,
+    grid_axis,
+    grid_point,
     union_frontier_arrays,
 )
 
@@ -48,25 +50,31 @@ __all__ = [
 DEFAULT_BETA_POINTS = 1001
 
 
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return beta
+def _check_copy_scaling(params: ChannelParams, beta) -> None:
+    """The copy scaling divides by ``p2``, so ``p2 = 0`` admits only ``beta = 1``."""
+    if params.p2 == 0.0 and bool(np.any(beta < 1.0)):
+        raise ValueError("degenerate superposition: set beta=1")
 
 
-def _beta_axis(beta_grid: GridAxis) -> np.ndarray:
-    if isinstance(beta_grid, (int, np.integer)):
-        n = int(beta_grid)
-        if n < 2:
-            raise ValueError("grid resolution must be at least 2")
-        return np.linspace(0.0, 1.0, n)
-    axis = np.unique(np.asarray(beta_grid, dtype=float))
-    if axis.size == 0:
-        raise ValueError("empty grid")
-    if not np.all(np.isfinite(axis)) or axis[0] < 0.0 or axis[-1] > 1.0:
-        raise ValueError("beta grid values must lie in [0, 1]")
-    return axis
+def _scheme_e_caps(params: ChannelParams, beta):
+    """``(r1, r2, sum)`` caps of :func:`scheme_e_general_pentagon`.
+
+    Broadcasts over ``beta``.  With ``a = 0`` receiver 1 sees only the copy
+    of the primary codeword as noise; otherwise the cross gain adds to the
+    copy coefficient.
+    """
+    p1, p2 = params.p1, params.p2
+    bbar = 1.0 - beta
+    if params.a == 0.0:
+        r1_cap = gaussian_rate(beta * p1 / (1.0 + bbar * p1))
+    else:
+        safe_p2 = p2 if p2 > 0.0 else 1.0
+        copy_gain = np.where(
+            bbar == 0.0, params.a, np.sqrt(bbar * p1 / safe_p2) + params.a
+        )
+        r1_cap = gaussian_rate(beta * p1 / (1.0 + copy_gain * copy_gain * p2))
+    r2_cap = _coherent_rate(p2, bbar * (params.b * params.b) * p1)
+    return r1_cap, r2_cap, _cooperative_rate(params, bbar)
 
 
 def scheme_e_pentagon(params: ChannelParams, beta: float) -> Pentagon:
@@ -82,17 +90,7 @@ def scheme_e_pentagon(params: ChannelParams, beta: float) -> Pentagon:
     """
     if params.a != 0.0:
         raise ValueError("scheme E requires a = 0")
-    beta = _check_beta(beta)
-    p1, p2 = params.p1, params.p2
-    if p2 == 0.0 and beta < 1.0:
-        raise ValueError("degenerate superposition: set beta=1")
-    b2 = params.b * params.b
-    bbar = 1.0 - beta
-    r1_cap = gaussian_rate(beta * p1 / (1.0 + bbar * p1))
-    amplitude = math.sqrt(p2) + math.sqrt(bbar * b2 * p1)
-    r2_cap = gaussian_rate(amplitude * amplitude)
-    sum_cap = gaussian_rate(p2 + b2 * p1 + 2.0 * math.sqrt(bbar * b2 * p1 * p2))
-    return Pentagon(float(r1_cap), float(r2_cap), float(sum_cap))
+    return scheme_e_general_pentagon(params, beta)
 
 
 def scheme_e_general_pentagon(params: ChannelParams, beta: float) -> Pentagon:
@@ -101,61 +99,27 @@ def scheme_e_general_pentagon(params: ChannelParams, beta: float) -> Pentagon:
     Same encoder as :func:`scheme_e_pentagon`.  Receiver 1 additionally
     hears the primary signal through the cross gain ``a``, which simply
     adds to the copy coefficient; receiver-2 statistics are unchanged.
-    With ``a = 0`` this delegates to :func:`scheme_e_pentagon`, so the two
-    agree exactly, field for field.
+    With ``a = 0`` the two agree exactly, field for field.
     """
-    if params.a == 0.0:
-        return scheme_e_pentagon(params, beta)
-    beta = _check_beta(beta)
-    p1, p2 = params.p1, params.p2
-    if p2 == 0.0 and beta < 1.0:
-        raise ValueError("degenerate superposition: set beta=1")
-    b2 = params.b * params.b
-    bbar = 1.0 - beta
-    if beta == 1.0:
-        copy_gain = params.a
-    else:
-        copy_gain = math.sqrt(bbar * p1 / p2) + params.a
-    r1_cap = gaussian_rate(beta * p1 / (1.0 + copy_gain * copy_gain * p2))
-    amplitude = math.sqrt(p2) + math.sqrt(bbar * b2 * p1)
-    r2_cap = gaussian_rate(amplitude * amplitude)
-    sum_cap = gaussian_rate(p2 + b2 * p1 + 2.0 * math.sqrt(bbar * b2 * p1 * p2))
-    return Pentagon(float(r1_cap), float(r2_cap), float(sum_cap))
+    beta = grid_point(beta, "beta")
+    _check_copy_scaling(params, beta)
+    return Pentagon(*_scheme_e_caps(params, beta))
 
 
 def scheme_e_region(
-    params: ChannelParams,
-    beta_grid: GridAxis = DEFAULT_BETA_POINTS,
-    r1_grid: Union[int, np.ndarray] = DEFAULT_R1_POINTS,
+    params: ChannelParams, beta_grid: GridAxis = DEFAULT_BETA_POINTS
 ) -> Frontier:
     """Upper envelope of the superposition family over a ``beta`` grid.
 
-    Evaluates :func:`scheme_e_general_pentagon` vectorized (identical
-    arithmetic to the scalar functions, so matched-grid identities hold to
+    Evaluates the caps of :func:`scheme_e_general_pentagon` on the whole
+    grid at once (the same arithmetic, so matched-grid identities hold to
     float precision).  The raw union is achievable as-is; apply
     :func:`~cogregions.region_geometry.concavify` for the time-sharing
     inner bound.
     """
-    beta = _beta_axis(beta_grid)
-    p1, p2 = params.p1, params.p2
-    if p2 == 0.0 and bool(np.any(beta < 1.0)):
-        raise ValueError("degenerate superposition: set beta=1")
-    b2 = params.b * params.b
-    bbar = 1.0 - beta
-    if params.a == 0.0:
-        r1_cap = gaussian_rate(beta * p1 / (1.0 + bbar * p1))
-    else:
-        safe_p2 = p2 if p2 > 0.0 else 1.0
-        copy_gain = np.where(
-            bbar == 0.0, params.a, np.sqrt(bbar * p1 / safe_p2) + params.a
-        )
-        r1_cap = gaussian_rate(beta * p1 / (1.0 + copy_gain * copy_gain * p2))
-    amplitude = np.sqrt(p2) + np.sqrt(bbar * b2 * p1)
-    r2_cap = gaussian_rate(amplitude * amplitude)
-    sum_cap = gaussian_rate(p2 + b2 * p1 + 2.0 * np.sqrt(bbar * b2 * p1 * p2))
-    return union_frontier_arrays(
-        r1_cap, r2_cap, sum_cap, grid=r1_grid, inject_corners=True
-    )
+    beta = grid_axis(beta_grid, "beta grid")
+    _check_copy_scaling(params, beta)
+    return union_frontier_arrays(*_scheme_e_caps(params, beta), inject_corners=True)
 
 
 def beta_of_alpha(alpha, p1: float):
@@ -201,7 +165,6 @@ def capacity_region(
     alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS,
     beta_grid: GridAxis = DEFAULT_BETA_POINTS,
     split_grid=DEFAULT_SPLIT_POINTS,
-    r1_grid: Union[int, np.ndarray] = DEFAULT_R1_POINTS,
 ) -> CapacityResult:
     """Exact capacity frontier when known, else the best inner/outer pair.
 
@@ -226,21 +189,17 @@ def capacity_region(
             frontier = Frontier(np.array([0.0, top]), np.array([r2, r2]))
         return CapacityResult("exact", frontier)
     if params.a == 0.0 and report.pdc_capacity_known:
-        exact = unifying_region(params, alpha_grid=alpha_grid, r1_grid=r1_grid)
+        exact = unifying_region(params, alpha_grid=alpha_grid)
         return CapacityResult("exact", concavify(exact))
     if params.a == 0.0 and report.th3_capacity:
-        exact = cor2_region(params, alpha_grid=alpha_grid, r1_grid=r1_grid)
+        exact = cor2_region(params, alpha_grid=alpha_grid)
         return CapacityResult("exact", concavify(exact))
 
     # Open regime: with p2 = 0 the scheme admits only the beta = 1 point.
     inner_axis = np.array([1.0]) if params.p2 == 0.0 else beta_grid
-    inner = concavify(scheme_e_region(params, beta_grid=inner_axis, r1_grid=r1_grid))
+    inner = concavify(scheme_e_region(params, beta_grid=inner_axis))
     if params.b > 1.0:
-        outer = th1_bound(
-            params, split_grid=split_grid, alpha_grid=alpha_grid, r1_grid=r1_grid
-        )
+        outer = th1_bound(params, split_grid=split_grid, alpha_grid=alpha_grid)
     else:
-        outer = bc_pr_bound(
-            params, split_grid=split_grid, alpha_grid=alpha_grid, r1_grid=r1_grid
-        )
+        outer = bc_pr_bound(params, split_grid=split_grid, alpha_grid=alpha_grid)
     return CapacityResult("open", inner, outer)

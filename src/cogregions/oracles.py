@@ -15,14 +15,14 @@ ratios for the multi-tolerance capacity identity.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .channel import ChannelParams, gaussian_rate, th3_threshold
-from .inner_bounds import beta_of_alpha, scheme_e_pentagon, scheme_e_region
-from .outer_bounds import cor2_bound, cor2_region
-from .region_geometry import VerificationReport, concavify, sweep_grid
+from .inner_bounds import _scheme_e_caps, beta_of_alpha, scheme_e_region
+from .outer_bounds import _cor2_caps, cor2_region
+from .region_geometry import GridAxis, VerificationReport, concavify, grid_axis
 
 __all__ = [
     "VerificationReport",
@@ -34,20 +34,6 @@ __all__ = [
 ]
 
 MIN_MC_SAMPLES = 10_000
-
-GridAxis = Union[int, np.ndarray, Sequence[float]]
-
-
-def _sweep_axis(grid: GridAxis, what: str) -> np.ndarray:
-    if isinstance(grid, (int, np.integer)):
-        return sweep_grid(int(grid))
-    axis = np.unique(np.asarray(grid, dtype=float))
-    if axis.size == 0:
-        raise ValueError("empty grid")
-    if not np.all(np.isfinite(axis)) or axis[0] < 0.0 or axis[-1] > 1.0:
-        raise ValueError(f"{what} grid values must lie in [0, 1]")
-    return axis
-
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
     """Square root of a PSD matrix via its eigendecomposition."""
@@ -101,6 +87,17 @@ def mc_rate_check(
     )
 
 
+def _pair_moment(s_ab: np.ndarray) -> np.ndarray:
+    """``n Cov(cov(A_i, A_j), cov(B_i, B_j))`` of Gaussian sample covariances.
+
+    ``s_ab`` is the covariance block ``S[A, B]``; entry ``(i, j)`` is
+    ``S[A_i, B_i] S[A_j, B_j] + S[A_i, B_j] S[A_j, B_i]``.  With ``B = A``
+    it is ``n`` times the variance of each sample covariance of ``A``.
+    """
+    d = np.diag(s_ab)
+    return np.outer(d, d) + s_ab * s_ab.T
+
+
 def degradedness_check(
     params: ChannelParams,
     n_samples: int = 1_000_000,
@@ -114,8 +111,13 @@ def degradedness_check(
     ``Y1`` itself — both are ``X1 + a X2`` plus independent unit noise.  The
     check samples inputs with correlation ``input_rho``, builds both
     observations, and compares the two 3x3 joint covariance matrices
-    ``Cov(X1, X2, .)`` entrywise in standard-error units.  Entries with a
-    vanishing standard error (degenerate inputs) must agree exactly.
+    ``Cov(X1, X2, .)`` entrywise in standard-error units.  The standard
+    error is that of the difference of the two sample covariances, which
+    share the inputs but not the noise: with ``S`` the sample covariance of
+    ``(X1, X2, Y1, Y1_rebuilt)``, the Gaussian identity ``n Cov(cov(A, B),
+    cov(C, D)) = S_AC S_BD + S_AD S_BC`` gives both variances and the cross
+    term.  Entries with a vanishing standard error (degenerate inputs) must
+    agree exactly.
     """
     if params.b < 1.0:
         raise ValueError("construction requires |b| ≥ 1")
@@ -130,21 +132,26 @@ def degradedness_check(
     p1, p2 = params.p1, params.p2
     rng = np.random.default_rng(seed)
     g1, g2, z1, z2, z0 = rng.standard_normal((5, n))
-    x2 = math.sqrt(p2) * g2
-    x1 = math.sqrt(p1) * (rho * g2 + math.sqrt(1.0 - rho * rho) * g1)
-
-    y1 = x1 + a * x2 + z1
+    samples = np.empty((4, n))
+    x1, x2, y1, y1_rebuilt = samples
+    x2[:] = math.sqrt(p2) * g2
+    x1[:] = math.sqrt(p1) * (rho * g2 + math.sqrt(1.0 - rho * rho) * g1)
+    y1[:] = x1 + a * x2 + z1
     y2 = b * x1 + x2 + z2
-    y1_rebuilt = (y2 - x2) / b + a * x2 + math.sqrt(1.0 - 1.0 / (b * b)) * z0
+    y1_rebuilt[:] = (y2 - x2) / b + a * x2 + math.sqrt(1.0 - 1.0 / (b * b)) * z0
+    # Release the raw draws before the covariance pass copies the samples.
+    del g1, g2, z1, z2, z0, y2
 
-    direct = np.cov(np.stack([x1, x2, y1]))
-    rebuilt = np.cov(np.stack([x1, x2, y1_rebuilt]))
-    diff = np.abs(direct - rebuilt)
-    # Var of a sample covariance entry ~ (Var_i Var_j + Cov_ij^2) / n.
-    var_entry = (
-        np.outer(np.diag(direct), np.diag(direct)) + direct**2
+    cov = np.cov(samples)
+    direct_rows, rebuilt_rows = [0, 1, 2], [0, 1, 3]
+    direct = cov[np.ix_(direct_rows, direct_rows)]
+    rebuilt = cov[np.ix_(rebuilt_rows, rebuilt_rows)]
+    cross = cov[np.ix_(direct_rows, rebuilt_rows)]
+    var_diff = (
+        _pair_moment(direct) + _pair_moment(rebuilt) - 2.0 * _pair_moment(cross)
     ) / n
-    stderr = np.sqrt(var_entry)
+    diff = np.abs(direct - rebuilt)
+    stderr = np.sqrt(np.maximum(var_diff, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(stderr > 0.0, diff / stderr, np.where(diff == 0.0, 0.0, np.inf))
     worst = int(np.argmax(ratio))
@@ -200,7 +207,7 @@ def verify_condition5(
     sides of the biconditional that disagree (0 or 1).  Integer grids get
     geometric end tails, since violations can hide in the boundary layers.
     """
-    alpha = _sweep_axis(alpha_grid, "alpha")
+    alpha = grid_axis(alpha_grid, "alpha grid", tailed=True)
     r1_cap, r2_cap, sum_cap = _z_bound_caps(float(p1), float(p2), float(b), alpha)
     excess = r1_cap + r2_cap - sum_cap
     worst = int(np.argmax(excess))
@@ -237,7 +244,7 @@ def verify_condition6(
     form ``b^2 >= 1 + p2 + 2*sqrt(b^2*p1*p2)``.  ``max_discrepancy`` counts
     disagreeing comparisons (0, 1, or 2).
     """
-    beta = _sweep_axis(beta_grid, "beta")
+    beta = grid_axis(beta_grid, "beta grid", tailed=True)
     p1, p2, b = float(p1), float(p2), float(b)
     b2 = b * b
     bbar = 1.0 - beta
@@ -295,28 +302,20 @@ def verify_th3_capacity(
     if b < th3_threshold(p1, p2):
         raise ValueError("not in Theorem-3 regime")
     params = ChannelParams(a=0.0, b=b, p1=p1, p2=p2)
-    if isinstance(alpha_grid, (int, np.integer)):
-        if alpha_grid < 2:
-            raise ValueError("grid resolution must be at least 2")
-        alpha = np.linspace(0.0, 1.0, int(alpha_grid))
-    else:
-        alpha = _sweep_axis(alpha_grid, "alpha")
+    alpha = grid_axis(alpha_grid, "alpha grid")
     beta = beta_of_alpha(alpha, p1)
 
-    cap_identity = 0.0
-    sum_excess = 0.0
-    for al, be in zip(alpha.tolist(), np.atleast_1d(beta).tolist()):
-        outer_pent = cor2_bound(params, al)
-        inner_pent = scheme_e_pentagon(params, be)
-        cap_identity = max(
-            cap_identity,
-            abs(inner_pent.r1_max - outer_pent.r1_max),
-            abs(inner_pent.r2_max - outer_pent.r2_max),
-        )
-        sum_excess = max(
-            sum_excess,
-            inner_pent.r1_max + inner_pent.r2_max - inner_pent.sum_max,
-        )
+    outer_r1, outer_r2, _ = _cor2_caps(params, alpha)
+    inner_r1, inner_r2, inner_sum = _scheme_e_caps(params, beta)
+    cap_identity = max(
+        0.0,
+        float(np.max(np.abs(inner_r1 - outer_r1))),
+        float(np.max(np.abs(inner_r2 - outer_r2))),
+    )
+    # The excess over the normalized sum cap min(sum, r1 + r2), as a
+    # Pentagon would carry it.
+    corner_sum = inner_r1 + inner_r2
+    sum_excess = float(np.max(corner_sum - np.minimum(inner_sum, corner_sum)))
 
     outer = cor2_region(params, alpha_grid=alpha)
     inner = concavify(scheme_e_region(params, beta_grid=beta))

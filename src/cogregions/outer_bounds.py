@@ -6,23 +6,27 @@ family's auxiliary parameter, and a
 :class:`~cogregions.region_geometry.Frontier` collapsing the whole family
 to its upper envelope.  Frontier builders accept either integer grid
 resolutions or explicit parameter arrays, so two families can be evaluated
-on matched grids and compared corner by corner.
+on matched grids and compared corner by corner.  Both granularities
+evaluate one vectorized caps function per family, ``(params, t) -> (r1,
+r2, sum)``, so each rate formula is written once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from dataclasses import astuple, dataclass
+from typing import Tuple
 
 import numpy as np
 
 from .channel import ChannelParams, gaussian_rate
 from .region_geometry import (
-    DEFAULT_R1_POINTS,
     Frontier,
+    GridAxis,
     Pentagon,
     corner_cloud,
+    grid_axis,
+    grid_point,
     hull_frontier,
     intersect_frontiers,
     union_frontier_arrays,
@@ -50,35 +54,31 @@ DEFAULT_ALPHA_POINTS = 1001
 # Default points per axis of the four-parameter covariance-split grid.
 DEFAULT_SPLIT_POINTS = 21
 
-GridAxis = Union[int, np.ndarray, Sequence[float]]
+
+def _cooperative_rate(params: ChannelParams, share):
+    """``log2(1 + p2 + b^2 p1 + 2 sqrt(share b^2 p1 p2))``: receiver 2's rate
+    for both messages when a fraction ``share`` of the cognitive power is
+    coherent with the primary signal."""
+    p1, p2 = params.p1, params.p2
+    b2 = params.b * params.b
+    return gaussian_rate(p2 + b2 * p1 + 2.0 * np.sqrt(share * b2 * p1 * p2))
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
+def _coherent_rate(p2: float, copy_power):
+    """``log2(1 + (sqrt(p2) + sqrt(copy_power))^2)``: the primary signal
+    reinforced at receiver 2 by a coherent copy of received power
+    ``copy_power``."""
+    amplitude = np.sqrt(p2) + np.sqrt(copy_power)
+    return gaussian_rate(amplitude * amplitude)
 
 
-def _alpha_axis(alpha_grid: GridAxis) -> np.ndarray:
-    """Normalize an integer resolution or explicit array to a sorted axis.
-
-    An integer gives that many uniform points on [0, 1].  Families swept
-    over [0, 1] have square-root boundary layers at the endpoints; pass an
-    explicit array (for instance
-    :func:`~cogregions.region_geometry.sweep_grid`) to resolve them.
-    """
-    if isinstance(alpha_grid, (int, np.integer)):
-        n = int(alpha_grid)
-        if n < 2:
-            raise ValueError("grid resolution must be at least 2")
-        return np.linspace(0.0, 1.0, n)
-    axis = np.unique(np.asarray(alpha_grid, dtype=float))
-    if axis.size == 0:
-        raise ValueError("empty grid")
-    if not np.all(np.isfinite(axis)) or axis[0] < 0.0 or axis[-1] > 1.0:
-        raise ValueError("alpha grid values must lie in [0, 1]")
-    return axis
+def _unifying_caps(params: ChannelParams, alpha):
+    """``(r1, r2, sum)`` caps of :func:`unifying_bound`; broadcasts over ``alpha``."""
+    b2 = params.b * params.b
+    r1_cap = gaussian_rate(alpha * params.p1)
+    r2_cap = _cooperative_rate(params, 1.0 - alpha)
+    excess = np.maximum(r1_cap - gaussian_rate(b2 * alpha * params.p1), 0.0)
+    return r1_cap, r2_cap, r2_cap + excess
 
 
 def unifying_bound(params: ChannelParams, alpha: float) -> Pentagon:
@@ -95,20 +95,11 @@ def unifying_bound(params: ChannelParams, alpha: float) -> Pentagon:
     ``|b| >= 1`` the sum cap must coincide with the one of
     :func:`cor2_bound` at every ``alpha``.
     """
-    alpha = _check_alpha(alpha)
-    p1, p2 = params.p1, params.p2
-    b2 = params.b * params.b
-    abar = 1.0 - alpha
-    r1_cap = gaussian_rate(alpha * p1)
-    r2_cap = gaussian_rate(b2 * p1 + p2 + 2.0 * math.sqrt(abar * b2 * p1 * p2))
-    excess = r1_cap - gaussian_rate(b2 * alpha * p1)
-    return Pentagon(float(r1_cap), float(r2_cap), float(r2_cap + max(0.0, excess)))
+    return Pentagon(*_unifying_caps(params, grid_point(alpha, "alpha")))
 
 
 def unifying_region(
-    params: ChannelParams,
-    alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS,
-    r1_grid: Union[int, np.ndarray] = DEFAULT_R1_POINTS,
+    params: ChannelParams, alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS
 ) -> Frontier:
     """Upper envelope of :func:`unifying_bound` over a power-split grid.
 
@@ -116,16 +107,21 @@ def unifying_region(
     the envelope is exact at the corners of the family instead of sampled
     to within one grid step.
     """
-    alpha = _alpha_axis(alpha_grid)
-    p1, p2 = params.p1, params.p2
-    b2 = params.b * params.b
+    alpha = grid_axis(alpha_grid, "alpha grid")
+    return union_frontier_arrays(*_unifying_caps(params, alpha), inject_corners=True)
+
+
+def _check_p1(p1: float) -> None:
+    if p1 < 0.0:
+        raise ValueError("power p1 must be nonnegative")
+
+
+def _bergmans_caps(p1: float, b: float, alpha):
+    """``(r1, r2, sum)`` caps of :func:`bergmans_region`; the sum cap is absent."""
     abar = 1.0 - alpha
-    r1_cap = gaussian_rate(alpha * p1)
-    r2_cap = gaussian_rate(b2 * p1 + p2 + 2.0 * np.sqrt(abar * b2 * p1 * p2))
-    excess = np.maximum(r1_cap - gaussian_rate(b2 * alpha * p1), 0.0)
-    return union_frontier_arrays(
-        r1_cap, r2_cap, r2_cap + excess, grid=r1_grid, inject_corners=True
-    )
+    r1_cap = gaussian_rate(alpha * p1 / (abar * p1 + 1.0))
+    r2_cap = gaussian_rate(b * b * abar * p1)
+    return r1_cap, r2_cap, np.full(np.shape(alpha), math.inf)
 
 
 def bergmans_region(p1: float, b: float, alpha: float) -> Pentagon:
@@ -137,34 +133,33 @@ def bergmans_region(p1: float, b: float, alpha: float) -> Pentagon:
     a containment reference — its union is strictly inside the
     :func:`unifying_bound` union — not an outer bound in its own right.
     """
-    alpha = _check_alpha(alpha)
-    if p1 < 0.0:
-        raise ValueError("power p1 must be nonnegative")
-    abar = 1.0 - alpha
-    r1_cap = gaussian_rate(alpha * p1 / (abar * p1 + 1.0))
-    r2_cap = gaussian_rate(b * b * abar * p1)
-    return Pentagon(float(r1_cap), float(r2_cap))
+    alpha = grid_point(alpha, "alpha")
+    _check_p1(p1)
+    return Pentagon(*_bergmans_caps(p1, b, alpha))
 
 
 def bergmans_frontier(
-    p1: float,
-    b: float,
-    alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS,
-    r1_grid: Union[int, np.ndarray] = DEFAULT_R1_POINTS,
+    p1: float, b: float, alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS
 ) -> Frontier:
     """Upper envelope of :func:`bergmans_region` over a power-split grid."""
-    if p1 < 0.0:
-        raise ValueError("power p1 must be nonnegative")
-    alpha = _alpha_axis(alpha_grid)
-    abar = 1.0 - alpha
-    r1_cap = gaussian_rate(alpha * p1 / (abar * p1 + 1.0))
-    r2_cap = gaussian_rate(b * b * abar * p1)
-    return union_frontier_arrays(
-        r1_cap,
-        r2_cap,
-        np.full(alpha.shape, math.inf),
-        grid=r1_grid,
-        inject_corners=True,
+    _check_p1(p1)
+    alpha = grid_axis(alpha_grid, "alpha grid")
+    return union_frontier_arrays(*_bergmans_caps(p1, b, alpha), inject_corners=True)
+
+
+def _check_z_strong(params: ChannelParams) -> None:
+    if params.a != 0.0 or params.b < 1.0:
+        raise ValueError("Cor.2 requires Z strong interference")
+
+
+def _cor2_caps(params: ChannelParams, alpha):
+    """``(r1, r2, sum)`` caps of :func:`cor2_bound`; broadcasts over ``alpha``."""
+    p1 = params.p1
+    copy_power = params.b * params.b * p1 * (1.0 - alpha) / (1.0 + alpha * p1)
+    return (
+        gaussian_rate(alpha * p1),
+        _coherent_rate(params.p2, copy_power),
+        _cooperative_rate(params, 1.0 - alpha),
     )
 
 
@@ -177,38 +172,17 @@ def cor2_bound(params: ChannelParams, alpha: float) -> Pentagon:
     tighter for every ``alpha > 0`` and equals the sum cap identically at
     ``alpha = 0``.
     """
-    if params.a != 0.0 or params.b < 1.0:
-        raise ValueError("Cor.2 requires Z strong interference")
-    alpha = _check_alpha(alpha)
-    p1, p2 = params.p1, params.p2
-    b2 = params.b * params.b
-    abar = 1.0 - alpha
-    r1_cap = gaussian_rate(alpha * p1)
-    amplitude = math.sqrt(p2) + math.sqrt(b2 * p1 * abar / (1.0 + alpha * p1))
-    r2_cap = gaussian_rate(amplitude * amplitude)
-    sum_cap = gaussian_rate(p2 + b2 * p1 + 2.0 * math.sqrt(abar * b2 * p1 * p2))
-    return Pentagon(float(r1_cap), float(r2_cap), float(sum_cap))
+    _check_z_strong(params)
+    return Pentagon(*_cor2_caps(params, grid_point(alpha, "alpha")))
 
 
 def cor2_region(
-    params: ChannelParams,
-    alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS,
-    r1_grid: Union[int, np.ndarray] = DEFAULT_R1_POINTS,
+    params: ChannelParams, alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS
 ) -> Frontier:
     """Upper envelope of :func:`cor2_bound` over a power-split grid."""
-    if params.a != 0.0 or params.b < 1.0:
-        raise ValueError("Cor.2 requires Z strong interference")
-    alpha = _alpha_axis(alpha_grid)
-    p1, p2 = params.p1, params.p2
-    b2 = params.b * params.b
-    abar = 1.0 - alpha
-    r1_cap = gaussian_rate(alpha * p1)
-    amplitude = np.sqrt(p2) + np.sqrt(b2 * p1 * abar / (1.0 + alpha * p1))
-    r2_cap = gaussian_rate(amplitude * amplitude)
-    sum_cap = gaussian_rate(p2 + b2 * p1 + 2.0 * np.sqrt(abar * b2 * p1 * p2))
-    return union_frontier_arrays(
-        r1_cap, r2_cap, sum_cap, grid=r1_grid, inject_corners=True
-    )
+    _check_z_strong(params)
+    alpha = grid_axis(alpha_grid, "alpha grid")
+    return union_frontier_arrays(*_cor2_caps(params, alpha), inject_corners=True)
 
 
 @dataclass(frozen=True)
@@ -229,16 +203,9 @@ class CovarianceSplit:
     rho2: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha1", "alpha2"):
-            value = float(getattr(self, name))
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-            object.__setattr__(self, name, value)
-        for name in ("rho1", "rho2"):
-            value = float(getattr(self, name))
-            if not -1.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [-1, 1], got {value}")
-            object.__setattr__(self, name, value)
+        ranges = (("alpha1", 0.0), ("alpha2", 0.0), ("rho1", -1.0), ("rho2", -1.0))
+        for name, lo in ranges:
+            object.__setattr__(self, name, grid_point(getattr(self, name), name, lo))
         # In-range fields imply |rho| <= 1 (Cauchy-Schwarz); the check only
         # guards against nonsense slipping through float conversion.
         if abs(self.rho) > 1.0 + 1e-12:
@@ -247,21 +214,28 @@ class CovarianceSplit:
     @property
     def rho(self) -> float:
         """Correlation coefficient of the summed layers at unit powers."""
-        a1, a2 = self.alpha1, self.alpha2
-        return self.rho1 * math.sqrt(a1 * a2) + self.rho2 * math.sqrt(
-            (1.0 - a1) * (1.0 - a2)
-        )
+        (_, _, c1), (_, _, c2) = _layer_entries(1.0, 1.0, *astuple(self))
+        return float(c1 + c2)
 
     def layer_covariances(self, p1: float, p2: float) -> Tuple[np.ndarray, np.ndarray]:
         """The two 2x2 layer covariance matrices at transmit powers (p1, p2)."""
-        v11, v12 = self.alpha1 * p1, self.alpha2 * p2
-        v21, v22 = (1.0 - self.alpha1) * p1, (1.0 - self.alpha2) * p2
-        c1 = self.rho1 * math.sqrt(v11 * v12)
-        c2 = self.rho2 * math.sqrt(v21 * v22)
-        return (
-            np.array([[v11, c1], [c1, v12]]),
-            np.array([[v21, c2], [c2, v22]]),
+        return tuple(
+            np.array([[v1, c], [c, v2]])
+            for v1, v2, c in _layer_entries(p1, p2, *astuple(self))
         )
+
+
+def _layer_entries(p1: float, p2: float, alpha1, alpha2, rho1, rho2):
+    """``(var1, var2, cov)`` of each layer covariance of a :class:`CovarianceSplit`.
+
+    Broadcasts over array split parameters.
+    """
+    v11, v12 = alpha1 * p1, alpha2 * p2
+    v21, v22 = (1.0 - alpha1) * p1, (1.0 - alpha2) * p2
+    return (
+        (v11, v12, rho1 * np.sqrt(v11 * v12)),
+        (v21, v22, rho2 * np.sqrt(v21 * v22)),
+    )
 
 
 def _split_forms(params: ChannelParams, alpha1, alpha2, rho1, rho2):
@@ -272,25 +246,27 @@ def _split_forms(params: ChannelParams, alpha1, alpha2, rho1, rho2):
     The total input power at receiver 2 is ``q2_layer1 + q2_layer2`` since
     the form is linear in the covariance.
     """
-    p1, p2 = params.p1, params.p2
     a, b = params.a, params.b
-    a1 = np.asarray(alpha1, dtype=float)
-    a2 = np.asarray(alpha2, dtype=float)
-    r1 = np.asarray(rho1, dtype=float)
-    r2 = np.asarray(rho2, dtype=float)
-    v11, v12 = a1 * p1, a2 * p2
-    v21, v22 = (1.0 - a1) * p1, (1.0 - a2) * p2
-    c1 = r1 * np.sqrt(v11 * v12)
-    c2 = r2 * np.sqrt(v21 * v22)
+    layer1, layer2 = _layer_entries(params.p1, params.p2, alpha1, alpha2, rho1, rho2)
 
     def form(h1, h2, m11, m22, m12):
         return h1 * h1 * m11 + 2.0 * h1 * h2 * m12 + h2 * h2 * m22
 
     return (
-        form(1.0, a, v11, v12, c1),
-        form(1.0, a, v21, v22, c2),
-        form(b, 1.0, v11, v12, c1),
-        form(b, 1.0, v21, v22, c2),
+        form(1.0, a, *layer1),
+        form(1.0, a, *layer2),
+        form(b, 1.0, *layer1),
+        form(b, 1.0, *layer2),
+    )
+
+
+def _split_caps(params: ChannelParams, alpha1, alpha2, rho1, rho2):
+    """``(r1, r2, sum)`` caps of :func:`bc_dms_pentagon`; broadcasts over the split."""
+    q1l1, q1l2, q2l1, q2l2 = _split_forms(params, alpha1, alpha2, rho1, rho2)
+    return (
+        gaussian_rate(q1l1 / (1.0 + q1l2)),
+        gaussian_rate(q2l2),
+        gaussian_rate(q2l1 + q2l2),
     )
 
 
@@ -304,24 +280,18 @@ def bc_dms_pentagon(params: ChannelParams, split: CovarianceSplit) -> Pentagon:
     always dominates the r2 cap because layer powers are nonnegative, so
     the pentagon never degenerates.
     """
-    q1l1, q1l2, q2l1, q2l2 = _split_forms(
-        params, split.alpha1, split.alpha2, split.rho1, split.rho2
-    )
-    return Pentagon(
-        float(gaussian_rate(q1l1 / (1.0 + q1l2))),
-        float(gaussian_rate(q2l2)),
-        float(gaussian_rate(q2l1 + q2l2)),
-    )
+    return Pentagon(*_split_caps(params, *astuple(split)))
 
 
-def _split_axes(split_grid) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize a split-grid spec to four 1-D axes.
+def _split_mesh(split_grid):
+    """Sparse ``ij`` mesh of a split grid: four broadcastable axes.
 
     An integer gives that many uniform points per axis; a length-4 sequence
     gives per-axis resolutions or explicit arrays in the order ``(alpha1,
     alpha2, rho1, rho2)``.  Power-fraction axes span [0, 1], correlation
-    axes span [-1, 1].  Explicit single-point arrays are allowed (they pin
-    a parameter to a slice).
+    axes span [-1, 1].  Values computed on the mesh are expanded by
+    :func:`_expand`, so the four full-size parameter arrays of a dense mesh
+    are never built.
     """
     if isinstance(split_grid, (int, np.integer)):
         spec: Tuple = (split_grid,) * 4
@@ -331,27 +301,11 @@ def _split_axes(split_grid) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
             raise ValueError(
                 "split grid must be an int or four axes (alpha1, alpha2, rho1, rho2)"
             )
-    axes = []
-    for i, (entry, lo) in enumerate(zip(spec, (0.0, 0.0, -1.0, -1.0))):
-        if isinstance(entry, (int, np.integer)):
-            if entry < 2:
-                raise ValueError("grid resolution must be at least 2")
-            axes.append(np.linspace(lo, 1.0, int(entry)))
-        else:
-            axis = np.unique(np.asarray(entry, dtype=float))
-            if axis.size == 0:
-                raise ValueError("empty grid")
-            if not np.all(np.isfinite(axis)) or axis[0] < lo or axis[-1] > 1.0:
-                raise ValueError(
-                    f"split grid axis {i} values must lie in [{lo:g}, 1]"
-                )
-            axes.append(axis)
-    return tuple(axes)
-
-
-def _sparse_mesh(split_grid):
-    """Sparse ``ij`` mesh of a split grid: four broadcastable axes."""
-    return np.meshgrid(*_split_axes(split_grid), indexing="ij", sparse=True)
+    axes = [
+        grid_axis(entry, f"split grid axis {i}", lo=lo)
+        for i, (entry, lo) in enumerate(zip(spec, (0.0, 0.0, -1.0, -1.0)))
+    ]
+    return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
 def _expand(values: np.ndarray, mesh) -> np.ndarray:
@@ -360,31 +314,7 @@ def _expand(values: np.ndarray, mesh) -> np.ndarray:
     return np.broadcast_to(values, shape).reshape(-1)
 
 
-def _split_mesh(params: ChannelParams, split_grid):
-    """:func:`_split_forms` at every split of the grid, flattened.
-
-    The forms are evaluated on the sparse mesh and only then expanded, so
-    the four full-size parameter arrays of a dense mesh are never built.
-    """
-    mesh = _sparse_mesh(split_grid)
-    return tuple(_expand(q, mesh) for q in _split_forms(params, *mesh))
-
-
-def _split_caps(params: ChannelParams, split_grid):
-    """Rate caps ``(r1, r2, sum)`` of :func:`bc_dms_pentagon` at every split.
-
-    Only the three cap arrays outlive the call, so the forms are released
-    before the caller builds a corner cloud from the caps.
-    """
-    q1l1, q1l2, q2l1, q2l2 = _split_mesh(params, split_grid)
-    return (
-        gaussian_rate(q1l1 / (1.0 + q1l2)),
-        gaussian_rate(q2l2),
-        gaussian_rate(q2l1 + q2l2),
-    )
-
-
-def _conditional_r1_caps(params: ChannelParams, split_grid):
+def _conditional_r1_caps(params: ChannelParams, mesh):
     """``log2(1 + Var(X1|X2))`` of every split's total input covariance.
 
     ``Var(X1|X2)`` is ``p1*(1-rho^2)`` with the split's total correlation
@@ -394,40 +324,34 @@ def _conditional_r1_caps(params: ChannelParams, split_grid):
     """
     if params.p2 == 0.0:
         return gaussian_rate(params.p1)
-    a1, a2, rho1, rho2 = mesh = _sparse_mesh(split_grid)
-    rho = _expand(
-        rho1 * np.sqrt(a1 * a2) + rho2 * np.sqrt((1.0 - a1) * (1.0 - a2)), mesh
-    )
+    (_, _, c1), (_, _, c2) = _layer_entries(1.0, 1.0, *mesh)
+    rho = c1 + c2
     return gaussian_rate(params.p1 * np.maximum(1.0 - rho * rho, 0.0))
 
 
-def bc_dms_region(
-    params: ChannelParams,
-    split_grid=DEFAULT_SPLIT_POINTS,
-    r1_grid: Union[int, np.ndarray] = DEFAULT_R1_POINTS,
-) -> Frontier:
+def _mesh_caps(params: ChannelParams, mesh):
+    """:func:`_split_caps` at every split of a :func:`_split_mesh`, flattened."""
+    return tuple(_expand(cap, mesh) for cap in _split_caps(params, *mesh))
+
+
+def bc_dms_region(params: ChannelParams, split_grid=DEFAULT_SPLIT_POINTS) -> Frontier:
     """Upper concave envelope of :func:`bc_dms_pentagon` over a split grid.
 
     The underlying region is convex (time sharing between splits is
     admissible in the enhanced channel), so the sampled union is
     concavified.  The hull is assembled exactly from the pentagon corner
     cloud — no r1 sampling is involved, which keeps the steep edges of the
-    envelope sharp at any grid size; ``r1_grid`` is accepted for interface
-    symmetry with the other region builders and only validated.  The result
-    outer-bounds the cognitive region only for ``|b| >= 1``; the function
-    computes the enhanced-channel region for any parameters and leaves
-    regime policing to callers.
+    envelope sharp at any grid size.  The result outer-bounds the cognitive
+    region only for ``|b| >= 1``; the function computes the enhanced-channel
+    region for any parameters and leaves regime policing to callers.
     """
-    if isinstance(r1_grid, (int, np.integer)) and r1_grid < 2:
-        raise ValueError("grid resolution must be at least 2")
-    return hull_frontier(*corner_cloud(*_split_caps(params, split_grid)))
+    return hull_frontier(*corner_cloud(*_mesh_caps(params, _split_mesh(split_grid))))
 
 
 def th1_bound(
     params: ChannelParams,
     split_grid=DEFAULT_SPLIT_POINTS,
     alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS,
-    r1_grid: Union[int, np.ndarray] = DEFAULT_R1_POINTS,
 ) -> Frontier:
     """Strong-interference outer bound: broadcast pentagons, each cut by its own r1 cap.
 
@@ -446,18 +370,17 @@ def th1_bound(
     would pair rates that no single input law produces.  The hull is then
     intersected with the unifying-family envelope, so the result is
     pointwise below both :func:`bc_dms_region` and :func:`unifying_region`.
-    ``r1_grid`` only sets the unifying envelope's r1 grid.
     """
     if params.b <= 1.0:
         raise ValueError("Theorem 1 requires |b| > 1")
-    r1_cap, r2_cap, sum_cap = _split_caps(params, split_grid)
-    r1_cap = np.minimum(r1_cap, _conditional_r1_caps(params, split_grid))
-    cloud = corner_cloud(r1_cap, r2_cap, sum_cap)
+    mesh = _split_mesh(split_grid)
+    r1_cap, r2_cap, sum_cap = _split_caps(params, *mesh)
+    r1_cap = np.minimum(r1_cap, _conditional_r1_caps(params, mesh))
+    cloud = corner_cloud(*(_expand(cap, mesh) for cap in (r1_cap, r2_cap, sum_cap)))
     # Release the caps before the hull, which holds the peak memory.
     del r1_cap, r2_cap, sum_cap
     return intersect_frontiers(
-        hull_frontier(*cloud),
-        unifying_region(params, alpha_grid=alpha_grid, r1_grid=r1_grid),
+        hull_frontier(*cloud), unifying_region(params, alpha_grid=alpha_grid)
     )
 
 
@@ -465,7 +388,6 @@ def bc_pr_bound(
     params: ChannelParams,
     split_grid=DEFAULT_SPLIT_POINTS,
     alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS,
-    r1_grid: Union[int, np.ndarray] = DEFAULT_R1_POINTS,
 ) -> Frontier:
     """Outer bound from private-rate broadcast rectangles, both encoding orders.
 
@@ -475,15 +397,15 @@ def bc_pr_bound(
     concavified exactly from its corner cloud (the underlying region is
     convex) and then cut by the unifying-family envelope.
     """
-    q1l1, q1l2, q2l1, q2l2 = _split_mesh(params, split_grid)
-    # First coordinates: layer 2 encoded last, then layer 1 encoded last.
-    rect_r1 = np.concatenate(
-        [gaussian_rate(q1l1 / (1.0 + q1l2)), gaussian_rate(q1l1)]
-    )
+    mesh = _split_mesh(split_grid)
+    # Layer 2 encoded last: the r1 and r2 caps of the broadcast pentagon.
+    r1_last2, r2_last2, _ = _mesh_caps(params, mesh)
+    # Layer 1 encoded last.
+    q1l1, _, q2l1, q2l2 = _split_forms(params, *mesh)
+    rect_r1 = np.concatenate([r1_last2, _expand(gaussian_rate(q1l1), mesh)])
     rect_r2 = np.concatenate(
-        [gaussian_rate(q2l2), gaussian_rate(q2l2 / (1.0 + q2l1))]
+        [r2_last2, _expand(gaussian_rate(q2l2 / (1.0 + q2l1)), mesh)]
     )
     return intersect_frontiers(
-        hull_frontier(rect_r1, rect_r2),
-        unifying_region(params, alpha_grid=alpha_grid, r1_grid=r1_grid),
+        hull_frontier(rect_r1, rect_r2), unifying_region(params, alpha_grid=alpha_grid)
     )

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -192,14 +190,6 @@ class VerificationReport:
         )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("COGREGIONS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _envelope(
     r1_ext: np.ndarray,
     r2cap: np.ndarray,
@@ -209,30 +199,21 @@ def _envelope(
     """Upper envelope of ``min(r2cap, sum_cap - r1)`` over admissible pentagons.
 
     Admissibility of pentagon j at grid point r1 is ``r1_ext[j] >= r1 - slack``.
-    Returns ``-inf`` where no pentagon is admissible.  The reduction is a
-    plain maximum, so chunk order (and hence threading) cannot change the
-    result.
+    Returns ``-inf`` where no pentagon is admissible.  The family is reduced
+    in chunks of ``_CHUNK`` pentagons to bound the size of the temporaries.
     """
-
-    def one_chunk(lo: int) -> np.ndarray:
+    g = grid[:, None]
+    parts = []
+    for lo in range(0, len(r1_ext), _CHUNK):
         ext = r1_ext[lo : lo + _CHUNK][None, :]
         cap = r2cap[lo : lo + _CHUNK][None, :]
         sc = sum_cap[lo : lo + _CHUNK][None, :]
-        g = grid[:, None]
         vals = np.where(
             ext >= g - FEASIBILITY_SLACK,
             np.minimum(cap, sc - g),
             -np.inf,
         )
-        return vals.max(axis=1)
-
-    starts = range(0, len(r1_ext), _CHUNK)
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_chunk, starts))
-    else:
-        parts = [one_chunk(lo) for lo in starts]
+        parts.append(vals.max(axis=1))
     return np.maximum.reduce(parts)
 
 
@@ -390,6 +371,41 @@ def sweep_grid(n: int, tail_stop: float = 1e-2) -> np.ndarray:
     base = np.linspace(0.0, 1.0, int(n))
     tail = np.geomspace(1e-9, tail_stop, 29)
     return np.unique(np.concatenate([base, tail, 1.0 - tail]))
+
+
+GridAxis = Union[int, np.ndarray, Sequence[float]]
+
+
+def grid_axis(
+    grid: GridAxis, what: str, lo: float = 0.0, tailed: bool = False
+) -> np.ndarray:
+    """Normalize an integer resolution or explicit array to a sorted axis in [lo, 1].
+
+    An integer gives that many uniform points, or with ``tailed`` the
+    :func:`sweep_grid` of that many points (on [0, 1]).  An explicit array
+    is sorted and deduplicated; single points are allowed (they pin a
+    parameter to a slice).  ``what`` names the axis in the range error.
+    Families swept over [0, 1] have square-root boundary layers at the
+    endpoints; pass a :func:`sweep_grid` array to resolve them.
+    """
+    if isinstance(grid, (int, np.integer)):
+        if grid < 2:
+            raise ValueError("grid resolution must be at least 2")
+        return sweep_grid(int(grid)) if tailed else np.linspace(lo, 1.0, int(grid))
+    axis = np.unique(np.asarray(grid, dtype=float))
+    if axis.size == 0:
+        raise ValueError("empty grid")
+    if not np.all(np.isfinite(axis)) or axis[0] < lo or axis[-1] > 1.0:
+        raise ValueError(f"{what} values must lie in [{lo:g}, 1]")
+    return axis
+
+
+def grid_point(value: float, what: str, lo: float = 0.0) -> float:
+    """One auxiliary-parameter value as a float, checked to lie in ``[lo, 1]``."""
+    value = float(value)
+    if not lo <= value <= 1.0:
+        raise ValueError(f"{what} must lie in [{lo:g}, 1], got {value}")
+    return value
 
 
 def concavify(f: Frontier) -> Frontier:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config overlay, file outputs."""
 
+import hashlib
 import json
 import math
 
@@ -411,3 +412,21 @@ def test_fig3_reference_pair(capsys, tmp_path):
         assert (tmp_path / ("fig" + suffix)).exists()
     on_disk = json.loads((tmp_path / "fig_gap.json").read_text())
     assert on_disk == report
+    # Output bytes, by sha256 prefix (see test_cli_golden.py); the gap file
+    # repeats stdout.
+    def digest(data):
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    digests = {
+        suffix: digest((tmp_path / ("fig" + suffix)).read_bytes())
+        for suffix in ("_outer.csv", "_inner.csv", "_outer.meta.json", "_inner.meta.json")
+    }
+    digests["stdout"] = digest(out.encode())
+    assert digests == {
+        "_outer.csv": "2eaae8372b2bb703",
+        "_inner.csv": "b17511d9574350d2",
+        "_outer.meta.json": "c9c4546dd74c76fb",
+        "_inner.meta.json": "a99e2e5c7383231d",
+        "stdout": "b95da41794a9e65e",
+    }
+    assert (tmp_path / "fig_gap.json").read_text() == out

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cogregions.channel import ChannelParams
+from cogregions.channel import ChannelParams, th3_threshold
+from cogregions.inner_bounds import beta_of_alpha, scheme_e_pentagon
 from cogregions.oracles import (
     degradedness_check,
     mc_rate_check,
@@ -13,6 +14,7 @@ from cogregions.oracles import (
     verify_condition6,
     verify_th3_capacity,
 )
+from cogregions.outer_bounds import cor2_bound
 
 
 # ------------------------------------------------------- Monte Carlo checks
@@ -92,6 +94,21 @@ def test_degradedness_check_correlated_inputs():
     )
     assert report.passed, report.worst_case
     assert report.worst_case["input_rho"] == 0.7
+
+
+def test_degradedness_check_false_alarm_rate_is_nominal():
+    # On correct inputs each nonzero covariance difference is a standard
+    # normal in standard-error units; the largest of the three distinct ones
+    # (receiver 1's observation against X1, X2 and itself) exceeds 2.5 with
+    # probability about 3.7%.  A standard error that ignores the rebuilt
+    # observation's own noise inflates that rate to about 12%.
+    params = ChannelParams(a=0.0, b=1.685, p1=0.25, p2=0.395)
+    discrepancies = [
+        degradedness_check(params, n_samples=10_000, seed=seed).max_discrepancy
+        for seed in range(600)
+    ]
+    rate = sum(d > 2.5 for d in discrepancies) / len(discrepancies)
+    assert rate <= 0.07, rate
 
 
 def test_degradedness_check_validation():
@@ -196,6 +213,28 @@ def test_th3_capacity_identity_holds():
         assert report.worst_case["rate_cap_identity_bits"] <= 1e-12
         assert report.worst_case["sum_constraint_excess_bits"] <= 1e-12
         assert report.worst_case["frontier_gap_bits"] <= 1e-9
+
+
+def test_th3_capacity_caps_match_scalar_pentagons():
+    # The check evaluates both families' caps on the whole grid at once;
+    # the pentagon-by-pentagon loop over the public scalar builders is the
+    # reference, and the arithmetic is the same, so the numbers are equal.
+    for p1, p2, scale in ((1.0, 1.0, 1.0), (0.3, 7.0, 1.7), (12.0, 0.05, 1.0)):
+        b = scale * th3_threshold(p1, p2)
+        params = ChannelParams(a=0.0, b=b, p1=p1, p2=p2)
+        alpha = np.linspace(0.0, 1.0, 301)
+        cap_identity = sum_excess = 0.0
+        for al, be in zip(alpha.tolist(), beta_of_alpha(alpha, p1).tolist()):
+            outer, inner = cor2_bound(params, al), scheme_e_pentagon(params, be)
+            cap_identity = max(
+                cap_identity,
+                abs(inner.r1_max - outer.r1_max),
+                abs(inner.r2_max - outer.r2_max),
+            )
+            sum_excess = max(sum_excess, inner.r1_max + inner.r2_max - inner.sum_max)
+        report = verify_th3_capacity(p1, p2, b, alpha_grid=301)
+        assert report.worst_case["rate_cap_identity_bits"] == cap_identity
+        assert report.worst_case["sum_constraint_excess_bits"] == sum_excess
 
 
 def test_th3_capacity_requires_regime():

@@ -1,7 +1,6 @@
 """Pentagon/frontier geometry: construction, envelopes, hulls, containment."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -236,14 +235,3 @@ def test_report_json_line_is_deterministic():
     rep = contains(outer=f, inner=f, tol=0.0)
     assert rep.to_json_line() == rep.to_json_line()
     assert rep.to_json_line().startswith('{"name":')
-
-
-def test_envelope_thread_count_does_not_change_result(monkeypatch):
-    pents = [
-        Pentagon(0.2 * k, 3.0 - 0.1 * k, 2.5 + 0.05 * k) for k in range(1, 12)
-    ]
-    base = union_frontier(pents, grid=513, inject_corners=True)
-    monkeypatch.setenv("COGREGIONS_THREADS", "4")
-    threaded = union_frontier(pents, grid=513, inject_corners=True)
-    np.testing.assert_array_equal(base.r1, threaded.r1)
-    np.testing.assert_array_equal(base.r2, threaded.r2)
