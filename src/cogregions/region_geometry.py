@@ -43,8 +43,6 @@ DEFAULT_R1_POINTS = 2001
 # abscissa and the envelope would dip to the next corner.
 FEASIBILITY_SLACK = 1e-12
 
-_CHUNK = 2048
-
 
 @dataclass(frozen=True)
 class Pentagon:
@@ -199,22 +197,83 @@ def _envelope(
     """Upper envelope of ``min(r2cap, sum_cap - r1)`` over admissible pentagons.
 
     Admissibility of pentagon j at grid point r1 is ``r1_ext[j] >= r1 - slack``.
-    Returns ``-inf`` where no pentagon is admissible.  The family is reduced
-    in chunks of ``_CHUNK`` pentagons to bound the size of the temporaries.
+    Returns ``-inf`` where no pentagon is admissible.  ``grid`` must be
+    sorted and free of NaN.
+
+    The result equals, bit for bit, the dense evaluation of every pentagon
+    at every grid point, in O((M + G) log G) time and O(M + G) memory.  It
+    rests on three monotone facts about floating point on a sorted grid:
+
+    - ``fl(g - slack)`` is non-decreasing in ``g``, so pentagon j is
+      admissible on a grid prefix ``[0, e_j)``, found by ``searchsorted``.
+    - ``fl(sum_cap[j] - g)`` is non-increasing in ``g``, so the predicate
+      ``r2cap[j] <= fl(sum_cap[j] - g)`` holds on a prefix ``[0, k_j)``;
+      a vectorized bisection that evaluates this very predicate finds
+      ``k_j``.  On ``[0, min(k_j, e_j))`` the pentagon contributes
+      ``r2cap[j]``, and on ``[k_j, e_j)`` it contributes
+      ``fl(sum_cap[j] - g)``.
+    - ``fl(x - g)`` is non-decreasing in ``x``, so the largest rounded
+      difference over a set of pentagons is the rounded difference of their
+      largest sum cap; only the maximum sum cap over the intervals covering
+      each grid point is needed.
+
+    Maxima involve no rounding, so splitting the maximum over pentagons into
+    these two terms changes no bit, save the sign of a zero result when the
+    inputs hold negative zeros; :func:`union_frontier_arrays` clamps that
+    away.
     """
-    g = grid[:, None]
-    parts = []
-    for lo in range(0, len(r1_ext), _CHUNK):
-        ext = r1_ext[lo : lo + _CHUNK][None, :]
-        cap = r2cap[lo : lo + _CHUNK][None, :]
-        sc = sum_cap[lo : lo + _CHUNK][None, :]
-        vals = np.where(
-            ext >= g - FEASIBILITY_SLACK,
-            np.minimum(cap, sc - g),
-            -np.inf,
-        )
-        parts.append(vals.max(axis=1))
-    return np.maximum.reduce(parts)
+    n = grid.size
+    ext_end = np.searchsorted(grid - FEASIBILITY_SLACK, r1_ext, side="right")
+    # Bisection for knee_end = min(k_j, e_j): the first grid index where the
+    # r2 cap exceeds the sum-cap line, capped at the admissible end.
+    lo = np.zeros(r1_ext.size, dtype=np.intp)
+    hi = ext_end
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) >> 1
+        flat = r2cap <= sum_cap - grid[np.minimum(mid, n - 1)]
+        active = lo < hi
+        lo = np.where(active & flat, mid + 1, lo)
+        hi = np.where(active & ~flat, mid, hi)
+    knee_end = lo
+
+    # Flat parts: pentagon j holds r2cap[j] on the prefix [0, knee_end[j]).
+    flat_max = np.full(n + 1, -np.inf)
+    np.maximum.at(flat_max, knee_end, r2cap)
+    flat_max = np.maximum.accumulate(flat_max[::-1])[::-1][1:]
+    # Sloped parts: sum_cap[j] - r1 on [knee_end[j], ext_end[j]).
+    sloped = _stabbing_max(knee_end, ext_end, sum_cap, n) - grid
+    return np.maximum(flat_max, sloped)
+
+
+def _stabbing_max(
+    lo: np.ndarray, hi: np.ndarray, val: np.ndarray, n: int
+) -> np.ndarray:
+    """``out[i] = max(val[j] for j with lo[j] <= i < hi[j])``, ``-inf`` if none.
+
+    A segment tree over ``n`` leaves, filled and pushed down level by level
+    with vectorized scatters.
+    """
+    size = 1 << max(n - 1, 0).bit_length()
+    tree = np.full(2 * size, -np.inf)
+    live = lo < hi
+    left, right, val = lo[live] + size, hi[live] + size, val[live]
+    while left.size:
+        odd = (left & 1).astype(bool)
+        np.maximum.at(tree, left[odd], val[odd])
+        left = left + odd
+        odd = (right & 1).astype(bool)
+        right = right - odd
+        np.maximum.at(tree, right[odd], val[odd])
+        left >>= 1
+        right >>= 1
+        live = left < right
+        left, right, val = left[live], right[live], val[live]
+    level = 1
+    while level < size:
+        children = tree[2 * level : 4 * level]
+        np.maximum(children, np.repeat(tree[level : 2 * level], 2), out=children)
+        level *= 2
+    return tree[size : size + n]
 
 
 def union_frontier(
@@ -255,13 +314,23 @@ def union_frontier_arrays(
     Takes parallel constraint arrays instead of :class:`Pentagon` objects so
     callers sweeping thousands of auxiliary parameters never materialize the
     family.  Semantics match :func:`union_frontier` exactly, including sum
-    normalization.
+    normalization and the :class:`Pentagon` checks on NaN and negative
+    constraints.
     """
     a = np.asarray(r1_max, dtype=float)
     b = np.asarray(r2_max, dtype=float)
     s = np.asarray(sum_max, dtype=float)
     if a.size == 0:
         raise ValueError("no pentagons")
+    if np.isnan(a).any() or np.isnan(b).any() or np.isnan(s).any():
+        raise ValueError("pentagon constraints must not be NaN")
+    negative = (a < 0) | (b < 0) | (s < 0)
+    if negative.any():
+        j = np.argmax(negative)
+        r1, r2, total = (float(v.flat[j]) for v in np.broadcast_arrays(a, b, s))
+        raise ValueError(
+            f"pentagon constraints must be nonnegative, got ({r1}, {r2}, {total})"
+        )
     sum_cap = np.minimum(s, a + b)
     r1_ext = np.minimum(a, sum_cap)
     r2cap = np.minimum(b, sum_cap)
@@ -311,22 +380,16 @@ def corner_cloud(r1_max, r2_max, sum_max):
     return np.concatenate([x1, x2]), np.concatenate([y1, y2])
 
 
-def hull_frontier(x, y) -> Frontier:
-    """Upper concave envelope of a down-closed point cloud as a :class:`Frontier`.
+# Stride of the sample whose staircase prefilters a cloud in hull_frontier.
+_WITNESS_STRIDE = 64
 
-    The Pareto staircase of the cloud is extracted vectorized (dominated
-    points never reach the hull scan), then a monotone-chain pass keeps the
-    concave extreme points.  The result is exact for the given points — no
-    sampling grid is involved — and extends flat to r1 = 0, matching the
-    down-closed region the points describe.
+
+def _staircase(x: np.ndarray, y: np.ndarray):
+    """Pareto staircase of a point cloud: x increasing, y strictly decreasing.
+
+    A point survives iff no other point has larger x and y at least as
+    large, or equal x and larger y; of exact duplicates one copy is kept.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size == 0:
-        raise ValueError("no pentagons")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("corner coordinates must be finite")
-
     order = np.lexsort((-y, x))
     x, y = x[order], y[order]
     first = np.ones(x.size, dtype=bool)
@@ -336,7 +399,39 @@ def hull_frontier(x, y) -> Frontier:
     keep = np.empty(y.size, dtype=bool)
     keep[:-1] = y[:-1] > suffix[1:]
     keep[-1] = True
-    x, y = x[keep], y[keep]
+    return x[keep], y[keep]
+
+
+def hull_frontier(x, y) -> Frontier:
+    """Upper concave envelope of a down-closed point cloud as a :class:`Frontier`.
+
+    The Pareto staircase of the cloud is extracted vectorized (dominated
+    points never reach the hull scan), then a monotone-chain pass keeps the
+    concave extreme points.  The result is exact for the given points — no
+    sampling grid is involved — and extends flat to r1 = 0, matching the
+    down-closed region the points describe.
+
+    Before the staircase's full sort, the cloud is prefiltered by the
+    staircase of every ``_WITNESS_STRIDE``-th point (the witnesses): a point
+    is dropped when some witness has ``x_w >= x`` and ``y_w > y``.  The
+    staircase drops every such point too (the witness beats it on larger x,
+    or on larger y at equal x), and that dominance is transitive, so each
+    point the staircase drops is still dominated by a staircase point that
+    the prefilter keeps.  Survivors keep their relative order, so the
+    staircase, the monotone-chain input and the result are unchanged.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.size == 0:
+        raise ValueError("no pentagons")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("corner coordinates must be finite")
+
+    wx, wy = _staircase(x[::_WITNESS_STRIDE], y[::_WITNESS_STRIDE])
+    # Witness y is strictly decreasing in x, so the first witness at or
+    # right of a point has the largest y among those at or right of it.
+    keep = np.append(wy, -np.inf)[np.searchsorted(wx, x, side="left")] <= y
+    x, y = _staircase(x[keep], y[keep])
 
     if x[0] > 0.0:
         x = np.concatenate([[0.0], x])

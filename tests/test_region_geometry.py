@@ -1,10 +1,15 @@
 """Pentagon/frontier geometry: construction, envelopes, hulls, containment."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cogregions import region_geometry
 from cogregions.region_geometry import (
     FEASIBILITY_SLACK,
     Frontier,
@@ -235,3 +240,192 @@ def test_report_json_line_is_deterministic():
     rep = contains(outer=f, inner=f, tol=0.0)
     assert rep.to_json_line() == rep.to_json_line()
     assert rep.to_json_line().startswith('{"name":')
+
+
+# ------------------------------------- exact kernels vs dense references
+
+
+def _dense_envelope(r1_ext, r2cap, sum_cap, grid):
+    """Reference: every pentagon evaluated at every grid point."""
+    g = grid[:, None]
+    vals = np.where(
+        r1_ext[None, :] >= g - FEASIBILITY_SLACK,
+        np.minimum(r2cap[None, :], sum_cap[None, :] - g),
+        -np.inf,
+    )
+    return vals.max(axis=1)
+
+
+def _unfiltered_hull(x, y):
+    """Reference: staircase of the whole cloud, then the monotone chain."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    order = np.lexsort((-y, x))
+    x, y = x[order], y[order]
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = x[1:] > x[:-1]
+    x, y = x[first], y[first]
+    suffix = np.maximum.accumulate(y[::-1])[::-1]
+    keep = np.empty(y.size, dtype=bool)
+    keep[:-1] = y[:-1] > suffix[1:]
+    keep[-1] = True
+    x, y = x[keep], y[keep]
+    if x[0] > 0.0:
+        x = np.concatenate([[0.0], x])
+        y = np.concatenate([[y[0]], y])
+    hull_x, hull_y = [x[0]], [y[0]]
+    for xi, yi in zip(x[1:].tolist(), y[1:].tolist()):
+        while len(hull_x) >= 2:
+            cross = (hull_x[-1] - hull_x[-2]) * (yi - hull_y[-2]) - (
+                xi - hull_x[-2]
+            ) * (hull_y[-1] - hull_y[-2])
+            if cross < 0.0:
+                break
+            hull_x.pop()
+            hull_y.pop()
+        hull_x.append(xi)
+        hull_y.append(yi)
+    return np.array(hull_x), np.array(hull_y)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+# Small pools force tied caps, zero caps and shared abscissas.
+_CAP = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0]), st.floats(0.0, 3.0)
+)
+_SUM = st.one_of(_CAP, st.floats(0.0, 6.0), st.just(math.inf))
+
+
+@st.composite
+def _families(draw):
+    m = draw(st.integers(1, 25))
+    return tuple(
+        np.array(draw(st.lists(cap, min_size=m, max_size=m)))
+        for cap in (_CAP, _CAP, _SUM)
+    )
+
+
+@st.composite
+def _grids(draw, a, b, s):
+    """An integer grid, or explicit abscissas at and next to the extents."""
+    if draw(st.booleans()):
+        return draw(st.integers(2, 40))
+    sum_cap = np.minimum(s, a + b)
+    ext = np.minimum(a, sum_cap)
+    knees = sum_cap - np.minimum(b, sum_cap)
+    anchors = np.concatenate([ext, knees[np.isfinite(knees)], [0.0]])
+    anchor = st.sampled_from(anchors.tolist())
+    slack = FEASIBILITY_SLACK
+    shift = st.sampled_from([0.0, slack, -slack, 2 * slack, -slack / 2])
+    pairs = draw(st.lists(st.tuples(anchor, shift), min_size=1, max_size=12))
+    points = [p + d for p, d in pairs]
+    points += draw(st.lists(st.floats(0.0, 3.5), max_size=12))
+    points += [np.nextafter(p, math.inf) for p in draw(st.lists(anchor, max_size=3))]
+    return np.array(points)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_envelope_matches_dense_reference_bitwise(data):
+    # Adding 0.0 turns negative zeros positive: they may flip the sign of a
+    # zero envelope value, which the union clamps (tested below).
+    a, b, s = (v + 0.0 for v in data.draw(_families()))
+    sum_cap = np.minimum(s, a + b)
+    r1_ext = np.minimum(a, sum_cap)
+    r2cap = np.minimum(b, sum_cap)
+    grid = data.draw(_grids(a, b, s))
+    if isinstance(grid, int):
+        grid = np.linspace(0.0, float(r1_ext.max()), grid)
+    grid = np.unique(grid)
+    got = region_geometry._envelope(r1_ext, r2cap, sum_cap, grid)
+    want = _dense_envelope(r1_ext, r2cap, sum_cap, grid)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_union_frontier_matches_dense_reference_bitwise(data):
+    a, b, s = data.draw(_families())
+    grid = data.draw(_grids(a, b, s))
+    inject = data.draw(st.booleans())
+
+    def outcome():
+        # Explicit grids may leave no valid frontier; both kernels must then
+        # fail the same way.
+        try:
+            f = union_frontier_arrays(a, b, s, grid=grid, inject_corners=inject)
+        except ValueError as err:
+            return str(err)
+        return _bits(f.r1).tolist(), _bits(f.r2).tolist()
+
+    got = outcome()
+    with mock.patch.object(region_geometry, "_envelope", _dense_envelope):
+        assert got == outcome()
+
+
+@st.composite
+def _clouds(draw):
+    n = draw(st.integers(1, 400))
+    kind = draw(st.sampled_from(["pool", "uniform", "collinear", "shared_x"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "pool":  # many duplicate points and shared coordinates
+        x = rng.choice([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0], n)
+        y = rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0], n)
+    elif kind == "uniform":
+        x, y = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 3.0, n)
+    elif kind == "collinear":
+        x = rng.choice(np.linspace(0.0, 2.0, 17), n)
+        y = 2.0 - x
+    else:
+        x = np.full(n, 1.25)
+        y = rng.uniform(0.0, 3.0, n)
+    return x, y
+
+
+@settings(max_examples=400, deadline=None)
+@given(_clouds())
+def test_hull_frontier_matches_unfiltered_staircase_bitwise(cloud):
+    x, y = cloud
+    got = hull_frontier(x, y)
+    want_x, want_y = _unfiltered_hull(x, y)
+    assert np.array_equal(_bits(got.r1), _bits(want_x))
+    assert np.array_equal(_bits(got.r2), _bits(want_y))
+
+
+def test_union_large_grid_memory_is_linear():
+    # A 20k-pentagon family on a 240k-point explicit grid: the dense
+    # envelope needed grid x 2048 doubles per chunk and was OOM-killed.
+    rng = np.random.default_rng(3)
+    m = 20_000
+    a, b = rng.uniform(0.0, 4.0, m), rng.uniform(0.0, 4.0, m)
+    s = rng.uniform(0.0, 8.0, m)
+    grid = np.linspace(0.0, 4.0, 240_001)
+    tracemalloc.start()
+    try:
+        f = union_frontier_arrays(a, b, s, grid=grid, inject_corners=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert f.r1.size > grid.size
+    sum_cap = np.minimum(s, a + b)
+    picks = np.sort(rng.choice(f.r1.size, 200, replace=False))
+    want = _dense_envelope(
+        np.minimum(a, sum_cap), np.minimum(b, sum_cap), sum_cap, f.r1[picks]
+    )
+    assert np.array_equal(_bits(f.r2[picks]), _bits(np.maximum(want, 0.0)))
+
+
+@pytest.mark.parametrize("grid", [11, np.linspace(0.0, 1.0, 5)])
+def test_union_arrays_rejects_nan_and_negative_caps(grid):
+    with pytest.raises(ValueError) as err:
+        union_frontier_arrays([1.0, math.nan], [1.0, 1.0], [2.0, 2.0], grid=grid)
+    assert str(err.value) == "pentagon constraints must not be NaN"
+    with pytest.raises(ValueError) as want:
+        Pentagon(1.0, -0.5, 2.0)
+    with pytest.raises(ValueError) as err:
+        union_frontier_arrays([1.0, 1.0], [1.0, -0.5], [2.0, 2.0], grid=grid)
+    assert str(err.value) == str(want.value)
