@@ -42,6 +42,7 @@ from .outer_bounds import (
 from .region_geometry import (
     DEFAULT_R1_POINTS,
     Frontier,
+    _sorted_unique,
     concavify,
     contains,
     grid_axis,
@@ -251,7 +252,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     second, _ = _frontier_for(args.second, params, cfg)
     report = contains(outer=second, inner=first, tol=cfg["tol"])
     top = min(first.max_r1, second.max_r1)
-    xs = np.unique(
+    xs = _sorted_unique(
         np.concatenate([first.r1[first.r1 <= top], second.r1[second.r1 <= top]])
     )
     gap = second.interp(xs) - first.interp(xs)

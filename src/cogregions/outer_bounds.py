@@ -21,9 +21,12 @@ import numpy as np
 
 from .channel import ChannelParams, gaussian_rate
 from .region_geometry import (
+    _WITNESS_STRIDE,
     Frontier,
     GridAxis,
     Pentagon,
+    _staircase,
+    _unbeaten,
     corner_cloud,
     grid_axis,
     grid_point,
@@ -283,15 +286,20 @@ def bc_dms_pentagon(params: ChannelParams, split: CovarianceSplit) -> Pentagon:
     return Pentagon(*_split_caps(params, *astuple(split)))
 
 
-def _split_mesh(split_grid):
-    """Sparse ``ij`` mesh of a split grid: four broadcastable axes.
+def _split_mesh(params: ChannelParams, split_grid):
+    """The four 1-D axes ``(alpha1, alpha2, rho1, rho2)`` of a split grid.
 
     An integer gives that many uniform points per axis; a length-4 sequence
-    gives per-axis resolutions or explicit arrays in the order ``(alpha1,
-    alpha2, rho1, rho2)``.  Power-fraction axes span [0, 1], correlation
-    axes span [-1, 1].  Values computed on the mesh are expanded by
-    :func:`_expand`, so the four full-size parameter arrays of a dense mesh
-    are never built.
+    gives per-axis resolutions or explicit arrays in that order.
+    Power-fraction axes span [0, 1], correlation axes span [-1, 1].
+
+    An axis the caps do not depend on is cut to its first point.  With
+    ``p2 = 0`` each layer's X2 variance and cross term are zeros, and a
+    zero added to a quadratic form changes no bit, so every cap depends on
+    ``alpha1`` alone; with ``p1 = 0`` every cap depends on ``alpha2`` alone
+    and the Theorem-1 cut is ``log2(1 + 0) = 0``.  The splits dropped along
+    the other axes repeat the kept ones' points bit for bit, so the hull
+    does not change (see :func:`_split_hull`).
     """
     if isinstance(split_grid, (int, np.integer)):
         spec: Tuple = (split_grid,) * 4
@@ -305,16 +313,69 @@ def _split_mesh(split_grid):
         grid_axis(entry, f"split grid axis {i}", lo=lo)
         for i, (entry, lo) in enumerate(zip(spec, (0.0, 0.0, -1.0, -1.0)))
     ]
-    return np.meshgrid(*axes, indexing="ij", sparse=True)
+    has_p1, has_p2 = params.p1 != 0.0, params.p2 != 0.0
+    needed = (has_p1, has_p2, has_p1 and has_p2, has_p1 and has_p2)
+    return [axis if need else axis[:1] for axis, need in zip(axes, needed)]
 
 
-def _expand(values: np.ndarray, mesh) -> np.ndarray:
-    """One entry per split of the mesh, flattened in dense ``ij`` order."""
-    shape = np.broadcast_shapes(*(axis.shape for axis in mesh))
-    return np.broadcast_to(values, shape).reshape(-1)
+# Most splits one slab of the streamed split mesh holds, unless a single
+# alpha1 row holds more (see _split_hull).
+_BLOCK_SPLITS = 1 << 15
 
 
-def _conditional_r1_caps(params: ChannelParams, mesh):
+def _split_hull(params: ChannelParams, split_grid, points) -> Frontier:
+    """:func:`hull_frontier` of a point cloud spanning every split of a split grid.
+
+    ``points(alpha1, alpha2, rho1, rho2)`` broadcasts over split parameters
+    and returns one ``(x, y)`` pair of flat arrays per kind of point (the
+    two corners of a pentagon, say), splits in ``ij`` order.  The cloud is
+    every split's first kind, then every split's second, and so on, as the
+    dense builders concatenated it.  The result is that cloud's hull bit
+    for bit, but neither the cloud nor the caps of the whole mesh are ever
+    built, so memory is O(block + staircase) instead of O(splits):
+
+    1. Witness: the points of every ``_WITNESS_STRIDE``-th split by flat
+       index, evaluated on gathered 1-D parameters, and their staircase.
+    2. Stream: slabs of whole ``alpha1`` rows, at most ``_BLOCK_SPLITS``
+       splits unless one row alone holds more; a point some witness beats
+       (``x_w >= x`` and ``y_w > y``, :func:`_unbeaten`) is dropped.
+    3. Hull: one :func:`hull_frontier` call on the survivors, in the
+       cloud's order.
+
+    Why no bit changes.  The caps are elementwise, so a split's points have
+    the same bits whichever slab or gather computes them, and every witness
+    is a point of the cloud.  The Pareto staircase is a function of the
+    point set, save which of several equal copies (``0.0`` and ``-0.0``) it
+    keeps, and it keeps the first.  Every dropped point is beaten by a real
+    cloud point, so the staircase drops it too.  No copy of a staircase
+    point is ever beaten (its beater would beat the staircase point), so
+    every copy survives and the first one stays first.  So the survivors
+    have the cloud's staircase, and the monotone chain over it gives the
+    same hull.
+    """
+    axes = _split_mesh(params, split_grid)
+    shape = tuple(axis.size for axis in axes)
+    sample = np.unravel_index(np.arange(0, math.prod(shape), _WITNESS_STRIDE), shape)
+    witness = points(*(axis[i] for axis, i in zip(axes, sample)))
+    wx, wy = _staircase(*(np.concatenate(coords) for coords in zip(*witness)))
+
+    rest = np.meshgrid(*axes[1:], indexing="ij", sparse=True)
+    rows = max(_BLOCK_SPLITS // math.prod(shape[1:]), 1)
+    kept = []
+    for start in range(0, shape[0], rows):
+        alpha1 = axes[0][start : start + rows, None, None, None]
+        for kind, (x, y) in enumerate(points(alpha1, *rest)):
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+                raise ValueError("corner coordinates must be finite")
+            keep = _unbeaten(wx, wy, x, y)
+            kept.append((kind, x[keep], y[keep]))
+    # A stable sort restores the cloud's order: kinds, then splits.
+    kept.sort(key=lambda item: item[0])
+    _, xs, ys = zip(*kept)
+    return hull_frontier(np.concatenate(xs), np.concatenate(ys))
+
+
+def _conditional_r1_caps(params: ChannelParams, split):
     """``log2(1 + Var(X1|X2))`` of every split's total input covariance.
 
     ``Var(X1|X2)`` is ``p1*(1-rho^2)`` with the split's total correlation
@@ -324,14 +385,20 @@ def _conditional_r1_caps(params: ChannelParams, mesh):
     """
     if params.p2 == 0.0:
         return gaussian_rate(params.p1)
-    (_, _, c1), (_, _, c2) = _layer_entries(1.0, 1.0, *mesh)
+    (_, _, c1), (_, _, c2) = _layer_entries(1.0, 1.0, *split)
     rho = c1 + c2
     return gaussian_rate(params.p1 * np.maximum(1.0 - rho * rho, 0.0))
 
 
-def _mesh_caps(params: ChannelParams, mesh):
-    """:func:`_split_caps` at every split of a :func:`_split_mesh`, flattened."""
-    return tuple(_expand(cap, mesh) for cap in _split_caps(params, *mesh))
+def _corners(caps):
+    """Both Pareto corners of each pentagon, as two ``(x, y)`` kinds.
+
+    ``caps`` are ``(r1, r2, sum)`` arrays broadcast to one shape here, so
+    :func:`corner_cloud` sees one pentagon per split.
+    """
+    x, y = corner_cloud(*np.broadcast_arrays(*caps))
+    half = x.size // 2
+    return (x[:half], y[:half]), (x[half:], y[half:])
 
 
 def bc_dms_region(params: ChannelParams, split_grid=DEFAULT_SPLIT_POINTS) -> Frontier:
@@ -341,11 +408,15 @@ def bc_dms_region(params: ChannelParams, split_grid=DEFAULT_SPLIT_POINTS) -> Fro
     admissible in the enhanced channel), so the sampled union is
     concavified.  The hull is assembled exactly from the pentagon corner
     cloud — no r1 sampling is involved, which keeps the steep edges of the
-    envelope sharp at any grid size.  The result outer-bounds the cognitive
-    region only for ``|b| >= 1``; the function computes the enhanced-channel
-    region for any parameters and leaves regime policing to callers.
+    envelope sharp at any grid size — and the cloud is streamed through it
+    slab by slab (:func:`_split_hull`), so memory does not grow with the
+    number of splits.  The result outer-bounds the cognitive region only
+    for ``|b| >= 1``; the function computes the enhanced-channel region for
+    any parameters and leaves regime policing to callers.
     """
-    return hull_frontier(*corner_cloud(*_mesh_caps(params, _split_mesh(split_grid))))
+    return _split_hull(
+        params, split_grid, lambda *split: _corners(_split_caps(params, *split))
+    )
 
 
 def th1_bound(
@@ -370,17 +441,20 @@ def th1_bound(
     would pair rates that no single input law produces.  The hull is then
     intersected with the unifying-family envelope, so the result is
     pointwise below both :func:`bc_dms_region` and :func:`unifying_region`.
+    As in :func:`bc_dms_region`, the corner cloud is streamed through the
+    hull (:func:`_split_hull`) and never held whole.
     """
     if params.b <= 1.0:
         raise ValueError("Theorem 1 requires |b| > 1")
-    mesh = _split_mesh(split_grid)
-    r1_cap, r2_cap, sum_cap = _split_caps(params, *mesh)
-    r1_cap = np.minimum(r1_cap, _conditional_r1_caps(params, mesh))
-    cloud = corner_cloud(*(_expand(cap, mesh) for cap in (r1_cap, r2_cap, sum_cap)))
-    # Release the caps before the hull, which holds the peak memory.
-    del r1_cap, r2_cap, sum_cap
+
+    def cut_corners(*split):
+        r1_cap, r2_cap, sum_cap = _split_caps(params, *split)
+        r1_cap = np.minimum(r1_cap, _conditional_r1_caps(params, split))
+        return _corners((r1_cap, r2_cap, sum_cap))
+
     return intersect_frontiers(
-        hull_frontier(*cloud), unifying_region(params, alpha_grid=alpha_grid)
+        _split_hull(params, split_grid, cut_corners),
+        unifying_region(params, alpha_grid=alpha_grid),
     )
 
 
@@ -395,17 +469,21 @@ def bc_pr_bound(
     broadcast encoder may pre-cancel either layer, and each split/order pair
     yields a rectangle with no sum constraint.  The rectangle union is
     concavified exactly from its corner cloud (the underlying region is
-    convex) and then cut by the unifying-family envelope.
+    convex), streamed through the hull like :func:`bc_dms_region`'s, and
+    then cut by the unifying-family envelope.
     """
-    mesh = _split_mesh(split_grid)
-    # Layer 2 encoded last: the r1 and r2 caps of the broadcast pentagon.
-    r1_last2, r2_last2, _ = _mesh_caps(params, mesh)
-    # Layer 1 encoded last.
-    q1l1, _, q2l1, q2l2 = _split_forms(params, *mesh)
-    rect_r1 = np.concatenate([r1_last2, _expand(gaussian_rate(q1l1), mesh)])
-    rect_r2 = np.concatenate(
-        [r2_last2, _expand(gaussian_rate(q2l2 / (1.0 + q2l1)), mesh)]
-    )
+
+    def rectangle_corners(*split):
+        # Layer 2 encoded last: the r1 and r2 caps of the broadcast pentagon.
+        r1_last2, r2_last2, _ = _split_caps(params, *split)
+        # Layer 1 encoded last.
+        q1l1, _, q2l1, q2l2 = _split_forms(params, *split)
+        r1_last1, r2_last1 = gaussian_rate(q1l1), gaussian_rate(q2l2 / (1.0 + q2l1))
+        caps = np.broadcast_arrays(r1_last2, r2_last2, r1_last1, r2_last1)
+        r1_last2, r2_last2, r1_last1, r2_last1 = (cap.ravel() for cap in caps)
+        return (r1_last2, r2_last2), (r1_last1, r2_last1)
+
     return intersect_frontiers(
-        hull_frontier(rect_r1, rect_r2), unifying_region(params, alpha_grid=alpha_grid)
+        _split_hull(params, split_grid, rectangle_corners),
+        unifying_region(params, alpha_grid=alpha_grid),
     )

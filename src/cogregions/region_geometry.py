@@ -351,7 +351,7 @@ def union_frontier_arrays(
         knees = np.maximum(sum_cap - r2cap, 0.0)
         for candidate in (r1_ext, knees):
             pieces.append(candidate[np.isfinite(candidate)])
-    r1 = np.unique(np.concatenate(pieces))
+    r1 = _sorted_unique(np.concatenate(pieces))
     r1 = r1[(r1 >= 0.0) & (r1 <= top + FEASIBILITY_SLACK)]
 
     values = _envelope(r1_ext, r2cap, sum_cap, r1)
@@ -402,6 +402,16 @@ def _staircase(x: np.ndarray, y: np.ndarray):
     return x[keep], y[keep]
 
 
+def _unbeaten(wx: np.ndarray, wy: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Mask of the points that no witness beats with ``x_w >= x`` and ``y_w > y``.
+
+    ``(wx, wy)`` is a :func:`_staircase`.  Its y is strictly decreasing in
+    x, so the first witness at or right of a point has the largest y among
+    those at or right of it.
+    """
+    return np.append(wy, -np.inf)[np.searchsorted(wx, x, side="left")] <= y
+
+
 def hull_frontier(x, y) -> Frontier:
     """Upper concave envelope of a down-closed point cloud as a :class:`Frontier`.
 
@@ -413,12 +423,16 @@ def hull_frontier(x, y) -> Frontier:
 
     Before the staircase's full sort, the cloud is prefiltered by the
     staircase of every ``_WITNESS_STRIDE``-th point (the witnesses): a point
-    is dropped when some witness has ``x_w >= x`` and ``y_w > y``.  The
-    staircase drops every such point too (the witness beats it on larger x,
-    or on larger y at equal x), and that dominance is transitive, so each
-    point the staircase drops is still dominated by a staircase point that
-    the prefilter keeps.  Survivors keep their relative order, so the
-    staircase, the monotone-chain input and the result are unchanged.
+    is dropped when some witness has ``x_w >= x`` and ``y_w > y``
+    (:func:`_unbeaten`).  The staircase drops every such point too (the
+    witness beats it on larger x, or on larger y at equal x), and that
+    dominance is transitive, so each point the staircase drops is still
+    dominated by a staircase point that the prefilter keeps.  Survivors
+    keep their relative order, so the staircase, the monotone-chain input
+    and the result are unchanged.  The same holds for witnesses drawn from
+    anywhere in the cloud, so the covariance-split builders of
+    :mod:`~cogregions.outer_bounds` filter their mesh slab by slab and pass
+    only the survivors here.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -428,9 +442,7 @@ def hull_frontier(x, y) -> Frontier:
         raise ValueError("corner coordinates must be finite")
 
     wx, wy = _staircase(x[::_WITNESS_STRIDE], y[::_WITNESS_STRIDE])
-    # Witness y is strictly decreasing in x, so the first witness at or
-    # right of a point has the largest y among those at or right of it.
-    keep = np.append(wy, -np.inf)[np.searchsorted(wx, x, side="left")] <= y
+    keep = _unbeaten(wx, wy, x, y)
     x, y = _staircase(x[keep], y[keep])
 
     if x[0] > 0.0:
@@ -453,6 +465,20 @@ def hull_frontier(x, y) -> Frontier:
     return Frontier(np.array(hull_x), np.array(hull_y))
 
 
+def _sorted_unique(values) -> np.ndarray:
+    """Sorted distinct values of a float array, flattened.
+
+    Equal to ``np.unique`` for finite input, bit for bit (the same sort,
+    then the first of each run of equal values), but without the
+    ``numpy.ma`` import that ``np.unique`` triggers in numpy 2.4.
+    """
+    values = np.sort(values, axis=None)
+    first = np.empty(values.shape, dtype=bool)
+    first[:1] = True
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 def sweep_grid(n: int, tail_stop: float = 1e-2) -> np.ndarray:
     """Uniform grid on [0, 1] densified geometrically near both endpoints.
 
@@ -465,7 +491,7 @@ def sweep_grid(n: int, tail_stop: float = 1e-2) -> np.ndarray:
         raise ValueError("grid resolution must be at least 2")
     base = np.linspace(0.0, 1.0, int(n))
     tail = np.geomspace(1e-9, tail_stop, 29)
-    return np.unique(np.concatenate([base, tail, 1.0 - tail]))
+    return _sorted_unique(np.concatenate([base, tail, 1.0 - tail]))
 
 
 GridAxis = Union[int, np.ndarray, Sequence[float]]
@@ -487,7 +513,7 @@ def grid_axis(
         if grid < 2:
             raise ValueError("grid resolution must be at least 2")
         return sweep_grid(int(grid)) if tailed else np.linspace(lo, 1.0, int(grid))
-    axis = np.unique(np.asarray(grid, dtype=float))
+    axis = _sorted_unique(np.asarray(grid, dtype=float))
     if axis.size == 0:
         raise ValueError("empty grid")
     if not np.all(np.isfinite(axis)) or axis[0] < lo or axis[-1] > 1.0:
@@ -519,7 +545,7 @@ def intersect_frontiers(f: Frontier, g: Frontier) -> Frontier:
     two right endpoints]`` and is never empty.
     """
     top = min(f.max_r1, g.max_r1)
-    xs = np.unique(
+    xs = _sorted_unique(
         np.concatenate(
             [f.r1[f.r1 <= top], g.r1[g.r1 <= top], np.array([0.0, top])]
         )

@@ -3,9 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cogregions
 from cogregions.cli import main
 
 LOG2_6 = math.log2(6.0)
@@ -430,3 +435,27 @@ def test_fig3_reference_pair(capsys, tmp_path):
         "stdout": "b95da41794a9e65e",
     }
     assert (tmp_path / "fig_gap.json").read_text() == out
+
+
+def test_cli_never_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma in numpy 2.4, which costs every fresh CLI
+    # process 14-24 ms; the geometry sorts and deduplicates by itself.
+    script = (
+        "import sys\n"
+        "from cogregions.cli import main\n"
+        "assert main(['fig3']) == 0\n"
+        "assert main(['region', '--bound', 'capacity', '--a', '0.01', '--b', '10',"
+        " '--p1', '5', '--p2', '5']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cogregions.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False"

@@ -1,15 +1,18 @@
 """CLI output bytes pinned by sha256 (the first 16 hex digits).
 
 Every ``region`` selector runs at one point of each regime it applies to,
-plus the two ``compare`` pairs.  Any change to a frontier, a report or a
-metadata file shows here; a change that alters outputs on purpose records
-new digests and says why.  ``verify`` is left out: its Monte Carlo reports
+plus the two ``compare`` pairs.  The covariance-split selectors also run at
+the default split grid (21 points per axis, 194,481 splits, several slabs
+of the streamed hull) at the two open points and at two points with one
+power switched off.  Any change to a frontier, a report or a metadata file
+shows here; a change that alters outputs on purpose records new digests
+and says why.  ``verify`` is left out: its Monte Carlo reports
 are not meant to be frozen.  The ``fig3`` files are pinned in
 ``test_cli.py::test_fig3_reference_pair``.
 
 The digests hold for one floating-point environment (recorded with numpy
-2.4 on x86-64); another numpy build may round the last bit of a rate
-differently.
+2.4 on x86-64, which CI pins); another numpy build may round the last bit
+of a rate differently.
 """
 
 import hashlib
@@ -40,6 +43,26 @@ APPLIES = {
 }
 
 SMALL_GRIDS = ("--alpha-grid", "51", "--beta-grid", "51", "--split-grid", "5")
+
+# The split grid is left at its default.
+DEFAULT_SPLIT = ("--alpha-grid", "51", "--beta-grid", "51")
+
+# (a, b, p1, p2) of the default-split-grid points: the two open regimes and
+# one power switched off at a time.
+SPLIT_POINTS = {
+    "open_weak": REGIMES["open_weak"],
+    "open_strong": REGIMES["open_strong"],
+    "p1_zero": ("0.2", "2.5", "0", "1"),
+    "p2_zero": ("0.2", "2.5", "2", "0"),
+}
+
+# Split selectors and the points where they run without a regime error.
+SPLIT_APPLIES = {
+    "bcdms": tuple(SPLIT_POINTS),
+    "th1": ("open_strong", "p1_zero", "p2_zero"),
+    "bcpr": tuple(SPLIT_POINTS),
+    "capacity": tuple(SPLIT_POINTS),
+}
 
 REGION_DIGESTS = {
     "unifying/b_zero": "1107a608c52addce",
@@ -79,20 +102,38 @@ REGION_DIGESTS = {
     "capacity/open_strong": "4d158be82bda5ae8",
 }
 
+SPLIT_DIGESTS = {
+    "bcdms/open_weak": "60ed4333a85ee936",
+    "bcdms/open_strong": "af85fdce75021d6d",
+    "bcdms/p1_zero": "4cbfbcb9b78398b0",
+    "bcdms/p2_zero": "657bafc086020890",
+    "th1/open_strong": "6f46394c6b84e8e8",
+    "th1/p1_zero": "da9e95a703ed5772",
+    "th1/p2_zero": "42477e83eaed0b1d",
+    "bcpr/open_weak": "54136405afcf3a7e",
+    "bcpr/open_strong": "624acbf6f514c309",
+    "bcpr/p1_zero": "c255d4450c5ae87d",
+    "bcpr/p2_zero": "ae35583fa4fe7947",
+    "capacity/open_weak": "da3f8e7adce9c230",
+    "capacity/open_strong": "f773ef428f1ef63d",
+    "capacity/p1_zero": "3752bc0147c837c2",
+    "capacity/p2_zero": "b95086fd33e7c112",
+}
+
 COMPARE_DIGESTS = {
     "schemeE/cor2": "2d9f5d262967dce3",
     "th1/unifying": "86a12f796e85e9bc",
 }
 
 
-def _point(regime):
-    a, b, p1, p2 = REGIMES[regime]
+def _point(regime, points=REGIMES):
+    a, b, p1, p2 = points[regime]
     return ("--a", a, "--b", b, "--p1", p1, "--p2", p2)
 
 
-def region_digest(capsys, tmp_path, bound, regime):
+def region_digest(capsys, tmp_path, bound, regime, points=REGIMES, grids=SMALL_GRIDS):
     """Digest of the CSV on stdout, then the JSON file and its metadata."""
-    argv = ["region", "--bound", bound, *_point(regime), *SMALL_GRIDS]
+    argv = ["region", "--bound", bound, *_point(regime, points), *grids]
     digest = hashlib.sha256()
     assert main(argv) == 0
     digest.update(capsys.readouterr().out.encode())
@@ -124,3 +165,12 @@ def test_region_bytes_unchanged(capsys, tmp_path, bound, regime):
 @pytest.mark.parametrize("first,second", [("schemeE", "cor2"), ("th1", "unifying")])
 def test_compare_bytes_unchanged(capsys, first, second):
     assert compare_digest(capsys, first, second) == COMPARE_DIGESTS[f"{first}/{second}"]
+
+
+@pytest.mark.parametrize(
+    "bound,point",
+    [(bound, point) for bound, points in SPLIT_APPLIES.items() for point in points],
+)
+def test_default_split_grid_bytes_unchanged(capsys, tmp_path, bound, point):
+    digest = region_digest(capsys, tmp_path, bound, point, SPLIT_POINTS, DEFAULT_SPLIT)
+    assert digest == SPLIT_DIGESTS[f"{bound}/{point}"]

@@ -1,0 +1,203 @@
+"""The streamed covariance-split hull against the dense path it replaced.
+
+``_split_hull`` never builds the whole corner cloud of a split mesh.  These
+tests pin that it returns that cloud's hull bit for bit, with the slab size
+and the witness stride shrunk so that many slabs and witnesses take part,
+that the three split builders match a copy of the dense builders on random
+instances in every regime, and that memory stays bounded at the fig3 mesh.
+"""
+
+import math
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cogregions import outer_bounds
+from cogregions.channel import ChannelParams, gaussian_rate
+from cogregions.cli import FIG3
+from cogregions.outer_bounds import (
+    _conditional_r1_caps,
+    _split_caps,
+    _split_forms,
+    bc_dms_region,
+    bc_pr_bound,
+    th1_bound,
+    unifying_region,
+)
+from cogregions.region_geometry import (
+    corner_cloud,
+    grid_axis,
+    hull_frontier,
+    intersect_frontiers,
+    sweep_grid,
+)
+
+
+def _bits(frontier):
+    return frontier.r1.view(np.int64).tolist(), frontier.r2.view(np.int64).tolist()
+
+
+# ------------------------------------------------------ streamed vs whole
+
+# Explicit axis values k / 8 recover their index k exactly.
+_SCALE = 8
+
+
+@st.composite
+def _tables(draw):
+    """Point tables ``(kinds, *mesh shape)`` with duplicates and signed zeros."""
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(4))
+    kinds = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = (kinds, *shape)
+    mode = draw(st.sampled_from(["pool", "zeros", "uniform"]))
+    if mode == "pool":  # few distinct values, many exact copies
+        x = rng.choice([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0], size)
+        y = rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0], size)
+    elif mode == "zeros":  # staircase (0, 1), (1, 0) with both zero signs
+        x = rng.choice([-0.0, 0.0, 1.0], size, p=[0.1, 0.1, 0.8])
+        y = np.where(x == 1.0, rng.choice([-0.0, 0.0], size), 1.0)
+    else:
+        x, y = rng.uniform(0.0, 3.0, size), rng.uniform(0.0, 3.0, size)
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(), st.integers(1, 40), st.integers(1, 7))
+def test_streamed_hull_matches_whole_cloud_bitwise(table, block, stride):
+    x, y = table
+    axes = [np.arange(n) / _SCALE for n in x.shape[1:]]
+
+    def points(*split):
+        index = tuple(np.rint(np.asarray(v) * _SCALE).astype(int) for v in split)
+        return [(xk[index].ravel(), yk[index].ravel()) for xk, yk in zip(x, y)]
+
+    with mock.patch.object(outer_bounds, "_BLOCK_SPLITS", block), mock.patch.object(
+        outer_bounds, "_WITNESS_STRIDE", stride
+    ):
+        got = outer_bounds._split_hull(ChannelParams(0.5, 2.0, 1.0, 1.0), axes, points)
+    want = hull_frontier(
+        np.concatenate([xk.ravel() for xk in x]),
+        np.concatenate([yk.ravel() for yk in y]),
+    )
+    assert _bits(got) == _bits(want)
+
+
+# -------------------------------------- split builders vs the dense path
+
+
+def _dense_mesh(split_grid):
+    """Sparse ``ij`` mesh of a split grid, every axis kept."""
+    spec = (split_grid,) * 4 if isinstance(split_grid, int) else tuple(split_grid)
+    axes = [
+        grid_axis(entry, "axis", lo=lo) for entry, lo in zip(spec, (0, 0, -1, -1))
+    ]
+    return np.meshgrid(*axes, indexing="ij", sparse=True)
+
+
+def _expand(values, mesh):
+    shape = np.broadcast_shapes(*(axis.shape for axis in mesh))
+    return np.broadcast_to(values, shape).reshape(-1)
+
+
+def _dense_bc_dms(params, split_grid):
+    mesh = _dense_mesh(split_grid)
+    caps = _split_caps(params, *mesh)
+    return hull_frontier(*corner_cloud(*(_expand(cap, mesh) for cap in caps)))
+
+
+def _dense_th1(params, split_grid, alpha_grid):
+    mesh = _dense_mesh(split_grid)
+    r1_cap, r2_cap, sum_cap = _split_caps(params, *mesh)
+    r1_cap = np.minimum(r1_cap, _conditional_r1_caps(params, mesh))
+    cloud = corner_cloud(*(_expand(cap, mesh) for cap in (r1_cap, r2_cap, sum_cap)))
+    return intersect_frontiers(
+        hull_frontier(*cloud), unifying_region(params, alpha_grid=alpha_grid)
+    )
+
+
+def _dense_bc_pr(params, split_grid, alpha_grid):
+    mesh = _dense_mesh(split_grid)
+    r1_last2, r2_last2, _ = (_expand(c, mesh) for c in _split_caps(params, *mesh))
+    q1l1, _, q2l1, q2l2 = _split_forms(params, *mesh)
+    rect_r1 = np.concatenate([r1_last2, _expand(gaussian_rate(q1l1), mesh)])
+    rect_r2 = np.concatenate(
+        [r2_last2, _expand(gaussian_rate(q2l2 / (1.0 + q2l1)), mesh)]
+    )
+    return intersect_frontiers(
+        hull_frontier(rect_r1, rect_r2), unifying_region(params, alpha_grid=alpha_grid)
+    )
+
+
+def _instances():
+    """Random instances across the regimes, then zero powers and ``b = 1``."""
+    rng = np.random.default_rng(5)
+    out = []
+    for _ in range(18):
+        a = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 1.5))
+        b = float(rng.uniform(0.0, 4.0))
+        p1, p2 = (float(10.0 ** rng.uniform(-1.5, 1.3)) for _ in range(2))
+        out.append(ChannelParams(a, b, p1, p2))
+    out += [
+        ChannelParams(0.2, 2.5, 0.0, 1.0),
+        ChannelParams(0.2, 2.5, 2.0, 0.0),
+        ChannelParams(0.0, 3.0, 0.0, 4.0),
+        ChannelParams(0.0, 0.7, 3.0, 0.0),
+        ChannelParams(0.4, 1.8, 0.0, 0.0),
+        ChannelParams(0.3, 1.0, 2.0, 1.0),
+    ]
+    return out
+
+
+def test_split_builders_match_dense_path_bitwise():
+    alpha = 51
+    # 21^4 runs seven slabs; the tailed grid runs one row per slab.
+    grids = (21, (sweep_grid(11), 7, 3, 7))
+    for i, params in enumerate(_instances()):
+        grid = grids[i % 2]
+        assert _bits(bc_dms_region(params, grid)) == _bits(_dense_bc_dms(params, grid))
+        assert _bits(bc_pr_bound(params, grid, alpha)) == _bits(
+            _dense_bc_pr(params, grid, alpha)
+        )
+        if params.b > 1.0:
+            assert _bits(th1_bound(params, grid, alpha)) == _bits(
+                _dense_th1(params, grid, alpha)
+            )
+
+
+def test_zero_power_meshes_collapse_to_one_axis():
+    axes = outer_bounds._split_mesh(ChannelParams(0.2, 2.5, 2.0, 0.0), 21)
+    assert [axis.size for axis in axes] == [21, 1, 1, 1]
+    axes = outer_bounds._split_mesh(ChannelParams(0.2, 2.5, 0.0, 1.0), 21)
+    assert [axis.size for axis in axes] == [1, 21, 1, 1]
+    axes = outer_bounds._split_mesh(ChannelParams(0.2, 2.5, 0.0, 0.0), 21)
+    assert [axis.size for axis in axes] == [1, 1, 1, 1]
+
+
+def test_split_hull_rejects_non_finite_corners():
+    # b^2 * p1 overflows, so the caps hold inf and the corners NaN.
+    params = ChannelParams(0.0, 1e200, 1e200, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="corner coordinates must be finite"
+    ):
+        bc_dms_region(params, 5)
+
+
+# ------------------------------------------------------------------ memory
+
+
+def test_th1_fig3_mesh_memory_is_bounded():
+    # The dense path held the caps and the 2.0M-point cloud: a 94 MB peak.
+    split = (sweep_grid(401), 21, 5, 21)
+    tracemalloc.start()
+    try:
+        th1_bound(FIG3, split_grid=split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    assert math.prod(a.size for a in outer_bounds._split_mesh(FIG3, split)) > 10**6
