@@ -13,6 +13,7 @@ byte-identical across re-runs and metadata carries no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -419,7 +420,9 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     return 0 if report["outer_dominates_within_allowance"] else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cogregions",
         description="Capacity bounds for the Gaussian cognitive interference channel.",

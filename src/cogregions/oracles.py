@@ -198,21 +198,29 @@ def verify_condition5(
     b: float,
     alpha_grid: GridAxis = 1001,
 ) -> VerificationReport:
-    """Brute-force one instance of the Z-bound sum-redundancy claim.
+    """Brute-force one instance of the Z-bound sum-redundancy biconditional.
 
-    The claim: the Z outer bound's sum constraint is redundant — for every
-    power split the r1 and r2 caps already add up below it — exactly when
-    ``b >= sqrt(p2 + 1)``.  The sweep evaluates the caps on the grid and
-    compares against the threshold; ``max_discrepancy`` is the number of
-    sides of the biconditional that disagree (0 or 1).  Integer grids get
-    geometric end tails, since violations can hide in the boundary layers.
+    The Z outer bound's sum constraint is redundant — for every power split
+    the r1 and r2 caps already add up below it — exactly when
+    ``b^2 >= 1 + p2 + b*sqrt(p1*p2)``, that is, when ``b`` is at least the
+    positive root ``(sqrt(p1*p2) + sqrt(p1*p2 + 4*(1 + p2))) / 2``.  The
+    sweep evaluates the caps on the grid and compares against that
+    condition; ``max_discrepancy`` is 1 when the two sides disagree, else
+    0.  The paper's claimed threshold ``b >= sqrt(p2 + 1)`` is necessary
+    but not sufficient; ``claimed_threshold`` in ``worst_case`` reports
+    its own verdict against the sweep, without affecting ``passed``.
+    Integer grids get geometric end tails, since violations can hide in
+    the boundary layers.
     """
     alpha = grid_axis(alpha_grid, "alpha grid", tailed=True)
-    r1_cap, r2_cap, sum_cap = _z_bound_caps(float(p1), float(p2), float(b), alpha)
+    p1, p2, b = float(p1), float(p2), float(b)
+    r1_cap, r2_cap, sum_cap = _z_bound_caps(p1, p2, b, alpha)
     excess = r1_cap + r2_cap - sum_cap
     worst = int(np.argmax(excess))
     sweep_holds = bool(excess[worst] <= 1e-12)
-    threshold_holds = bool(b >= math.sqrt(p2 + 1.0))
+    cross = math.sqrt(p1 * p2)
+    threshold_holds = bool(b * b >= 1.0 + p2 + b * cross)
+    claimed_holds = bool(b >= math.sqrt(p2 + 1.0))
     agree = sweep_holds == threshold_holds
     return VerificationReport(
         name="condition5_biconditional",
@@ -223,7 +231,12 @@ def verify_condition5(
         worst_case={
             "sweep_holds": sweep_holds,
             "threshold_holds": threshold_holds,
-            "threshold": math.sqrt(p2 + 1.0),
+            "threshold": 0.5 * (cross + math.sqrt(p1 * p2 + 4.0 * (1.0 + p2))),
+            "claimed_threshold": {
+                "threshold": math.sqrt(p2 + 1.0),
+                "holds": claimed_holds,
+                "agrees_with_sweep": claimed_holds == sweep_holds,
+            },
             "worst_alpha": float(alpha[worst]),
             "max_corner_excess_bits": float(excess[worst]),
         },

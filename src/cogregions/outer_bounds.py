@@ -25,9 +25,9 @@ from .region_geometry import (
     Frontier,
     GridAxis,
     Pentagon,
+    _corner_kinds,
     _staircase,
-    _unbeaten,
-    corner_cloud,
+    _witness_test,
     grid_axis,
     grid_point,
     hull_frontier,
@@ -263,14 +263,15 @@ def _split_forms(params: ChannelParams, alpha1, alpha2, rho1, rho2):
     )
 
 
+def _layer2_last_caps(q1l1, q1l2, q2l2):
+    """``(r1, r2)`` caps with layer 2 encoded last, from :func:`_split_forms`."""
+    return gaussian_rate(q1l1 / (1.0 + q1l2)), gaussian_rate(q2l2)
+
+
 def _split_caps(params: ChannelParams, alpha1, alpha2, rho1, rho2):
     """``(r1, r2, sum)`` caps of :func:`bc_dms_pentagon`; broadcasts over the split."""
     q1l1, q1l2, q2l1, q2l2 = _split_forms(params, alpha1, alpha2, rho1, rho2)
-    return (
-        gaussian_rate(q1l1 / (1.0 + q1l2)),
-        gaussian_rate(q2l2),
-        gaussian_rate(q2l1 + q2l2),
-    )
+    return (*_layer2_last_caps(q1l1, q1l2, q2l2), gaussian_rate(q2l1 + q2l2))
 
 
 def bc_dms_pentagon(params: ChannelParams, split: CovarianceSplit) -> Pentagon:
@@ -327,18 +328,21 @@ def _split_hull(params: ChannelParams, split_grid, points) -> Frontier:
     """:func:`hull_frontier` of a point cloud spanning every split of a split grid.
 
     ``points(alpha1, alpha2, rho1, rho2)`` broadcasts over split parameters
-    and returns one ``(x, y)`` pair of flat arrays per kind of point (the
-    two corners of a pentagon, say), splits in ``ij`` order.  The cloud is
-    every split's first kind, then every split's second, and so on, as the
-    dense builders concatenated it.  The result is that cloud's hull bit
-    for bit, but neither the cloud nor the caps of the whole mesh are ever
-    built, so memory is O(block + staircase) instead of O(splits):
+    and returns one ``(x, y)`` pair per kind of point (the two corners of a
+    pentagon, say); each pair broadcasts to the shape of the split
+    parameters, splits in ``ij`` order.  The cloud is every split's first
+    kind, then every split's second, and so on, as the dense builders
+    concatenated it.  The result is that cloud's hull bit for bit, but
+    neither the cloud nor the caps of the whole mesh are ever built, so
+    memory is O(block + staircase) instead of O(splits):
 
     1. Witness: the points of every ``_WITNESS_STRIDE``-th split by flat
        index, evaluated on gathered 1-D parameters, and their staircase.
     2. Stream: slabs of whole ``alpha1`` rows, at most ``_BLOCK_SPLITS``
        splits unless one row alone holds more; a point some witness beats
-       (``x_w >= x`` and ``y_w > y``, :func:`_unbeaten`) is dropped.
+       (``x_w >= x`` and ``y_w > y``, :func:`_witness_test`) is dropped.
+       A kind's x and y are broadcast against each other as views, not
+       copied to the slab's shape; the survivors are gathered from them.
     3. Hull: one :func:`hull_frontier` call on the survivors, in the
        cloud's order.
 
@@ -356,8 +360,10 @@ def _split_hull(params: ChannelParams, split_grid, points) -> Frontier:
     axes = _split_mesh(params, split_grid)
     shape = tuple(axis.size for axis in axes)
     sample = np.unravel_index(np.arange(0, math.prod(shape), _WITNESS_STRIDE), shape)
-    witness = points(*(axis[i] for axis, i in zip(axes, sample)))
-    wx, wy = _staircase(*(np.concatenate(coords) for coords in zip(*witness)))
+    gathered = (axis[i] for axis, i in zip(axes, sample))
+    witness = [np.broadcast_arrays(*kind) for kind in points(*gathered)]
+    wx, wy = (np.concatenate([c.ravel() for c in coords]) for coords in zip(*witness))
+    unbeaten = _witness_test(*_staircase(wx, wy))
 
     rest = np.meshgrid(*axes[1:], indexing="ij", sparse=True)
     rows = max(_BLOCK_SPLITS // math.prod(shape[1:]), 1)
@@ -367,8 +373,9 @@ def _split_hull(params: ChannelParams, split_grid, points) -> Frontier:
         for kind, (x, y) in enumerate(points(alpha1, *rest)):
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
                 raise ValueError("corner coordinates must be finite")
-            keep = _unbeaten(wx, wy, x, y)
-            kept.append((kind, x[keep], y[keep]))
+            x, y = np.broadcast_arrays(x, y)
+            keep = unbeaten(x, y)
+            kept.append((kind, x.take(keep), y.take(keep)))
     # A stable sort restores the cloud's order: kinds, then splits.
     kept.sort(key=lambda item: item[0])
     _, xs, ys = zip(*kept)
@@ -386,19 +393,12 @@ def _conditional_r1_caps(params: ChannelParams, split):
     if params.p2 == 0.0:
         return gaussian_rate(params.p1)
     (_, _, c1), (_, _, c2) = _layer_entries(1.0, 1.0, *split)
+    # p1 * max(1 - rho^2, 0), written into rho's own buffer.
     rho = c1 + c2
-    return gaussian_rate(params.p1 * np.maximum(1.0 - rho * rho, 0.0))
-
-
-def _corners(caps):
-    """Both Pareto corners of each pentagon, as two ``(x, y)`` kinds.
-
-    ``caps`` are ``(r1, r2, sum)`` arrays broadcast to one shape here, so
-    :func:`corner_cloud` sees one pentagon per split.
-    """
-    x, y = corner_cloud(*np.broadcast_arrays(*caps))
-    half = x.size // 2
-    return (x[:half], y[:half]), (x[half:], y[half:])
+    var = np.multiply(rho, rho, out=rho)
+    np.subtract(1.0, var, out=var)
+    np.maximum(var, 0.0, out=var)
+    return gaussian_rate(np.multiply(params.p1, var, out=var))
 
 
 def bc_dms_region(params: ChannelParams, split_grid=DEFAULT_SPLIT_POINTS) -> Frontier:
@@ -415,7 +415,7 @@ def bc_dms_region(params: ChannelParams, split_grid=DEFAULT_SPLIT_POINTS) -> Fro
     any parameters and leaves regime policing to callers.
     """
     return _split_hull(
-        params, split_grid, lambda *split: _corners(_split_caps(params, *split))
+        params, split_grid, lambda *split: _corner_kinds(*_split_caps(params, *split))
     )
 
 
@@ -449,8 +449,8 @@ def th1_bound(
 
     def cut_corners(*split):
         r1_cap, r2_cap, sum_cap = _split_caps(params, *split)
-        r1_cap = np.minimum(r1_cap, _conditional_r1_caps(params, split))
-        return _corners((r1_cap, r2_cap, sum_cap))
+        np.minimum(r1_cap, _conditional_r1_caps(params, split), out=r1_cap)
+        return _corner_kinds(r1_cap, r2_cap, sum_cap)
 
     return intersect_frontiers(
         _split_hull(params, split_grid, cut_corners),
@@ -474,14 +474,13 @@ def bc_pr_bound(
     """
 
     def rectangle_corners(*split):
-        # Layer 2 encoded last: the r1 and r2 caps of the broadcast pentagon.
-        r1_last2, r2_last2, _ = _split_caps(params, *split)
-        # Layer 1 encoded last.
-        q1l1, _, q2l1, q2l2 = _split_forms(params, *split)
-        r1_last1, r2_last1 = gaussian_rate(q1l1), gaussian_rate(q2l2 / (1.0 + q2l1))
-        caps = np.broadcast_arrays(r1_last2, r2_last2, r1_last1, r2_last1)
-        r1_last2, r2_last2, r1_last1, r2_last1 = (cap.ravel() for cap in caps)
-        return (r1_last2, r2_last2), (r1_last1, r2_last1)
+        q1l1, q1l2, q2l1, q2l2 = _split_forms(params, *split)
+        # Layer 2 encoded last (the broadcast pentagon's r1 and r2 caps),
+        # then layer 1 encoded last.
+        return (
+            _layer2_last_caps(q1l1, q1l2, q2l2),
+            (gaussian_rate(q1l1), gaussian_rate(q2l2 / (1.0 + q2l1))),
+        )
 
     return intersect_frontiers(
         _split_hull(params, split_grid, rectangle_corners),

@@ -155,11 +155,12 @@ class Frontier:
 
     def to_csv(self) -> str:
         lines = ["r1_bits,r2_bits"]
-        lines += [f"{x:.12g},{y:.12g}" for x, y in zip(self.r1, self.r2)]
+        points = np.column_stack((self.r1, self.r2)).tolist()
+        lines += [f"{x:.12g},{y:.12g}" for x, y in points]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
-        return {"points": [[float(x), float(y)] for x, y in zip(self.r1, self.r2)]}
+        return {"points": np.column_stack((self.r1, self.r2)).tolist()}
 
 
 @dataclass(frozen=True)
@@ -359,29 +360,48 @@ def union_frontier_arrays(
     return Frontier(r1[keep], np.maximum(values[keep], 0.0))
 
 
+def _corner_kinds(r1_max, r2_max, sum_max):
+    """Both Pareto corners of each pentagon, as two ``(x, y)`` kinds.
+
+    The first kind hugs the r2 cap, the second the r1 cap (they coincide
+    for rectangles); degenerate shapes clamp at the axes exactly as
+    :func:`pentagon_corners` does.  Elementwise, so the caps may be any
+    broadcast-compatible arrays and each coordinate has their broadcast
+    shape.
+    """
+    r1_max, r2_max, sum_max = np.broadcast_arrays(r1_max, r2_max, sum_max)
+    sum_cap = r1_max + r2_max
+    np.minimum(sum_max, sum_cap, out=sum_cap)
+    y1 = np.minimum(r2_max, sum_cap)
+    x1 = np.subtract(sum_cap, r2_max)
+    np.maximum(x1, 0.0, out=x1)
+    x2 = np.minimum(r1_max, sum_cap)
+    y2 = np.subtract(sum_cap, x2, out=sum_cap)
+    np.maximum(y2, 0.0, out=y2)
+    return (x1, y1), (x2, y2)
+
+
 def corner_cloud(r1_max, r2_max, sum_max):
     """Pareto corner candidates of many pentagons as one point cloud.
 
-    Returns ``(x, y)`` arrays with two entries per pentagon: the corner
-    hugging the r2 cap and the corner hugging the r1 cap (they coincide for
-    rectangles).  Degenerate shapes clamp at the axes exactly as
-    :func:`pentagon_corners` does.
+    Returns ``(x, y)`` arrays with two entries per pentagon: every
+    pentagon's corner hugging the r2 cap, then every pentagon's corner
+    hugging the r1 cap (see :func:`_corner_kinds`).
     """
     a = np.asarray(r1_max, dtype=float).ravel()
     b = np.asarray(r2_max, dtype=float).ravel()
     s = np.asarray(sum_max, dtype=float).ravel()
     if a.size == 0:
         raise ValueError("no pentagons")
-    sum_cap = np.minimum(s, a + b)
-    y1 = np.minimum(b, sum_cap)
-    x1 = np.maximum(sum_cap - b, 0.0)
-    x2 = np.minimum(a, sum_cap)
-    y2 = np.maximum(sum_cap - x2, 0.0)
+    (x1, y1), (x2, y2) = _corner_kinds(a, b, s)
     return np.concatenate([x1, x2]), np.concatenate([y1, y2])
 
 
 # Stride of the sample whose staircase prefilters a cloud in hull_frontier.
 _WITNESS_STRIDE = 64
+
+# Buckets of the first-stage table of _witness_test.
+_BUCKETS = 1024
 
 
 def _staircase(x: np.ndarray, y: np.ndarray):
@@ -402,14 +422,61 @@ def _staircase(x: np.ndarray, y: np.ndarray):
     return x[keep], y[keep]
 
 
-def _unbeaten(wx: np.ndarray, wy: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Mask of the points that no witness beats with ``x_w >= x`` and ``y_w > y``.
+def _witness_test(wx: np.ndarray, wy: np.ndarray):
+    """The test that drops the points a witness beats (``x_w >= x``, ``y_w > y``).
 
-    ``(wx, wy)`` is a :func:`_staircase`.  Its y is strictly decreasing in
-    x, so the first witness at or right of a point has the largest y among
-    those at or right of it.
+    ``(wx, wy)`` is a :func:`_staircase`.  Returns ``unbeaten(x, y)``,
+    which takes finite arrays of one shape and returns the flat indices, in
+    ``x.ravel()`` order, of the points no witness beats.  The staircase's y
+    is strictly decreasing in x, so the first witness at or right of a
+    point has the largest y among those at or right of it; call its y
+    ``W(x)`` (``-inf`` past the last witness).  The points kept are those
+    with ``W(x) <= y``, the mask one ``searchsorted`` of every point would
+    give, but most points are settled by a cheaper first stage.
+
+    Stage 1 maps x to one of ``_BUCKETS + 1`` buckets by
+    ``f(x) = int((clip(x, wx[0], wx[-1]) - wx[0]) * scale)``.  Each rounded
+    step is monotone, so ``f`` does not fall as x rises.  ``table[k]`` is
+    the y of the first witness whose bucket exceeds ``k``, or ``-inf`` if
+    none does; it is built once per staircase.  Stage 2 runs the
+    ``searchsorted`` only on the points with ``table[f(x)] <= y``.
+
+    Why the indices are those of the one-stage mask.  Take a point with
+    ``y < table[k]``, ``k = f(x)``, and let ``m`` be the witness that gave
+    ``table[k]``.  If ``wx[m] <= x``, then ``f(wx[m]) <= f(x) = k``, against
+    the choice of ``m``; so ``wx[m] > x``, the first witness at or right of
+    x comes no later than ``m``, and as W does not rise with x,
+    ``W(x) >= wy[m] = table[k] > y``: the one-stage mask drops the point
+    too.  Every other point gets the one-stage expression itself.  A
+    staircase of one x, or one whose width does not give a finite positive
+    ``scale``, skips stage 1.
     """
-    return np.append(wy, -np.inf)[np.searchsorted(wx, x, side="left")] <= y
+    ext = np.append(wy, -np.inf)
+
+    def exact(x, y):
+        return ext[np.searchsorted(wx, x, side="left")] <= y
+
+    lo, hi = float(wx[0]), float(wx[-1])
+    span = hi - lo
+    scale = _BUCKETS / span if span > 0.0 else 0.0
+    if not 0.0 < scale < math.inf:
+        return lambda x, y: np.flatnonzero(exact(x, y))
+
+    def bucket(v):
+        # In [0, _BUCKETS]: (v - lo) * scale rounds to at most span * scale,
+        # which is below _BUCKETS + 1.
+        v = np.clip(v, lo, hi)
+        v -= lo
+        v *= scale
+        return v.astype(np.intp)
+
+    table = ext[np.searchsorted(bucket(wx), np.arange(_BUCKETS + 1), side="right")]
+
+    def unbeaten(x, y):
+        left = np.flatnonzero(table[bucket(x)] <= y)
+        return left[exact(x.take(left), y.take(left))]
+
+    return unbeaten
 
 
 def hull_frontier(x, y) -> Frontier:
@@ -424,7 +491,7 @@ def hull_frontier(x, y) -> Frontier:
     Before the staircase's full sort, the cloud is prefiltered by the
     staircase of every ``_WITNESS_STRIDE``-th point (the witnesses): a point
     is dropped when some witness has ``x_w >= x`` and ``y_w > y``
-    (:func:`_unbeaten`).  The staircase drops every such point too (the
+    (:func:`_witness_test`).  The staircase drops every such point too (the
     witness beats it on larger x, or on larger y at equal x), and that
     dominance is transitive, so each point the staircase drops is still
     dominated by a staircase point that the prefilter keeps.  Survivors
@@ -441,8 +508,8 @@ def hull_frontier(x, y) -> Frontier:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("corner coordinates must be finite")
 
-    wx, wy = _staircase(x[::_WITNESS_STRIDE], y[::_WITNESS_STRIDE])
-    keep = _unbeaten(wx, wy, x, y)
+    unbeaten = _witness_test(*_staircase(x[::_WITNESS_STRIDE], y[::_WITNESS_STRIDE]))
+    keep = unbeaten(x, y)
     x, y = _staircase(x[keep], y[keep])
 
     if x[0] > 0.0:

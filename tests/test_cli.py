@@ -212,6 +212,40 @@ def test_region_output_is_deterministic(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def _env_with_src():
+    """The environment, with this checkout's sources first on ``PYTHONPATH``."""
+    src = str(Path(cogregions.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_interleaved_main_calls_match_fresh_processes(capsys, tmp_path):
+    # One process reuses one parser; no flag value or default may leak from
+    # one call into the next (the second region call relies on the csv
+    # default after a json call).
+    point = ["--a", "0.2", "--b", "2.5", "--p1", "2", "--p2", "3"]
+    grids = [*point, "--split-grid", "7", "--alpha-grid", "101", "--beta-grid", "101"]
+    calls = {
+        "region1.json": ["region", "--bound", "capacity", "--format", "json", *grids],
+        "classify.json": ["classify", *point],
+        "verify.jsonl": ["verify", "cond5", *point],
+        "region2.csv": ["region", "--bound", "bcpr", *grids],
+    }
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    for name, argv in calls.items():
+        command = [sys.executable, "-m", "cogregions.cli", *argv, "--out"]
+        subprocess.run([*command, str(fresh / name)], env=_env_with_src(), check=True)
+        assert main([*argv, "--out", str(reused / name)]) == 0
+    capsys.readouterr()
+    names = sorted(path.name for path in fresh.iterdir())
+    assert names == sorted(path.name for path in reused.iterdir())
+    assert len(names) == 6  # both region calls write a .meta.json
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 # ------------------------------------------------------------------ config
 
 
@@ -325,6 +359,19 @@ def test_compare_th1_inside_unifying(capsys):
 
 
 # ------------------------------------------------------------------ verify
+
+
+def test_verify_condition5_uses_exact_threshold(capsys):
+    # sqrt(p2 + 1) <= b, so the claimed threshold calls the sum cap
+    # redundant, but b^2 < 1 + p2 + b*sqrt(p1*p2) and the sweep finds a
+    # 0.49-bit corner excess: the exact biconditional holds.
+    argv = ["verify", "cond5", "--a", "0", "--b", "3.21", "--p1", "10", "--p2", "8.96"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert doc["worst_case"]["max_corner_excess_bits"] > 0.49
+    assert doc["worst_case"]["claimed_threshold"]["agrees_with_sweep"] is False
 
 
 def test_verify_condition6_suite(capsys):
@@ -448,12 +495,10 @@ def test_cli_never_imports_numpy_ma(tmp_path):
         " '--p1', '5', '--p2', '5']) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(cogregions.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", script],
         cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_env_with_src(),
         capture_output=True,
         text=True,
         check=True,

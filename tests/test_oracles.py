@@ -134,7 +134,7 @@ def test_condition5_below_threshold():
     assert report.max_discrepancy == 0.0
     assert report.worst_case["sweep_holds"] is False
     assert report.worst_case["threshold_holds"] is False
-    assert report.worst_case["threshold"] == 2.0
+    assert report.worst_case["claimed_threshold"]["threshold"] == 2.0
 
 
 def test_condition5_far_above_threshold():
@@ -145,13 +145,16 @@ def test_condition5_far_above_threshold():
 
 
 def test_condition5_boundary_counterexample():
-    # Exactly at b = sqrt(p2 + 1) the threshold side claims redundancy but
+    # Exactly at b = sqrt(p2 + 1) the claimed threshold claims redundancy but
     # the sweep finds interior power splits whose corner sum exceeds the sum
-    # cap.  The biconditional genuinely fails here; the oracle must say so.
+    # cap.  The claimed biconditional genuinely fails here; the oracle must
+    # say so, while the exact condition b^2 >= 1 + p2 + b*sqrt(p1*p2) agrees.
     report = verify_condition5(1.0, 3.0, 2.0)
-    assert not report.passed
-    assert report.max_discrepancy == 1.0
-    assert report.worst_case["threshold_holds"] is True
+    claimed = report.worst_case["claimed_threshold"]
+    assert claimed["holds"] is True
+    assert claimed["agrees_with_sweep"] is False
+    assert report.passed
+    assert report.worst_case["threshold_holds"] is False
     assert report.worst_case["sweep_holds"] is False
     assert report.worst_case["max_corner_excess_bits"] == pytest.approx(
         0.134726995283577, abs=1e-9

@@ -395,6 +395,75 @@ def test_hull_frontier_matches_unfiltered_staircase_bitwise(cloud):
     assert np.array_equal(_bits(got.r2), _bits(want_y))
 
 
+def _searchsorted_unbeaten(wx, wy, x, y):
+    """Reference: the one-stage witness mask, every point binary-searched."""
+    return np.append(wy, -np.inf)[np.searchsorted(wx, x, side="left")] <= y
+
+
+_HUGE = np.finfo(float).max
+_TINY = 5e-324
+
+
+@st.composite
+def _witness_cases(draw):
+    """A witness staircase and test points, with the corner cases of the bucket map."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 60))
+    mode = draw(
+        st.sampled_from(["uniform", "pool", "one_x", "zero_x", "huge", "tiny"])
+    )
+    if mode == "uniform":
+        wx, wy = rng.uniform(0.0, 3.0, m), rng.uniform(0.0, 3.0, m)
+    elif mode == "pool":  # ties in x and in y, both zero signs
+        wx = rng.choice([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0], m)
+        wy = rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0], m)
+    elif mode == "one_x":  # a one-witness staircase
+        wx, wy = np.full(m, 1.25), rng.uniform(0.0, 3.0, m)
+    elif mode == "zero_x":
+        wx, wy = rng.choice([-0.0, 0.0], m), rng.uniform(0.0, 3.0, m)
+    elif mode == "huge":  # spans up to and past the largest double
+        wx = rng.choice([-_HUGE, -1e300, 0.0, 1e300, _HUGE], m)
+        wx *= rng.uniform(0.5, 1.0, m)
+        wy = rng.uniform(-1e300, 1e300, m)
+    else:  # subnormal spans, whose bucket scale overflows
+        wx = rng.choice([0.0, _TINY, 2 * _TINY, 1e-310, 1e-300], m)
+        wy = rng.uniform(0.0, 1.0, m)
+    wx, wy = region_geometry._staircase(wx, wy)
+
+    lo, hi = float(wx[0]), float(wx[-1])
+    xs = [wx, [-0.0, 0.0, lo, hi, -_HUGE, _HUGE, -_TINY, _TINY]]
+    span = hi - lo
+    if 0.0 < span < math.inf:
+        # Bucket edges, their neighbours, and x past the last witness.
+        step = span / region_geometry._BUCKETS
+        edges = [lo + k * step for k in range(region_geometry._BUCKETS + 1)]
+        edges = np.array([e for e in edges if math.isfinite(e)])
+        xs += [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        xs.append([hi + span * u for u in rng.uniform(0.0, 1.0, 20).tolist()])
+        xs.append(rng.uniform(lo, hi, 200))
+    pool = np.concatenate([np.asarray(v, dtype=float) for v in xs])
+    pool = pool[np.isfinite(pool)]
+    n = draw(st.integers(1, 400))
+    x = rng.choice(pool, n)
+    ys = np.concatenate([wy, np.nextafter(wy, -np.inf), np.nextafter(wy, np.inf)])
+    ys = np.concatenate([ys[np.isfinite(ys)], [-0.0, 0.0, -_HUGE, _HUGE]])
+    y = np.where(rng.random(n) < 0.7, rng.choice(ys, n), rng.uniform(-1.0, 3.0, n))
+    if draw(st.booleans()):  # a 2-D slab, x a broadcast view, as in a split mesh
+        rows = draw(st.integers(1, 4))
+        x = np.broadcast_to(x, (rows, n))
+        y = rng.choice(np.append(y, ys), (rows, n))
+    return wx, wy, x, y
+
+
+@settings(max_examples=400, deadline=None)
+@given(_witness_cases())
+def test_witness_test_matches_searchsorted_mask(case):
+    wx, wy, x, y = case
+    got = region_geometry._witness_test(wx, wy)(x, y)
+    want = np.flatnonzero(_searchsorted_unbeaten(wx, wy, x.ravel(), y.ravel()))
+    assert np.array_equal(got, want)
+
+
 def test_union_large_grid_memory_is_linear():
     # A 20k-pentagon family on a 240k-point explicit grid: the dense
     # envelope needed grid x 2048 doubles per chunk and was OOM-killed.

@@ -169,6 +169,22 @@ def test_split_builders_match_dense_path_bitwise():
             )
 
 
+def test_th1_matches_dense_path_at_fig3_mesh():
+    # 457 alpha1 rows, 33 slabs of 14 rows: the slab edges, the witness
+    # staircase and the bucket table all differ from the 21^4 case.
+    split = (sweep_grid(401), 21, 5, 21)
+    assert _bits(th1_bound(FIG3, split, 201)) == _bits(_dense_th1(FIG3, split, 201))
+
+
+def test_bc_pr_evaluates_forms_once_per_slab():
+    params = ChannelParams(0.3, 0.6, 2.0, 3.0)
+    forms = mock.Mock(wraps=_split_forms)
+    with mock.patch.object(outer_bounds, "_split_forms", forms):
+        bc_pr_bound(params, 21, 51)
+    # The witness sample, then seven slabs of three alpha1 rows.
+    assert forms.call_count == 1 + 7
+
+
 def test_zero_power_meshes_collapse_to_one_axis():
     axes = outer_bounds._split_mesh(ChannelParams(0.2, 2.5, 2.0, 0.0), 21)
     assert [axis.size for axis in axes] == [21, 1, 1, 1]
