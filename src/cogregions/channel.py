@@ -62,8 +62,8 @@ class RegimeReport:
 
     ``interference_class`` is ``"weak"`` for ``b <= 1`` and ``"strong"``
     otherwise.  ``z_channel`` marks degenerate instances with a vanished
-    cross gain.  The three capacity flags record which known-capacity /
-    bound-dominance thresholds the instance satisfies, and ``thresholds``
+    cross gain.  The two capacity flags record which known-capacity
+    thresholds the instance satisfies, and ``thresholds``
     carries the numeric threshold values used for the comparisons so they
     can be displayed alongside the booleans.
     """
@@ -71,7 +71,6 @@ class RegimeReport:
     interference_class: str
     z_channel: str
     pdc_capacity_known: bool
-    cor2_dominates: bool
     th3_capacity: bool
     open_regime: bool
     thresholds: dict
@@ -81,7 +80,6 @@ class RegimeReport:
             "interference_class": self.interference_class,
             "z_channel": self.z_channel,
             "pdc_capacity_known": self.pdc_capacity_known,
-            "cor2_dominates": self.cor2_dominates,
             "th3_capacity": self.th3_capacity,
             "open_regime": self.open_regime,
             "thresholds": dict(self.thresholds),
@@ -92,12 +90,6 @@ class RegimeReport:
 def pdc_threshold(p1: float, p2: float) -> float:
     """Largest ``b`` for which capacity is known via the weak/primary-decoding regime."""
     return math.sqrt(1.0 + p2 / (p1 + 1.0))
-
-
-def cor2_threshold(p2: float) -> float:
-    """Threshold ``sqrt(P2 + 1)`` above which the closed-form Z outer bound
-    is claimed to dominate the unifying bound for every power split."""
-    return math.sqrt(p2 + 1.0)
 
 
 def th3_threshold(p1: float, p2: float) -> float:
@@ -114,7 +106,6 @@ def classify(params: ChannelParams) -> RegimeReport:
     that branch on the same thresholds.
     """
     thr_pdc = pdc_threshold(params.p1, params.p2)
-    thr_cor2 = cor2_threshold(params.p2)
     thr_th3 = th3_threshold(params.p1, params.p2)
 
     if params.b == 0.0:
@@ -128,12 +119,10 @@ def classify(params: ChannelParams) -> RegimeReport:
         interference_class="weak" if params.b <= 1.0 else "strong",
         z_channel=z_channel,
         pdc_capacity_known=params.b <= thr_pdc,
-        cor2_dominates=params.b >= thr_cor2,
         th3_capacity=params.b >= thr_th3,
         open_regime=(params.a == 0.0 and thr_pdc < params.b < thr_th3),
         thresholds={
             "pdc_capacity": thr_pdc,
-            "cor2_dominates": thr_cor2,
             "th3_capacity": thr_th3,
         },
     )

@@ -4,7 +4,9 @@ Subcommands: ``classify`` (regime flags as JSON), ``region`` (compute one
 bound/region frontier and export it), ``compare`` (containment and gap
 report for two frontiers), ``verify`` (oracle suites as JSON-lines reports),
 and ``fig3`` (inner/outer frontier pair at a fixed reference configuration
-with a gap report).
+with a gap report).  ``verify`` runs its checks two at a time on a private
+thread pool; its output is the same, byte for byte, as running them one by
+one.
 
 Every command is deterministic for fixed flags and seed: output files are
 byte-identical across re-runs and metadata carries no timestamps.
@@ -281,6 +283,7 @@ def _mc_suite(params: ChannelParams, n_samples: int, seed: int) -> list:
     All rate expressions reduce to ``log2`` of ``1 + h S h^T`` for a receive
     vector ``h`` and an input (or layer) covariance ``S``; this exercises
     each structurally distinct (h, S) pair at representative splits.
+    Returns the checks as zero-argument calls, in report order.
     """
     p1, p2, b, a = params.p1, params.p2, params.b, params.a
     h2 = (b, 1.0)
@@ -304,9 +307,66 @@ def _mc_suite(params: ChannelParams, n_samples: int, seed: int) -> list:
         ("mc_receiver1_var", (1.0, a), input_cov(0.5 * p1)),
     ]
     return [
-        mc_rate_check(h, cov, n_samples=n_samples, seed=seed + i, name=name)
+        functools.partial(
+            mc_rate_check, h, cov, n_samples=n_samples, seed=seed + i, name=name
+        )
         for i, (name, h, cov) in enumerate(cases)
     ]
+
+
+# Checks of one verify run that execute at once.  Each holds its own RNG and
+# numpy releases the GIL while it draws and reduces, so two checks use two
+# cores.
+_VERIFY_WORKERS = 2
+
+
+@functools.cache
+def _verify_pool():
+    """The worker pool of ``verify``, started on first use and kept."""
+    # Imported here: the other commands never pay for the import.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_VERIFY_WORKERS, thread_name_prefix="cogregions-verify")
+
+
+def _degradedness_pair(params: ChannelParams, n_samples: int, seed: int) -> list:
+    """Both degradedness checks of a suite, one after the other.
+
+    Each holds a ``(4, n)`` sample matrix, 32 MB at the default ``n``; run
+    in turn on one worker, the two never hold theirs at once.
+    """
+    return [
+        degradedness_check(params, n_samples, seed),
+        degradedness_check(params, n_samples, seed + 1, input_rho=0.7),
+    ]
+
+
+def _run_plan(plan: list, first=None) -> list:
+    """Run a verify plan; return its reports in plan order.
+
+    ``plan`` holds stderr notes and zero-argument checks, each returning a
+    report or a list of reports.  The checks run two at a time, ``first``
+    (the longest) ahead of the rest, but reports, notes and the first
+    failing check's error come out in plan order, exactly as a one-by-one
+    run gives them.
+    """
+    checks = [step for step in plan if callable(step)]
+    futures = {
+        check: _verify_pool().submit(check)
+        for check in sorted(checks, key=lambda check: check is not first)
+    }
+    reports = []
+    try:
+        for step in plan:
+            if not callable(step):
+                print(step, file=sys.stderr)
+                continue
+            result = futures[step].result()
+            reports += result if isinstance(result, list) else [result]
+    finally:
+        for future in futures.values():
+            future.cancel()
+    return reports
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -314,30 +374,37 @@ def cmd_verify(args: argparse.Namespace) -> int:
     params = _params(cfg)
     suite = args.suite
     n, seed = int(cfg["samples"]), int(cfg["seed"])
-    reports = []
+    plan, degraded = [], None
     if suite in ("mc", "all"):
-        reports += _mc_suite(params, n, seed)
+        plan += _mc_suite(params, n, seed)
     if suite == "degraded" or (suite == "all" and params.b >= 1.0):
-        reports.append(degradedness_check(params, n, seed))
-        reports.append(degradedness_check(params, n, seed + 1, input_rho=0.7))
+        degraded = functools.partial(_degradedness_pair, params, n, seed)
+        plan.append(degraded)
     elif suite == "all":
-        print("skipping degraded: needs |b| >= 1", file=sys.stderr)
+        plan.append("skipping degraded: needs |b| >= 1")
     if suite in ("cond5", "all"):
-        reports.append(
-            verify_condition5(params.p1, params.p2, params.b, cfg["alpha_grid"])
+        plan.append(
+            functools.partial(
+                verify_condition5, params.p1, params.p2, params.b, cfg["alpha_grid"]
+            )
         )
     if suite in ("cond6", "all"):
-        reports.append(
-            verify_condition6(params.p1, params.p2, params.b, cfg["beta_grid"])
+        plan.append(
+            functools.partial(
+                verify_condition6, params.p1, params.p2, params.b, cfg["beta_grid"]
+            )
         )
     in_th3_regime = params.a == 0.0 and params.b >= th3_threshold(params.p1, params.p2)
     if suite == "th3" or (suite == "all" and in_th3_regime):
-        reports.append(
-            verify_th3_capacity(params.p1, params.p2, params.b, cfg["alpha_grid"])
+        plan.append(
+            functools.partial(
+                verify_th3_capacity, params.p1, params.p2, params.b, cfg["alpha_grid"]
+            )
         )
     elif suite == "all":
-        print("skipping th3: not in Theorem-3 regime", file=sys.stderr)
+        plan.append("skipping th3: not in Theorem-3 regime")
 
+    reports = _run_plan(plan, first=degraded)
     text = "".join(report.to_json_line() + "\n" for report in reports)
     _write(cfg["out"], text)
     if cfg["out"] is None:

@@ -5,6 +5,11 @@ formulas from sampled Gaussian inputs; the degradedness check reconstructs
 receiver 1's observation from receiver 2's and compares joint covariances;
 the condition sweeps brute-force the redundancy of sum constraints against
 their claimed thresholds.  Every report is deterministic for a fixed seed.
+The sampled checks stream their draws through ``_BLOCK``-row buffers and
+reduce in place, with the same random streams and the same floating-point
+operations as a one-shot draw, so their reports do not depend on the block
+size; each check holds only its own RNG, so independent checks may run on
+separate threads.
 
 Discrepancies are reported in units that make ``passed iff max_discrepancy
 <= tolerance`` hold exactly: standard-error multiples for sampled checks,
@@ -35,6 +40,52 @@ __all__ = [
 
 MIN_MC_SAMPLES = 10_000
 
+# Rows per block of streamed Monte Carlo draws; bounds each check's
+# temporaries to about a megabyte whatever ``n_samples`` is.
+_BLOCK = 65_536
+
+
+def _blocks(n: int):
+    """Consecutive row slices covering ``range(n)``, of about ``_BLOCK`` rows.
+
+    No block holds a single row: numpy multiplies a one-row matrix by its
+    vector path, which rounds differently from the matrix path of a one-shot
+    product.  So blocks have at least two rows, and a lone last row joins
+    the block before it.
+    """
+    step = max(_BLOCK, 2)
+    start = 0
+    while start < n:
+        stop = start + step if n - start - step >= 2 else n
+        yield slice(start, stop)
+        start = stop
+
+
+def _sample_variance(x: np.ndarray) -> float:
+    """``np.var(x, ddof=1)`` of a 1-D array by ``np.var``'s own steps, in place.
+
+    Overwrites ``x`` with its squared deviations instead of allocating them.
+    """
+    n = x.size
+    mean = np.add.reduce(x, keepdims=True)
+    mean /= n
+    x -= mean
+    np.square(x, out=x)
+    return float(np.add.reduce(x) / (n - 1))
+
+
+def _sample_covariance(samples: np.ndarray) -> np.ndarray:
+    """``np.cov(samples)`` of a ``(d, n)`` array by ``np.cov``'s own steps, in place.
+
+    Overwrites ``samples`` with its deviations from the row means instead of
+    copying it first.
+    """
+    samples -= samples.mean(axis=1)[:, None]
+    cov = np.dot(samples, samples.T)
+    cov *= np.true_divide(1, samples.shape[1] - 1)
+    return cov
+
+
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
     """Square root of a PSD matrix via its eigendecomposition."""
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -57,7 +108,9 @@ def mc_rate_check(
     ``Y = gains . X + Z`` with unit noise, and compares the sample variance
     of ``Y`` against the closed form ``1 + h S h^T`` that every rate
     expression in this package feeds to ``log2``.  Passes iff the estimate
-    is within 5 standard errors of the sample-variance estimator.
+    is within 5 standard errors of the sample-variance estimator.  ``cov``
+    must be finite and exactly symmetric: the factorization reads only one
+    triangle, while the closed form reads both.
     """
     n = int(n_samples)
     if n < MIN_MC_SAMPLES:
@@ -66,12 +119,25 @@ def mc_rate_check(
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (h.size, h.size):
         raise ValueError("covariance shape must match the gain vector")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("gains must be finite")
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("covariance must be finite")
+    if not np.array_equal(cov, cov.T):
+        raise ValueError("covariance must be symmetric")
     factor = _psd_factor(cov)
 
+    # All inputs are drawn before any noise, as one (n, k) draw followed by
+    # one (n,) draw would consume the stream.
     rng = np.random.default_rng(seed)
-    inputs = rng.standard_normal((n, h.size)) @ factor.T
-    received = inputs @ h + rng.standard_normal(n)
-    estimate = float(np.var(received, ddof=1))
+    received = np.empty(n)
+    for rows in _blocks(n):
+        draws = rng.standard_normal((rows.stop - rows.start, h.size))
+        received[rows] = (draws @ factor.T) @ h
+    for rows in _blocks(n):
+        noisy = received[rows]
+        noisy += rng.standard_normal(rows.stop - rows.start)
+    estimate = _sample_variance(received)
     target = float(1.0 + h @ cov @ h)
     # Sample variance of Gaussian data has variance 2 sigma^4 / (n - 1).
     stderr = target * math.sqrt(2.0 / (n - 1))
@@ -130,19 +196,45 @@ def degradedness_check(
 
     a, b = params.a, params.b
     p1, p2 = params.p1, params.p2
+    # One (5, n) draw would fill g1, g2, z1, z2, z0 in turn.  The first four
+    # land in the rows that become x1, x2, y1 and y2 (then the rebuilt y1);
+    # z0 is drawn block by block last.  Each expression keeps its order of
+    # operations; in-place updates only swap the operands of a single + or
+    # *, which IEEE arithmetic leaves bit for bit the same.
     rng = np.random.default_rng(seed)
-    g1, g2, z1, z2, z0 = rng.standard_normal((5, n))
     samples = np.empty((4, n))
+    for row in samples:
+        rng.standard_normal(out=row)
     x1, x2, y1, y1_rebuilt = samples
-    x2[:] = math.sqrt(p2) * g2
-    x1[:] = math.sqrt(p1) * (rho * g2 + math.sqrt(1.0 - rho * rho) * g1)
-    y1[:] = x1 + a * x2 + z1
-    y2 = b * x1 + x2 + z2
-    y1_rebuilt[:] = (y2 - x2) / b + a * x2 + math.sqrt(1.0 - 1.0 / (b * b)) * z0
-    # Release the raw draws before the covariance pass copies the samples.
-    del g1, g2, z1, z2, z0, y2
+    spread = math.sqrt(1.0 - rho * rho)
+    for rows in _blocks(n):
+        # x1 = sqrt(p1) * (rho * g2 + sqrt(1 - rho^2) * g1)
+        x1_rows = x1[rows]
+        x1_rows *= spread
+        x1_rows += rho * x2[rows]
+        x1_rows *= math.sqrt(p1)
+    x2 *= math.sqrt(p2)
+    rebuild_noise = math.sqrt(1.0 - 1.0 / (b * b))
+    for rows in _blocks(n):
+        x1_rows, x2_rows = x1[rows], x2[rows]
+        y1_rows, y2_rows = y1[rows], y1_rebuilt[rows]
+        # y1 = x1 + a * x2 + z1
+        signal = a * x2_rows
+        signal += x1_rows
+        y1_rows += signal
+        # y2 = b * x1 + x2 + z2
+        signal = b * x1_rows
+        signal += x2_rows
+        y2_rows += signal
+        # y1_rebuilt = (y2 - x2) / b + a * x2 + sqrt(1 - 1/b^2) * z0
+        y2_rows -= x2_rows
+        y2_rows /= b
+        y2_rows += a * x2_rows
+        z0 = rng.standard_normal(rows.stop - rows.start)
+        z0 *= rebuild_noise
+        y2_rows += z0
 
-    cov = np.cov(samples)
+    cov = _sample_covariance(samples)
     direct_rows, rebuilt_rows = [0, 1, 2], [0, 1, 3]
     direct = cov[np.ix_(direct_rows, direct_rows)]
     rebuilt = cov[np.ix_(rebuilt_rows, rebuilt_rows)]

@@ -8,7 +8,6 @@ import pytest
 from cogregions.channel import (
     ChannelParams,
     classify,
-    cor2_threshold,
     gaussian_rate,
     pdc_threshold,
     th3_threshold,
@@ -48,7 +47,6 @@ def test_gaussian_rate_matches_log2_and_broadcasts():
 
 def test_thresholds_closed_forms():
     assert abs(pdc_threshold(1.0, 1.0) - math.sqrt(1.5)) <= 1e-15
-    assert abs(cor2_threshold(3.0) - 2.0) <= 1e-15
     assert abs(th3_threshold(1.0, 1.0) - (math.sqrt(3.0) + 1.0)) <= 1e-15
 
 
@@ -57,16 +55,19 @@ def test_classify_strong_interference_with_th3():
     assert rep.interference_class == "strong"
     assert rep.z_channel == "a_zero"
     assert rep.th3_capacity is True
-    assert rep.cor2_dominates is True
     assert rep.pdc_capacity_known is False
     assert rep.open_regime is False
-    assert set(rep.thresholds) == {"pdc_capacity", "cor2_dominates", "th3_capacity"}
+    assert set(rep.thresholds) == {"pdc_capacity", "th3_capacity"}
+    assert "cor2_dominates" not in rep.as_dict()
 
 
-def test_classify_boundary_counts_as_dominating():
-    # b equals sqrt(p2+1) exactly; the closed comparison includes it.
-    rep = classify(ChannelParams(a=0.0, b=2.0, p1=1.0, p2=3.0))
-    assert rep.cor2_dominates is True
+def test_classify_boundaries_are_closed():
+    # b equal to a threshold counts as meeting it.
+    at_pdc = classify(ChannelParams(a=0.0, b=pdc_threshold(1.0, 3.0), p1=1.0, p2=3.0))
+    assert at_pdc.pdc_capacity_known is True
+    at_th3 = classify(ChannelParams(a=0.0, b=th3_threshold(1.0, 3.0), p1=1.0, p2=3.0))
+    assert at_th3.th3_capacity is True
+    assert at_th3.open_regime is False
 
 
 def test_classify_b_zero_takes_precedence_over_a_zero():
@@ -79,7 +80,6 @@ def test_classify_b_zero_takes_precedence_over_a_zero():
 def test_classify_reference_configuration_not_proven():
     rep = classify(ChannelParams(a=0.01, b=10.0, p1=5.0, p2=5.0))
     assert rep.th3_capacity is False  # threshold ~10.568 exceeds 10
-    assert rep.cor2_dominates is True
     assert rep.z_channel == "none"
     assert rep.open_regime is False  # open regime requires a == 0
 

@@ -6,12 +6,21 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import cogregions
+from cogregions.channel import ChannelParams, th3_threshold
 from cogregions.cli import main
+from cogregions.oracles import (
+    degradedness_check,
+    mc_rate_check,
+    verify_condition5,
+    verify_condition6,
+    verify_th3_capacity,
+)
 
 LOG2_6 = math.log2(6.0)
 LOG2_17 = math.log2(17.0)
@@ -59,7 +68,7 @@ def test_classify_reference_configuration(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["th3_capacity"] is False
-    assert doc["cor2_dominates"] is True
+    assert "cor2_dominates" not in doc
     assert doc["open_regime"] is False
 
 
@@ -429,6 +438,79 @@ def test_verify_mc_reports_are_json_lines(capsys):
     assert all(doc["n"] == 50000 for doc in reports)
 
 
+def _sequential_lines(a, b, p1, p2, n, seed, suite):
+    """The reports of ``verify SUITE`` from the public oracles, one by one."""
+    params = ChannelParams(a=a, b=b, p1=p1, p2=p2)
+
+    def input_cov(cross_power):
+        off = math.sqrt(cross_power * p2)
+        return [[p1, off], [off, p2]]
+
+    layer_off = math.sqrt(0.5 * p1 * p2)
+    cases = [
+        ("mc_unifying_r2cap", (b, 1.0), input_cov(0.3 * p1)),
+        ("mc_z_sumcap", (b, 1.0), input_cov(p1)),
+        ("mc_scheme_layercap", (b, 1.0), [[0.5 * p1, layer_off], [layer_off, p2]]),
+        ("mc_scheme_sumcap", (b, 1.0), input_cov(0.5 * p1)),
+        ("mc_receiver1_var", (1.0, a), input_cov(0.5 * p1)),
+    ]
+    reports = [
+        mc_rate_check(h, cov, n_samples=n, seed=seed + i, name=name)
+        for i, (name, h, cov) in enumerate(cases)
+    ]
+    if suite == "all":
+        if b >= 1.0:
+            reports.append(degradedness_check(params, n, seed))
+            reports.append(degradedness_check(params, n, seed + 1, input_rho=0.7))
+        reports.append(verify_condition5(p1, p2, b, 1001))
+        reports.append(verify_condition6(p1, p2, b, 1001))
+        if a == 0.0 and b >= th3_threshold(p1, p2):
+            reports.append(verify_th3_capacity(p1, p2, b, 1001))
+    return "".join(report.to_json_line() + "\n" for report in reports)
+
+
+@pytest.mark.parametrize(
+    "suite, a, b, err",
+    [
+        ("all", 0.0, 6.0, ""),
+        ("all", 0.5, 0.5, "skipping degraded: needs |b| >= 1\n"
+                          "skipping th3: not in Theorem-3 regime\n"),
+        ("all", 0.01, 10.0, "skipping th3: not in Theorem-3 regime\n"),
+        ("mc", 0.3, 2.0, ""),
+    ],
+)
+def test_verify_reports_match_one_by_one_oracle_calls(capsys, suite, a, b, err):
+    # The checks run two at a time; the bytes are those of a sequential run.
+    argv = ["verify", suite, "--a", str(a), "--b", str(b), "--p1", "2", "--p2", "3",
+            "--samples", "20001", "--seed", "9"]
+    code, out, stderr = run(capsys, *argv)
+    assert out == _sequential_lines(a, b, 2.0, 3.0, 20001, 9, suite)
+    assert stderr == err
+    assert code == (0 if all(json.loads(line)["passed"] for line in out.splitlines()) else 1)
+
+
+def test_verify_all_memory_is_bounded(capsys):
+    # Checks run two at a time, but the two degradedness checks (a 32 MB
+    # sample matrix each at the default n) run in turn on one worker: the
+    # peak is one of them plus one 8 MB Monte Carlo check, not 64 MB and up.
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "verify", "all", "--a", "0", "--b", "5")
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak_mb <= 48.0
+
+
+def test_verify_too_few_samples_is_an_input_error(capsys):
+    for b in ("3", "0.5"):
+        code, out, err = run(capsys, "verify", "all", "--b", b, "--samples", "100")
+        assert code == 2
+        assert out == ""
+        assert err == "error: n_samples must be at least 10000\n"
+
+
 # -------------------------------------------------------------------- fig3
 
 
@@ -494,6 +576,29 @@ def test_cli_never_imports_numpy_ma(tmp_path):
         "assert main(['region', '--bound', 'capacity', '--a', '0.01', '--b', '10',"
         " '--p1', '5', '--p2', '5']) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=_env_with_src(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_other_commands_never_import_concurrent_futures(tmp_path):
+    # Only verify runs checks on a thread pool; importing the pool module
+    # costs every other fresh CLI process about 7 ms.
+    script = (
+        "import sys\n"
+        "from cogregions.cli import main\n"
+        "assert main(['classify']) == 0\n"
+        "assert main(['region', '--bound', 'capacity', '--a', '0.01', '--b', '10',"
+        " '--p1', '5', '--p2', '5']) == 0\n"
+        "assert main(['fig3']) == 0\n"
+        "print('concurrent.futures' in sys.modules)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],

@@ -51,6 +51,17 @@ def test_mc_rate_check_validation():
     with pytest.raises(ValueError) as err:
         mc_rate_check([1.0, 1.0], np.eye(3), n_samples=50_000)
     assert str(err.value) == "covariance shape must match the gain vector"
+    # The factorization reads one triangle and the closed form both, so an
+    # asymmetric matrix would read as a sampling failure, not an input error.
+    with pytest.raises(ValueError) as err:
+        mc_rate_check((1.0, 1.0), [[1.0, 0.9], [0.0, 1.0]], n_samples=10_000)
+    assert str(err.value) == "covariance must be symmetric"
+    with pytest.raises(ValueError) as err:
+        mc_rate_check((1.0, 1.0), [[1.0, math.nan], [math.nan, 1.0]], n_samples=10_000)
+    assert str(err.value) == "covariance must be finite"
+    with pytest.raises(ValueError) as err:
+        mc_rate_check((1.0, math.inf), np.eye(2), n_samples=10_000)
+    assert str(err.value) == "gains must be finite"
 
 
 def test_mc_rate_check_is_deterministic_per_seed():
