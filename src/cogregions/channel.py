@@ -60,10 +60,18 @@ class ChannelParams:
 class RegimeReport:
     """Classification flags for one channel instance.
 
+    ``regime`` is the one regime decision of the package: ``b_zero``
+    (receiver 2 interference-free), ``pdc_exact`` (``a = 0``, ``b`` at or
+    below the primary-decoding threshold), ``th3_exact`` (``a = 0``, ``b``
+    at or above the superposition threshold), else ``open_strong`` for
+    ``b > 1`` and ``open_weak`` otherwise.
+    :func:`~cogregions.capacity_region` dispatches on it, and its result is
+    open exactly when the label starts with ``open_``.
+
     ``interference_class`` is ``"weak"`` for ``b <= 1`` and ``"strong"``
     otherwise.  ``z_channel`` marks degenerate instances with a vanished
     cross gain.  The two capacity flags record which known-capacity
-    thresholds the instance satisfies, and ``thresholds``
+    thresholds the instance satisfies, whatever ``a`` is; ``thresholds``
     carries the numeric threshold values used for the comparisons so they
     can be displayed alongside the booleans.
     """
@@ -72,7 +80,7 @@ class RegimeReport:
     z_channel: str
     pdc_capacity_known: bool
     th3_capacity: bool
-    open_regime: bool
+    regime: str
     thresholds: dict
 
     def as_dict(self) -> dict:
@@ -81,7 +89,7 @@ class RegimeReport:
             "z_channel": self.z_channel,
             "pdc_capacity_known": self.pdc_capacity_known,
             "th3_capacity": self.th3_capacity,
-            "open_regime": self.open_regime,
+            "regime": self.regime,
             "thresholds": dict(self.thresholds),
         }
         return out
@@ -102,11 +110,16 @@ def classify(params: ChannelParams) -> RegimeReport:
     """Classify the interference regime of ``params``.
 
     Pure threshold arithmetic; all boundary comparisons are closed (``>=``
-    or ``<=``) and identical to the comparisons used by the bound modules
-    that branch on the same thresholds.
+    or ``<=``).  This is the only place that compares ``b`` with the
+    thresholds to pick a regime; everything that branches on the regime
+    reads the report.  Where both thresholds meet at ``b`` the label is
+    ``pdc_exact``.
     """
     thr_pdc = pdc_threshold(params.p1, params.p2)
     thr_th3 = th3_threshold(params.p1, params.p2)
+    pdc_known = params.b <= thr_pdc
+    th3_known = params.b >= thr_th3
+    strong = params.b > 1.0
 
     if params.b == 0.0:
         z_channel = "b_zero"
@@ -115,12 +128,21 @@ def classify(params: ChannelParams) -> RegimeReport:
     else:
         z_channel = "none"
 
+    if z_channel == "b_zero":
+        regime = "b_zero"
+    elif z_channel == "a_zero" and pdc_known:
+        regime = "pdc_exact"
+    elif z_channel == "a_zero" and th3_known:
+        regime = "th3_exact"
+    else:
+        regime = "open_strong" if strong else "open_weak"
+
     return RegimeReport(
-        interference_class="weak" if params.b <= 1.0 else "strong",
+        interference_class="strong" if strong else "weak",
         z_channel=z_channel,
-        pdc_capacity_known=params.b <= thr_pdc,
-        th3_capacity=params.b >= thr_th3,
-        open_regime=(params.a == 0.0 and thr_pdc < params.b < thr_th3),
+        pdc_capacity_known=pdc_known,
+        th3_capacity=th3_known,
+        regime=regime,
         thresholds={
             "pdc_capacity": thr_pdc,
             "th3_capacity": thr_th3,

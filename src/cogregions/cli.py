@@ -25,8 +25,13 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .channel import ChannelParams, classify, gaussian_rate, th3_threshold
-from .inner_bounds import beta_of_alpha, capacity_region, scheme_e_region
+from .channel import ChannelParams, classify, gaussian_rate
+from .inner_bounds import (
+    DEFAULT_BETA_POINTS,
+    beta_of_alpha,
+    capacity_region,
+    scheme_e_region,
+)
 from .oracles import (
     degradedness_check,
     mc_rate_check,
@@ -35,6 +40,8 @@ from .oracles import (
     verify_th3_capacity,
 )
 from .outer_bounds import (
+    DEFAULT_ALPHA_POINTS,
+    DEFAULT_SPLIT_POINTS,
     bc_dms_region,
     bc_pr_bound,
     bergmans_frontier,
@@ -101,9 +108,9 @@ _DEFAULTS = {
     "b": 1.0,
     "p1": 1.0,
     "p2": 1.0,
-    "alpha_grid": 1001,
-    "beta_grid": 1001,
-    "split_grid": 21,
+    "alpha_grid": DEFAULT_ALPHA_POINTS,
+    "beta_grid": DEFAULT_BETA_POINTS,
+    "split_grid": DEFAULT_SPLIT_POINTS,
     "samples": 1_000_000,
     "seed": 0,
     "format": "csv",
@@ -179,17 +186,19 @@ def _write(path: Optional[str], text: str) -> None:
             handle.write(text)
 
 
-def _emit_frontier(cfg: dict, frontier: Frontier, meta: dict, extra_json: dict) -> None:
+def _emit_frontier(
+    path: Optional[str], fmt: str, frontier: Frontier, meta: dict, extra_json: dict
+) -> None:
     """Write one frontier (+ sibling metadata when a path is given)."""
-    if cfg["format"] == "csv":
+    if fmt == "csv":
         text = frontier.to_csv()
     else:
         doc = frontier.to_json()
         doc.update(extra_json)
         text = json.dumps(doc) + "\n"
-    _write(cfg["out"], text)
-    if cfg["out"] is not None:
-        _write(_meta_path(cfg["out"]), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write(path, text)
+    if path is not None:
+        _write(_meta_path(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _frontier_for(selector: str, params: ChannelParams, cfg: dict):
@@ -238,7 +247,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         extra_json["status"] = extras["status"]
     if "outer" in extras and cfg["format"] == "json":
         extra_json["outer_points"] = extras["outer"].to_json()["points"]
-    _emit_frontier(cfg, frontier, meta, extra_json)
+    _emit_frontier(cfg["out"], cfg["format"], frontier, meta, extra_json)
     return 0
 
 
@@ -394,15 +403,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 verify_condition6, params.p1, params.p2, params.b, cfg["beta_grid"]
             )
         )
-    in_th3_regime = params.a == 0.0 and params.b >= th3_threshold(params.p1, params.p2)
-    if suite == "th3" or (suite == "all" and in_th3_regime):
+    # The Theorem-3 precondition, not the ``th3_exact`` label: where both
+    # thresholds meet at b the label reads ``pdc_exact`` and the check holds.
+    report = classify(params)
+    in_th3_regime = report.z_channel == "a_zero" and report.th3_capacity
+    if suite == "th3" or (suite == "all" and in_th3_regime and params.p2 > 0.0):
         plan.append(
             functools.partial(
                 verify_th3_capacity, params.p1, params.p2, params.b, cfg["alpha_grid"]
             )
         )
     elif suite == "all":
-        plan.append("skipping th3: not in Theorem-3 regime")
+        reason = "needs p2 > 0" if in_th3_regime else "not in Theorem-3 regime"
+        plan.append(f"skipping th3: {reason}")
 
     reports = _run_plan(plan, first=degraded)
     text = "".join(report.to_json_line() + "\n" for report in reports)
@@ -459,15 +472,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     }
 
     prefix = cfg["out"] or "fig3"
-    ext = cfg["format"]
     for name, frontier in (("outer", outer), ("inner", inner)):
-        path = f"{prefix}_{name}.{ext}"
-        text = (
-            frontier.to_csv()
-            if ext == "csv"
-            else json.dumps(frontier.to_json()) + "\n"
-        )
-        _write(path, text)
         meta = {
             "command": "fig3",
             "role": name,
@@ -481,7 +486,8 @@ def cmd_fig3(args: argparse.Namespace) -> int:
                 "r1": DEFAULT_R1_POINTS,
             },
         }
-        _write(_meta_path(path), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        path = f"{prefix}_{name}.{cfg['format']}"
+        _emit_frontier(path, cfg["format"], frontier, meta, {})
     _write(f"{prefix}_gap.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if report["outer_dominates_within_allowance"] else 1

@@ -149,15 +149,21 @@ def beta_of_alpha(alpha, p1: float):
 class CapacityResult:
     """Outcome of a capacity computation.
 
-    ``status`` is ``"exact"`` when ``frontier`` is the boundary of the
-    capacity region, or ``"open"`` when capacity is unknown for the given
-    parameters; then ``frontier`` is the best computed inner (achievable)
-    frontier and ``outer`` the tightest computed outer frontier.
+    ``regime`` is the label :func:`~cogregions.classify` gave the
+    parameters, and ``status`` follows from it.  It is ``"open"`` for the
+    ``open_*`` labels: capacity is unknown, ``frontier`` is the best
+    computed inner (achievable) frontier and ``outer`` the tightest
+    computed outer frontier.  Else it is ``"exact"`` and ``frontier`` is
+    the boundary of the capacity region.
     """
 
-    status: str
+    regime: str
     frontier: Frontier
     outer: Optional[Frontier] = None
+
+    @property
+    def status(self) -> str:
+        return "open" if self.regime.startswith("open_") else "exact"
 
 
 def capacity_region(
@@ -168,38 +174,35 @@ def capacity_region(
 ) -> CapacityResult:
     """Exact capacity frontier when known, else the best inner/outer pair.
 
-    Exact cases: ``b = 0`` (receiver 2 interference-free, capacity is a
-    rectangle); ``a = 0`` with ``b`` at or below the primary-decoding
-    threshold (the unifying envelope is achievable); ``a = 0`` with ``b``
-    at or above the superposition threshold (the Z outer bound is
-    achievable).  Every other instance is open: the result carries the
-    concavified superposition inner bound and the tightest valid outer
-    bound — the strong-interference intersection when ``|b| > 1``, else the
-    private-rates bound, which needs no interference assumption.  Exact
-    frontiers are concavified; capacity regions are convex, so the hull
-    only removes grid-sampling dips.
+    Dispatches on ``classify(params).regime``, the one regime decision of
+    the package.  Exact regimes: ``b_zero`` (receiver 2 interference-free,
+    capacity is a rectangle); ``pdc_exact`` (the unifying envelope is
+    achievable); ``th3_exact`` (the Z outer bound is achievable).  The open
+    regimes carry the concavified superposition inner bound and the
+    tightest valid outer bound — the strong-interference intersection for
+    ``open_strong``, else the private-rates bound, which needs no
+    interference assumption.  Exact frontiers are concavified; capacity
+    regions are convex, so the hull only removes grid-sampling dips.
     """
-    report = classify(params)
-    if params.b == 0.0:
+    regime = classify(params).regime
+    if regime == "b_zero":
         top = float(gaussian_rate(params.p1))
         r2 = float(gaussian_rate(params.p2))
         if top == 0.0:
             frontier = Frontier(np.array([0.0]), np.array([r2]))
         else:
             frontier = Frontier(np.array([0.0, top]), np.array([r2, r2]))
-        return CapacityResult("exact", frontier)
-    if params.a == 0.0 and report.pdc_capacity_known:
+        return CapacityResult(regime, frontier)
+    if regime == "pdc_exact":
         exact = unifying_region(params, alpha_grid=alpha_grid)
-        return CapacityResult("exact", concavify(exact))
-    if params.a == 0.0 and report.th3_capacity:
+        return CapacityResult(regime, concavify(exact))
+    if regime == "th3_exact":
         exact = cor2_region(params, alpha_grid=alpha_grid)
-        return CapacityResult("exact", concavify(exact))
+        return CapacityResult(regime, concavify(exact))
 
     # Open regime: with p2 = 0 the scheme admits only the beta = 1 point.
     inner_axis = np.array([1.0]) if params.p2 == 0.0 else beta_grid
     inner = concavify(scheme_e_region(params, beta_grid=inner_axis))
-    if params.b > 1.0:
-        outer = th1_bound(params, split_grid=split_grid, alpha_grid=alpha_grid)
-    else:
-        outer = bc_pr_bound(params, split_grid=split_grid, alpha_grid=alpha_grid)
-    return CapacityResult("open", inner, outer)
+    bound = th1_bound if regime == "open_strong" else bc_pr_bound
+    outer = bound(params, split_grid=split_grid, alpha_grid=alpha_grid)
+    return CapacityResult(regime, inner, outer)

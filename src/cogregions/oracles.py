@@ -391,12 +391,15 @@ def verify_th3_capacity(
 ) -> VerificationReport:
     """Verify that the superposition scheme meets the Z outer bound.
 
-    Valid only above the superposition threshold.  Checks, per power split
-    under the alpha-to-beta change of variable: the r1 and r2 caps of
-    scheme and bound agree to 1e-12; the scheme's sum constraint is
-    inactive to 1e-12; and the assembled frontiers agree within 1e-9 bits
-    at every pentagon-corner abscissa.  ``max_discrepancy`` is the worst
-    constraint-to-tolerance ratio, so the report passes at tolerance 1.
+    Valid only above the superposition threshold and for ``p2 > 0``: the
+    scheme's copy scaling divides by ``p2``, so at ``p2 = 0`` it has only
+    the ``beta = 1`` split and the identity has nothing to match.  Checks,
+    per power split under the alpha-to-beta change of variable: the r1 and
+    r2 caps of scheme and bound agree to 1e-12; the scheme's sum
+    constraint is inactive to 1e-12; and the assembled frontiers agree
+    within 1e-9 bits at every pentagon-corner abscissa.
+    ``max_discrepancy`` is the worst constraint-to-tolerance ratio, so the
+    report passes at tolerance 1.
 
     An integer ``alpha_grid`` means a uniform grid here: the 1e-12 identity
     is checked through the scalar power split ``beta``, whose floating-point
@@ -404,6 +407,8 @@ def verify_th3_capacity(
     1e-9-deep boundary layers of the sweep grid would report pure roundoff.
     """
     p1, p2, b = float(p1), float(p2), float(b)
+    if p2 == 0.0:
+        raise ValueError("Theorem-3 check needs p2 > 0")
     if b < th3_threshold(p1, p2):
         raise ValueError("not in Theorem-3 regime")
     params = ChannelParams(a=0.0, b=b, p1=p1, p2=p2)

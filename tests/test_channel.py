@@ -56,7 +56,7 @@ def test_classify_strong_interference_with_th3():
     assert rep.z_channel == "a_zero"
     assert rep.th3_capacity is True
     assert rep.pdc_capacity_known is False
-    assert rep.open_regime is False
+    assert rep.regime == "th3_exact"
     assert set(rep.thresholds) == {"pdc_capacity", "th3_capacity"}
     assert "cor2_dominates" not in rep.as_dict()
 
@@ -67,7 +67,7 @@ def test_classify_boundaries_are_closed():
     assert at_pdc.pdc_capacity_known is True
     at_th3 = classify(ChannelParams(a=0.0, b=th3_threshold(1.0, 3.0), p1=1.0, p2=3.0))
     assert at_th3.th3_capacity is True
-    assert at_th3.open_regime is False
+    assert at_th3.regime == "th3_exact"
 
 
 def test_classify_b_zero_takes_precedence_over_a_zero():
@@ -81,13 +81,13 @@ def test_classify_reference_configuration_not_proven():
     rep = classify(ChannelParams(a=0.01, b=10.0, p1=5.0, p2=5.0))
     assert rep.th3_capacity is False  # threshold ~10.568 exceeds 10
     assert rep.z_channel == "none"
-    assert rep.open_regime is False  # open regime requires a == 0
+    assert rep.regime == "open_strong"
 
 
 def test_classify_open_window():
     # Between the weak-regime threshold and the superposition threshold.
     rep = classify(ChannelParams(a=0.0, b=2.5, p1=1.0, p2=1.0))
-    assert rep.open_regime is True
+    assert rep.regime == "open_strong"
     assert rep.pdc_capacity_known is False
     assert rep.th3_capacity is False
 

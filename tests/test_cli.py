@@ -51,7 +51,7 @@ def test_classify_strong_z_channel(capsys):
     assert doc["interference_class"] == "strong"
     assert doc["z_channel"] == "a_zero"
     assert doc["th3_capacity"] is True
-    assert doc["open_regime"] is False
+    assert doc["regime"] == "th3_exact"
     assert doc["thresholds"]["th3_capacity"] == pytest.approx(math.sqrt(3.0) + 1.0)
 
 
@@ -69,7 +69,19 @@ def test_classify_reference_configuration(capsys):
     doc = json.loads(out)
     assert doc["th3_capacity"] is False
     assert "cor2_dominates" not in doc
-    assert doc["open_regime"] is False
+    assert doc["regime"] == "open_strong"
+
+
+def test_classify_and_capacity_status_agree_at_reference_configuration(capsys):
+    point = ("--a", "0.01", "--b", "10", "--p1", "5", "--p2", "5")
+    _, out, _ = run(capsys, "classify", *point)
+    assert json.loads(out)["regime"] == "open_strong"
+    code, out, _ = run(
+        capsys, "region", "--bound", "capacity", *point, "--format", "json",
+        "--alpha-grid", "51", "--beta-grid", "51", "--split-grid", "5",
+    )
+    assert code == 0
+    assert json.loads(out)["status"] == "open"
 
 
 # ------------------------------------------------------------------ region
@@ -425,6 +437,35 @@ def test_verify_all_includes_everything_in_regime(capsys):
     names = [json.loads(line)["name"] for line in out.strip().splitlines()]
     assert "degradedness_check" in names
     assert "th3_capacity_identity" in names
+
+
+def test_verify_all_runs_th3_where_both_thresholds_meet(capsys):
+    # At p1 = 0, b = sqrt(1 + p2) the label is pdc_exact, yet the Theorem-3
+    # precondition holds, so the check runs.
+    code, out, err = run(
+        capsys, "verify", "all", "--a", "0", "--b", "2", "--p1", "0", "--p2", "3",
+        "--samples", "10000",
+    )
+    assert code == 0
+    assert err == ""
+    names = [json.loads(line)["name"] for line in out.strip().splitlines()]
+    assert "th3_capacity_identity" in names
+
+
+@pytest.mark.parametrize("b", ["3", "1"])
+def test_verify_th3_without_primary_power(capsys, b):
+    point = ("--a", "0", "--b", b, "--p1", "2", "--p2", "0")
+    code, out, err = run(capsys, "verify", "all", *point, "--samples", "10000")
+    assert code == 0
+    assert err == "skipping th3: needs p2 > 0\n"
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert all(doc["passed"] for doc in reports)
+    assert "th3_capacity_identity" not in {doc["name"] for doc in reports}
+
+    code, out, err = run(capsys, "verify", "th3", *point)
+    assert code == 2
+    assert out == ""
+    assert err == "error: Theorem-3 check needs p2 > 0\n"
 
 
 def test_verify_mc_reports_are_json_lines(capsys):

@@ -255,6 +255,10 @@ def test_th3_capacity_requires_regime():
     with pytest.raises(ValueError) as err:
         verify_th3_capacity(1.0, 1.0, 2.0)
     assert str(err.value) == "not in Theorem-3 regime"
+    # b = 3 meets the p2 = 0 threshold of 1, but the scheme has only beta = 1.
+    with pytest.raises(ValueError) as err:
+        verify_th3_capacity(2.0, 0.0, 3.0)
+    assert str(err.value) == "Theorem-3 check needs p2 > 0"
     with pytest.raises(ValueError) as err:
         verify_th3_capacity(1.0, 1.0, 3.0, alpha_grid=1)
     assert str(err.value) == "grid resolution must be at least 2"

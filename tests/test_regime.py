@@ -1,0 +1,82 @@
+"""The regime label: one decision in ``classify``, read by ``capacity_region``."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cogregions.channel import ChannelParams, classify, pdc_threshold, th3_threshold
+from cogregions.inner_bounds import capacity_region
+from cogregions.outer_bounds import bc_pr_bound, th1_bound
+
+# Tiny grids: the dispatch is under test, not the frontiers' accuracy.
+GRIDS = {"alpha_grid": 11, "beta_grid": 11, "split_grid": 3}
+
+EXACT = ("b_zero", "pdc_exact", "th3_exact")
+
+
+def expected_regime(params):
+    """The five-way rule, written out independently of ``classify``."""
+    a, b, p1, p2 = params.a, params.b, params.p1, params.p2
+    if b == 0.0:
+        return "b_zero"
+    if a == 0.0 and b <= pdc_threshold(p1, p2):
+        return "pdc_exact"
+    if a == 0.0 and b >= th3_threshold(p1, p2):
+        return "th3_exact"
+    return "open_strong" if b > 1.0 else "open_weak"
+
+
+# Powers are 0 or at least 1e-300: below that the superposition copy scaling
+# overflows and the Theorem-1 frontier has non-finite vertices, two faults of
+# their own outside the regime decision.
+_powers = st.one_of(st.just(0.0), st.floats(1e-300, 10.0))
+
+
+@st.composite
+def instances(draw):
+    """Random instances, and instances exactly on a regime boundary."""
+    a = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    p1, p2 = draw(_powers), draw(_powers)
+    kind = draw(st.sampled_from(["random", "b=0", "b=1", "b=pdc", "b=th3", "tie"]))
+    if kind == "random":
+        b = draw(st.floats(0.0, 12.0))
+    elif kind == "b=0":
+        b = 0.0
+    elif kind == "b=1":
+        b = 1.0
+    elif kind == "b=pdc":
+        b = pdc_threshold(p1, p2)
+    elif kind == "b=th3":
+        b = th3_threshold(p1, p2)
+    elif draw(st.booleans()):
+        # Both thresholds meet at b: p1 = 0 and b = sqrt(1 + p2) ...
+        p1 = 0.0
+        b = math.sqrt(1.0 + p2)
+    else:
+        # ... or p2 = 0 and b = 1.
+        p2, b = 0.0, 1.0
+    return ChannelParams(a=a, b=b, p1=p1, p2=p2)
+
+
+def _same_bits(first, second):
+    return np.array_equal(first.r1, second.r1) and np.array_equal(first.r2, second.r2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_capacity_region_follows_the_classify_label(params):
+    regime = classify(params).regime
+    assert regime == expected_regime(params)
+
+    result = capacity_region(params, **GRIDS)
+    assert result.regime == regime
+    assert result.status == ("exact" if regime in EXACT else "open")
+    if regime in EXACT:
+        assert result.outer is None
+    elif regime == "open_strong":
+        assert _same_bits(result.outer, th1_bound(params, split_grid=3, alpha_grid=11))
+    else:
+        assert _same_bits(result.outer, bc_pr_bound(params, split_grid=3, alpha_grid=11))
+
