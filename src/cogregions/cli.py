@@ -4,9 +4,11 @@ Subcommands: ``classify`` (regime flags as JSON), ``region`` (compute one
 bound/region frontier and export it), ``compare`` (containment and gap
 report for two frontiers), ``verify`` (oracle suites as JSON-lines reports),
 and ``fig3`` (inner/outer frontier pair at a fixed reference configuration
-with a gap report).  ``verify`` runs its checks two at a time on a private
-thread pool; its output is the same, byte for byte, as running them one by
-one.
+with a gap report).  ``verify`` runs its checks two at a time, one on the
+calling thread and one on a private worker thread; its output is the same,
+byte for byte, as running them one by one.  The calling thread always runs
+the degradedness checks, whose 32 MB sample matrices would otherwise stay
+resident in the malloc arenas of two threads.
 
 Every command is deterministic for fixed flags and seed: output files are
 byte-identical across re-runs and metadata carries no timestamps.
@@ -323,26 +325,25 @@ def _mc_suite(params: ChannelParams, n_samples: int, seed: int) -> list:
     ]
 
 
-# Checks of one verify run that execute at once.  Each holds its own RNG and
-# numpy releases the GIL while it draws and reduces, so two checks use two
-# cores.
-_VERIFY_WORKERS = 2
-
-
 @functools.cache
 def _verify_pool():
-    """The worker pool of ``verify``, started on first use and kept."""
+    """The one worker thread of ``verify``, started on first use and kept.
+
+    With the calling thread it runs a verify plan's checks two at a time.
+    Each check holds its own RNG and numpy releases the GIL while it draws
+    and reduces, so the two use two cores.
+    """
     # Imported here: the other commands never pay for the import.
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(_VERIFY_WORKERS, thread_name_prefix="cogregions-verify")
+    return ThreadPoolExecutor(1, thread_name_prefix="cogregions-verify")
 
 
 def _degradedness_pair(params: ChannelParams, n_samples: int, seed: int) -> list:
     """Both degradedness checks of a suite, one after the other.
 
     Each holds a ``(4, n)`` sample matrix, 32 MB at the default ``n``; run
-    in turn on one worker, the two never hold theirs at once.
+    in turn on one thread, the two never hold theirs at once.
     """
     return [
         degradedness_check(params, n_samples, seed),
@@ -350,22 +351,43 @@ def _degradedness_pair(params: ChannelParams, n_samples: int, seed: int) -> list
     ]
 
 
+def _run_here(check):
+    """Run ``check`` on the calling thread; its result or error, as a future."""
+    from concurrent.futures import Future
+
+    future = Future()
+    try:
+        future.set_result(check())
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
 def _run_plan(plan: list, first=None) -> list:
     """Run a verify plan; return its reports in plan order.
 
     ``plan`` holds stderr notes and zero-argument checks, each returning a
-    report or a list of reports.  The checks run two at a time, ``first``
-    (the longest) ahead of the rest, but reports, notes and the first
-    failing check's error come out in plan order, exactly as a one-by-one
-    run gives them.
+    report or a list of reports.  The checks run two at a time: the pool's
+    one worker takes them in plan order, while the calling thread runs
+    ``first`` and then takes back, latest first, every check the worker has
+    not started.  ``first`` is the check with the largest buffers.  glibc
+    serves each thread from its own malloc arena and keeps freed buffers
+    resident there, so running ``first`` always on the calling thread keeps
+    one copy of its buffers, which the next plan reuses, not one per thread.
+    Reports, notes and the first failing check's error come out in plan
+    order, exactly as a one-by-one run gives them.
     """
+    pool = _verify_pool()
     checks = [step for step in plan if callable(step)]
-    futures = {
-        check: _verify_pool().submit(check)
-        for check in sorted(checks, key=lambda check: check is not first)
-    }
+    futures = {check: pool.submit(check) for check in checks if check is not first}
     reports = []
     try:
+        if first is not None:
+            futures[first] = _run_here(first)
+        for check in reversed(checks):
+            # A cancelled future is one the worker had not started.
+            if futures[check].cancel():
+                futures[check] = _run_here(check)
         for step in plan:
             if not callable(step):
                 print(step, file=sys.stderr)

@@ -69,10 +69,20 @@ def _scheme_e_caps(params: ChannelParams, beta):
         r1_cap = gaussian_rate(beta * p1 / (1.0 + bbar * p1))
     else:
         safe_p2 = p2 if p2 > 0.0 else 1.0
-        copy_gain = np.where(
-            bbar == 0.0, params.a, np.sqrt(bbar * p1 / safe_p2) + params.a
+        # With a subnormal p2 the ratio overflows; there the division-free
+        # form of the same noise power takes over.  It rounds differently,
+        # so it is used only where the quotient form is not finite.
+        with np.errstate(over="ignore"):
+            copy_gain = np.where(
+                bbar == 0.0, params.a, np.sqrt(bbar * p1 / safe_p2) + params.a
+            )
+            copy_noise = copy_gain * copy_gain * p2
+        copy_noise = np.where(
+            np.isfinite(copy_noise),
+            copy_noise,
+            (np.sqrt(bbar * p1) + params.a * np.sqrt(p2)) ** 2,
         )
-        r1_cap = gaussian_rate(beta * p1 / (1.0 + copy_gain * copy_gain * p2))
+        r1_cap = gaussian_rate(beta * p1 / (1.0 + copy_noise))
     r2_cap = _coherent_rate(p2, bbar * (params.b * params.b) * p1)
     return r1_cap, r2_cap, _cooperative_rate(params, bbar)
 

@@ -6,12 +6,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import cogregions
+from cogregions import cli
 from cogregions.channel import ChannelParams, th3_threshold
 from cogregions.cli import main
 from cogregions.oracles import (
@@ -542,6 +545,99 @@ def test_verify_all_memory_is_bounded(capsys):
         tracemalloc.stop()
     assert code == 0
     assert peak_mb <= 48.0
+
+
+def test_verify_runs_degradedness_checks_on_the_calling_thread(capsys, monkeypatch):
+    # Their 32 MB sample matrices then always come from, and go back to, the
+    # calling thread's malloc arena, not one arena per pool thread.
+    threads = []
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return degradedness_check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "degradedness_check", recorded)
+    for suite in ("all", "degraded"):
+        code, _, _ = run(capsys, "verify", suite, "--a", "0", "--b", "3",
+                         "--samples", "20000")
+        assert code == 0
+    assert threads == [threading.get_ident()] * 4
+
+
+def _failing_mc(slow_name, failing_names):
+    """``mc_rate_check`` that raises for ``failing_names``; ``slow_name`` lags."""
+
+    def check(*args, name, **kwargs):
+        if name == slow_name:
+            time.sleep(0.1)
+        if name in failing_names:
+            raise ValueError(f"{name} failed")
+        return mc_rate_check(*args, name=name, **kwargs)
+
+    return check
+
+
+def test_verify_all_reports_the_earliest_error_in_plan_order(capsys, monkeypatch):
+    # The calling thread runs the degradedness pair first and, while the
+    # worker lags on the first check, takes back the last Monte Carlo check.
+    # Both fail before the checks ahead of them in the plan have finished,
+    # yet only the Monte Carlo error, the earlier one in the plan, is shown.
+    def failing_degradedness(*args, **kwargs):
+        raise ValueError("degradedness failed")
+
+    monkeypatch.setattr(cli, "degradedness_check", failing_degradedness)
+    monkeypatch.setattr(
+        cli, "mc_rate_check", _failing_mc("mc_unifying_r2cap", {"mc_receiver1_var"})
+    )
+    code, out, err = run(capsys, "verify", "all", "--a", "0", "--b", "3",
+                         "--samples", "20000")
+    assert (code, out, err) == (2, "", "error: mc_receiver1_var failed\n")
+
+
+def test_verify_mc_reports_the_first_checks_error(capsys, monkeypatch):
+    # The last check fails first, on the calling thread; the first check's
+    # error still wins.
+    monkeypatch.setattr(
+        cli,
+        "mc_rate_check",
+        _failing_mc("mc_unifying_r2cap", {"mc_unifying_r2cap", "mc_receiver1_var"}),
+    )
+    code, out, err = run(capsys, "verify", "mc", "--samples", "20000")
+    assert (code, out, err) == (2, "", "error: mc_unifying_r2cap failed\n")
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc"
+)
+def test_repeated_verify_all_keeps_resident_memory_flat(tmp_path):
+    # glibc keeps freed buffers resident in the malloc arena of the thread
+    # that used them.  Were the degradedness pair to run on whichever thread
+    # is free, each thread's arena would end up holding a 32 MB matrix.
+    script = (
+        "import contextlib, io\n"
+        "from cogregions.cli import main\n"
+        "def rss_mb():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        for line in status:\n"
+        "            if line.startswith('VmRSS:'):\n"
+        "                return int(line.split()[1]) / 1024\n"
+        "for b, seed in ((3, 0), (4, 1), (5, 2), (6, 3), (8, 4)):\n"
+        "    argv = ['verify', 'all', '--a', '0', '--b', str(b), '--seed', str(seed)]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    print(rss_mb())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=_env_with_src(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    rss = [float(line) for line in done.stdout.split()]
+    assert len(rss) == 5
+    assert rss[-1] - rss[0] <= 8.0, rss
 
 
 def test_verify_too_few_samples_is_an_input_error(capsys):

@@ -1,6 +1,7 @@
 """Superposition inner bound and the capacity-region dispatcher."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ def test_general_pentagon_private_only_with_cross_gain():
         ChannelParams(a=0.5, b=3.0, p1=1.0, p2=1.0), beta=1.0
     )
     assert p.r1_max == pytest.approx(math.log2(1.0 + 1.0 / 1.25), abs=1e-12)
+
+
+def test_general_pentagon_with_subnormal_primary_power():
+    # With p2 subnormal the copy scaling sqrt(bbar p1 / p2) overflows, yet the
+    # copy's noise power (sqrt(bbar p1) + a sqrt(p2))^2 is just bbar p1.
+    params = ChannelParams(a=1.0, b=1.0, p1=2.0, p2=1e-309)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta in np.linspace(0.0, 1.0, 11):
+            pentagon = scheme_e_general_pentagon(params, float(beta))
+            expected = math.log2(1.0 + beta * 2.0 / (1.0 + (1.0 - beta) * 2.0))
+            assert pentagon.r1_max == pytest.approx(expected, abs=1e-12)
 
 
 def test_scheme_matches_z_outer_bound_at_mapped_splits():
