@@ -150,8 +150,24 @@ class Frontier:
         return float(self.r1[-1])
 
     def interp(self, at: Union[float, np.ndarray]) -> np.ndarray:
-        """Linearly interpolated r2 at the given r1 values (clamped to range)."""
-        return np.interp(at, self.r1, self.r2)
+        """Linearly interpolated r2 at the given r1 values (clamped to range).
+
+        ``np.interp`` forms each edge's slope, which overflows on an r2 drop
+        over a subnormal r1 step.  Where its result is infinite, the value
+        is ``y0 + (y1 - y0) * ((x - x0) / (x1 - x0))`` instead, whose ratio
+        lies in [0, 1]; every other result keeps its bits.
+        """
+        r2 = np.interp(at, self.r1, self.r2)
+        broken = np.isinf(r2)
+        if not broken.any():
+            return r2
+        r2 = np.array(r2)
+        x = np.asarray(at, dtype=float)[broken]
+        i = np.searchsorted(self.r1, x, side="right") - 1
+        x0, x1 = self.r1[i], self.r1[i + 1]
+        y0, y1 = self.r2[i], self.r2[i + 1]
+        r2[broken] = y0 + (y1 - y0) * ((x - x0) / (x1 - x0))
+        return r2[()]
 
     def to_csv(self) -> str:
         lines = ["r1_bits,r2_bits"]
@@ -479,14 +495,155 @@ def _witness_test(wx: np.ndarray, wy: np.ndarray):
     return unbeaten
 
 
+def _pops(xi, yi, xj, yj, xk, yk):
+    """The monotone chain's pop test on the triple ``(i, j, k)``, elementwise.
+
+    ``(x_j - x_i)(y_k - y_i) - (x_k - x_i)(y_j - y_i) >= 0``: j lies on or
+    below the chord from i to k.  The operations and their order are those
+    of :func:`_monotone_chain`, so each element has the loop's bits.
+    """
+    return (xj - xi) * (yk - yi) - (xk - xi) * (yj - yi) >= 0.0
+
+
+def _monotone_chain(x, y, hull_x, hull_y):
+    """Andrew's monotone chain (A. M. Andrew, 1979), one point at a time.
+
+    Pushes the points of the float lists ``x``, ``y`` in order onto the
+    stack ``hull_x``, ``hull_y`` (lists holding at least one point).  Before
+    each push it pops the top while the stack holds two points or more and
+    the top lies on or below the chord from the point beneath it to the new
+    point (:func:`_pops`).  Returns the stack.
+    """
+    for xk, yk in zip(x, y):
+        while len(hull_x) >= 2:
+            cross = (hull_x[-1] - hull_x[-2]) * (yk - hull_y[-2]) - (
+                xk - hull_x[-2]
+            ) * (hull_y[-1] - hull_y[-2])
+            if cross >= 0.0:
+                hull_x.pop()
+                hull_y.pop()
+            else:
+                break
+        hull_x.append(xk)
+        hull_y.append(yk)
+    return hull_x, hull_y
+
+
+# Vectorized rounds of _concave_chain's candidate step.  Most frontiers
+# settle in 2 to 6 rounds.  A round peels only one point off a dent (a
+# concave run that a later point pops one by one), so a dent of m points
+# would cost m rounds over the whole sequence; and the staircases that still
+# change after a few rounds are mostly made of segments that would need a
+# replay anyway.
+_CANDIDATE_ROUNDS = 8
+
+
+def _concave_chain(x: np.ndarray, y: np.ndarray):
+    """:func:`_monotone_chain` over a whole sequence, vectorized and certified.
+
+    ``x`` must be strictly increasing.  Returns ``(x, y)`` arrays of the
+    stack that :func:`_monotone_chain` leaves when it starts from the first
+    point and pushes the rest, bit for bit.  Write ``T(i, j, k)`` for the
+    pop test (:func:`_pops`) on points ``i < j < k``.
+
+    1. Candidate.  Drop every interior point ``j`` of the sequence with
+       ``T(prev, j, next)`` true, all at once, and repeat on what is left
+       until nothing is dropped.  This leaves indices
+       ``h_0 = 0 < h_1 < ... < h_m = n - 1``; what follows holds for any
+       such indices.  A sequence that still changes after
+       ``_CANDIDATE_ROUNDS`` rounds runs through :func:`_monotone_chain`
+       whole.
+    2. Certify.  A point the chain pops never returns, so if the chain ends
+       on ``h``, it never pops an ``h_t``.  Suppose the stack holds
+       ``h_0 .. h_t`` right after ``h_t`` is pushed.  Until ``h_t`` is
+       popped, the chain's run over the segment ``(h_t, h_{t+1}]`` reads
+       nothing below ``h_{t-1}``; it is the run of the same loop from the
+       stack ``[h_{t-1}, h_t]`` (``[h_0]`` for ``t = 0``, where the bottom
+       point is never popped).  The segment is *simple* when
+       ``T(h_{t-1}, h_t, k)`` is false for every ``k`` in it (there is no
+       ``h_{-1}`` for ``t = 0``) and ``T(h_t, k - 1, k)`` is true for every
+       ``k`` in it but the first: then each point is pushed onto ``h_t``
+       and popped by the next one, and the run ends on
+       ``[h_{t-1}, h_t, h_{t+1}]``.  One vectorized pass decides this for
+       every segment.  Each segment that is not simple is replayed by
+       :func:`_monotone_chain` from that stack, and must end on it plus
+       ``h_{t+1}``; as x rises strictly, a replay that pops ``h_t`` cannot.
+       Then the stack holds ``h_0 .. h_{t+1}`` right after ``h_{t+1}`` is
+       pushed, and by induction over ``t`` the chain ends on exactly
+       ``h``.  If a replay ends anywhere else, the candidate is wrong, and
+       the whole sequence runs through :func:`_monotone_chain` instead.
+
+    The vectorized test and the loop evaluate ``T`` with the same
+    operations in the same order, so no decision and no output bit differs
+    from the loop's.  Overflow gives ``inf`` or ``nan`` silently in both.
+    """
+    n = x.size
+    if n < 3:
+        return x, y
+    h, hx, hy = np.arange(n), x, y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_CANDIDATE_ROUNDS):
+            drop = _pops(hx[:-2], hy[:-2], hx[1:-1], hy[1:-1], hx[2:], hy[2:])
+            if not drop.any():
+                break
+            keep = np.concatenate(([True], ~drop, [True]))
+            h, hx, hy = h[keep], hx[keep], hy[keep]
+        else:
+            return _whole_chain(x, y)
+
+        # Position p of the masks is point k = p + 1, in the segment that
+        # b = h_t starts; the points past h_1 also have a = h_{t-1}.
+        counts = np.diff(h)
+        bx, by = np.repeat(hx[:-1], counts), np.repeat(hy[:-1], counts)
+        bad = ~_pops(bx, by, x[:-1], y[:-1], x[1:], y[1:])
+        bad[h[:-1]] = False
+        ax, ay = np.repeat(hx[:-2], counts[1:]), np.repeat(hy[:-2], counts[1:])
+        c = h[1]
+        bad[c:] |= _pops(ax, ay, bx[c:], by[c:], x[c + 1 :], y[c + 1 :])
+    if not bad.any():
+        return hx, hy
+
+    xs, ys, hs = x.tolist(), y.tolist(), h.tolist()
+    segments = np.searchsorted(h, np.flatnonzero(bad) + 1) - 1
+    for t in dict.fromkeys(segments.tolist()):
+        base = hs[max(t - 1, 0) : t + 1]
+        start, stop = hs[t] + 1, hs[t + 1] + 1
+        stack_x, _ = _monotone_chain(
+            xs[start:stop],
+            ys[start:stop],
+            [xs[i] for i in base],
+            [ys[i] for i in base],
+        )
+        if len(stack_x) != len(base) + 1 or stack_x[-2] != xs[hs[t]]:
+            return _whole_chain(x, y)
+    return hx, hy
+
+
+def _whole_chain(x: np.ndarray, y: np.ndarray):
+    """:func:`_monotone_chain` from the first point over all the others, as arrays."""
+    hull_x, hull_y = _monotone_chain(
+        x[1:].tolist(), y[1:].tolist(), x[:1].tolist(), y[:1].tolist()
+    )
+    return np.array(hull_x), np.array(hull_y)
+
+
+def _staircase_hull(x: np.ndarray, y: np.ndarray) -> Frontier:
+    """Upper concave envelope of a Pareto staircase, extended flat to r1 = 0."""
+    if x[0] > 0.0:
+        x = np.concatenate([[0.0], x])
+        y = np.concatenate([[y[0]], y])
+    return Frontier(*_concave_chain(x, y))
+
+
 def hull_frontier(x, y) -> Frontier:
     """Upper concave envelope of a down-closed point cloud as a :class:`Frontier`.
 
     The Pareto staircase of the cloud is extracted vectorized (dominated
-    points never reach the hull scan), then a monotone-chain pass keeps the
-    concave extreme points.  The result is exact for the given points — no
-    sampling grid is involved — and extends flat to r1 = 0, matching the
-    down-closed region the points describe.
+    points never reach the hull scan), then a monotone-chain pass
+    (:func:`_concave_chain`) keeps the concave extreme points.  The result
+    is exact for the given points — no sampling grid is involved — and
+    extends flat to r1 = 0, matching the down-closed region the points
+    describe.
 
     Before the staircase's full sort, the cloud is prefiltered by the
     staircase of every ``_WITNESS_STRIDE``-th point (the witnesses): a point
@@ -512,24 +669,7 @@ def hull_frontier(x, y) -> Frontier:
     keep = unbeaten(x, y)
     x, y = _staircase(x[keep], y[keep])
 
-    if x[0] > 0.0:
-        x = np.concatenate([[0.0], x])
-        y = np.concatenate([[y[0]], y])
-    hull_x = [x[0]]
-    hull_y = [y[0]]
-    for xi, yi in zip(x[1:].tolist(), y[1:].tolist()):
-        while len(hull_x) >= 2:
-            cross = (hull_x[-1] - hull_x[-2]) * (yi - hull_y[-2]) - (
-                xi - hull_x[-2]
-            ) * (hull_y[-1] - hull_y[-2])
-            if cross >= 0.0:
-                hull_x.pop()
-                hull_y.pop()
-            else:
-                break
-        hull_x.append(xi)
-        hull_y.append(yi)
-    return Frontier(np.array(hull_x), np.array(hull_y))
+    return _staircase_hull(x, y)
 
 
 def _sorted_unique(values) -> np.ndarray:
@@ -601,8 +741,17 @@ def concavify(f: Frontier) -> Frontier:
 
     The output dominates the input pointwise and is idempotent: applying it
     to an already concave frontier returns a pointwise-equal polyline.
+
+    A frontier is sorted with strictly increasing r1 and non-increasing r2,
+    so its Pareto staircase is the points with ``r2[i] > r2[i + 1]``, and
+    the last point: the result is :func:`hull_frontier` of the frontier's
+    vertices, bit for bit.
     """
-    return hull_frontier(f.r1, f.r2)
+    x, y = f.r1, f.r2
+    keep = np.empty(x.size, dtype=bool)
+    keep[:-1] = y[:-1] > y[1:]
+    keep[-1] = True
+    return _staircase_hull(x[keep], y[keep])
 
 
 def intersect_frontiers(f: Frontier, g: Frontier) -> Frontier:

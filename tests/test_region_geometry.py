@@ -93,6 +93,19 @@ def test_frontier_interp_and_serialization():
     assert f.to_json() == {"points": [[0.0, 2.0], [1.0, 2.0], [2.0, 1.0]]}
 
 
+def test_frontier_interp_across_a_subnormal_step():
+    # The last edge drops 0.585 bits over a 2.2e-311 step, as on the
+    # Theorem-1 hull at a subnormal p1: np.interp's slope overflows there.
+    f = Frontier(np.array([0.0, 1.22e-310, 1.44e-310]), np.array([1.585, 1.585, 1.0]))
+    xs = np.array([-1.0, 0.0, 6e-311, 1.22e-310, 1.33e-310, 1.44e-310, 1.0])
+    got = f.interp(xs)
+    assert np.all(np.isfinite(got))
+    assert got[4] == pytest.approx(1.2925, rel=1e-9)
+    assert f.interp(1.33e-310) == got[4]
+    exact = np.array([True, True, True, True, False, True, True])
+    assert np.array_equal(_bits(got[exact]), _bits(np.interp(xs[exact], f.r1, f.r2)))
+
+
 def test_union_single_rectangle_is_flat_segment():
     f = union_frontier([Pentagon(1.0, 1.0, math.inf)], grid=11)
     np.testing.assert_allclose(f.interp([0.0, 0.5, 1.0]), 1.0, atol=0)
@@ -369,7 +382,19 @@ def test_union_frontier_matches_dense_reference_bitwise(data):
 @st.composite
 def _clouds(draw):
     n = draw(st.integers(1, 400))
-    kind = draw(st.sampled_from(["pool", "uniform", "collinear", "shared_x"]))
+    kind = draw(
+        st.sampled_from(
+            [
+                "pool",
+                "uniform",
+                "collinear",
+                "shared_x",
+                "near_collinear",
+                "noisy_concave",
+                "flat_runs",
+            ]
+        )
+    )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "pool":  # many duplicate points and shared coordinates
         x = rng.choice([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0], n)
@@ -379,6 +404,15 @@ def _clouds(draw):
     elif kind == "collinear":
         x = rng.choice(np.linspace(0.0, 2.0, 17), n)
         y = 2.0 - x
+    elif kind == "near_collinear":  # the pop test's sign is rounding noise
+        x = rng.uniform(0.0, 2.0, n)
+        y = 2.0 - x + rng.normal(0.0, 1e-16, n)
+    elif kind == "noisy_concave":
+        x = rng.uniform(0.0, 1.0, n)
+        y = np.sqrt(1.0 - x * x) + rng.normal(0.0, 10.0 ** rng.uniform(-16, -3), n)
+    elif kind == "flat_runs":  # long runs of one r2 value
+        x = rng.uniform(0.0, 2.0, n)
+        y = np.round(2.0 - x * x / 2.0, 1)
     else:
         x = np.full(n, 1.25)
         y = rng.uniform(0.0, 3.0, n)
@@ -391,6 +425,93 @@ def test_hull_frontier_matches_unfiltered_staircase_bitwise(cloud):
     x, y = cloud
     got = hull_frontier(x, y)
     want_x, want_y = _unfiltered_hull(x, y)
+    assert np.array_equal(_bits(got.r1), _bits(want_x))
+    assert np.array_equal(_bits(got.r2), _bits(want_y))
+
+
+# Staircases from a seeded search over random clouds.  In the first, one
+# segment between candidate hull vertices is not simple, so the chain kernel
+# replays it from its two-point stack.  In the second, near-collinear, that
+# replay pops the vertex it starts from, so the whole sequence runs through
+# the sequential loop.  In the third, also near-collinear, each point of every
+# segment pops its predecessor, but one point would pop the vertex that starts
+# its segment: only that test sends the segment to a replay.
+_REPLAYED = (
+    [0.0, 0.06555800041283832, 0.46148527862338673, 0.8345174520624182,
+     2.7092224775834413],
+    [2.458388151696552, 2.458388151696552, 2.1437331325260245,
+     1.4978614159576138, 1.4501568340033038],
+)
+_WHOLE_LOOP = (
+    [0.0, 0.929081878694771, 1.3614342168382845, 1.8796396857866275,
+     1.95883510475865],
+    [1.070918121305229, 1.070918121305229, 0.6385657831617155,
+     0.12036031421337258, 0.041164895241349996],
+)
+_POPS_ITS_VERTEX = (
+    [0.0, 0.38821899838209073, 1.4169074035317688, 1.4608833489034156,
+     1.7975002781392873, 1.8136045059644341],
+    [1.6117810016179093, 1.6117810016179093, 0.583092596468231,
+     0.5391166510965845, 0.20249972186071263, 0.18639549403556574],
+)
+
+
+@pytest.mark.parametrize(
+    "cloud, loops",
+    [
+        # One replay: a two-point stack, then the segment's three points.
+        (_REPLAYED, [(2, 3)]),
+        # The same replay, then the loop over all points after the first.
+        (_WHOLE_LOOP, [(2, 3), (1, 4)]),
+        # A replay of a two-point segment, then the whole loop.
+        (_POPS_ITS_VERTEX, [(2, 2), (1, 5)]),
+    ],
+)
+def test_chain_kernel_replay_and_whole_loop_paths(cloud, loops):
+    x, y = (np.array(v) for v in cloud)
+    calls = []
+    loop = region_geometry._monotone_chain
+
+    def spy(xs, ys, hull_x, hull_y):
+        calls.append((len(hull_x), len(xs)))
+        return loop(xs, ys, hull_x, hull_y)
+
+    with mock.patch.object(region_geometry, "_monotone_chain", spy):
+        got = hull_frontier(x, y)
+    assert calls == loops
+    want_x, want_y = _unfiltered_hull(x, y)
+    assert np.array_equal(_bits(got.r1), _bits(want_x))
+    assert np.array_equal(_bits(got.r2), _bits(want_y))
+
+
+@st.composite
+def _frontiers(draw):
+    """Frontiers with flat runs and zeros of both signs."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.cumsum(rng.choice([1e-3, 0.1, 0.5], n))
+    x[0] = draw(st.sampled_from([0.0, -0.0]))
+    if draw(st.booleans()):
+        y = np.sort(rng.choice([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0], n))[::-1]
+    else:
+        top = x[-1] if x[-1] > 0.0 else 1.0
+        y = np.round(2.0 - 2.0 * (x / top) ** 2, draw(st.integers(0, 3)))
+        y = np.where((y == 0.0) & (rng.random(n) < 0.5), -0.0, y)
+    return Frontier(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frontiers())
+def test_concavify_staircase_matches_sorted_staircase_bitwise(f):
+    with mock.patch.object(
+        region_geometry, "_staircase_hull", wraps=region_geometry._staircase_hull
+    ) as hull:
+        got = concavify(f)
+    (stair_x, stair_y), _ = hull.call_args
+    want_x, want_y = region_geometry._staircase(f.r1, f.r2)
+    assert np.array_equal(_bits(stair_x), _bits(want_x))
+    assert np.array_equal(_bits(stair_y), _bits(want_y))
+    want_x, want_y = _unfiltered_hull(f.r1, f.r2)
     assert np.array_equal(_bits(got.r1), _bits(want_x))
     assert np.array_equal(_bits(got.r2), _bits(want_y))
 
