@@ -6,9 +6,7 @@ report for two frontiers), ``verify`` (oracle suites as JSON-lines reports),
 and ``fig3`` (inner/outer frontier pair at a fixed reference configuration
 with a gap report).  ``verify`` runs its checks two at a time, one on the
 calling thread and one on a private worker thread; its output is the same,
-byte for byte, as running them one by one.  The calling thread always runs
-the degradedness checks, whose 32 MB sample matrices would otherwise stay
-resident in the malloc arenas of two threads.
+byte for byte, as running them one by one.
 
 Every command is deterministic for fixed flags and seed: output files are
 byte-identical across re-runs and metadata carries no timestamps.
@@ -289,12 +287,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _mc_suite(params: ChannelParams, n_samples: int, seed: int) -> list:
-    """Monte Carlo checks of every received-variance closed form in use.
+    """Monte Carlo checks of the received-variance form ``1 + h S h^T``.
 
-    All rate expressions reduce to ``log2`` of ``1 + h S h^T`` for a receive
-    vector ``h`` and an input (or layer) covariance ``S``; this exercises
-    each structurally distinct (h, S) pair at representative splits.
-    Returns the checks as zero-argument calls, in report order.
+    The rate expressions reduce to ``log2`` of ``1 + h S h^T`` for a
+    receive vector ``h`` and an input (or layer) covariance ``S``.  Each
+    case builds its own ``(h, S)``, shaped like one family's cap at a
+    representative split, and checks the sampled variance against that
+    form; no case reads a package caps function, so a wrong cap formula
+    passes here.  Returns the checks as zero-argument calls, in report
+    order.
     """
     p1, p2, b, a = params.p1, params.p2, params.b, params.a
     h2 = (b, 1.0)
@@ -330,25 +331,13 @@ def _verify_pool():
     """The one worker thread of ``verify``, started on first use and kept.
 
     With the calling thread it runs a verify plan's checks two at a time.
-    Each check holds its own RNG and numpy releases the GIL while it draws
-    and reduces, so the two use two cores.
+    Each check holds its own random streams and numpy releases the GIL
+    while it draws and reduces, so the two use two cores.
     """
     # Imported here: the other commands never pay for the import.
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(1, thread_name_prefix="cogregions-verify")
-
-
-def _degradedness_pair(params: ChannelParams, n_samples: int, seed: int) -> list:
-    """Both degradedness checks of a suite, one after the other.
-
-    Each holds a ``(4, n)`` sample matrix, 32 MB at the default ``n``; run
-    in turn on one thread, the two never hold theirs at once.
-    """
-    return [
-        degradedness_check(params, n_samples, seed),
-        degradedness_check(params, n_samples, seed + 1, input_rho=0.7),
-    ]
 
 
 def _run_here(check):
@@ -363,37 +352,30 @@ def _run_here(check):
     return future
 
 
-def _run_plan(plan: list, first=None) -> list:
+def _run_plan(plan: list) -> list:
     """Run a verify plan; return its reports in plan order.
 
     ``plan`` holds stderr notes and zero-argument checks, each returning a
-    report or a list of reports.  The checks run two at a time: the pool's
-    one worker takes them in plan order, while the calling thread runs
-    ``first`` and then takes back, latest first, every check the worker has
-    not started.  ``first`` is the check with the largest buffers.  glibc
-    serves each thread from its own malloc arena and keeps freed buffers
-    resident there, so running ``first`` always on the calling thread keeps
-    one copy of its buffers, which the next plan reuses, not one per thread.
-    Reports, notes and the first failing check's error come out in plan
-    order, exactly as a one-by-one run gives them.
+    report.  The checks run two at a time: the pool's one worker takes them
+    in plan order, while the calling thread takes back, latest first, every
+    check the worker has not started.  Reports, notes and the first failing
+    check's error come out in plan order, exactly as a one-by-one run gives
+    them.
     """
     pool = _verify_pool()
     checks = [step for step in plan if callable(step)]
-    futures = {check: pool.submit(check) for check in checks if check is not first}
+    futures = {check: pool.submit(check) for check in checks}
     reports = []
     try:
-        if first is not None:
-            futures[first] = _run_here(first)
         for check in reversed(checks):
             # A cancelled future is one the worker had not started.
             if futures[check].cancel():
                 futures[check] = _run_here(check)
         for step in plan:
-            if not callable(step):
+            if callable(step):
+                reports.append(futures[step].result())
+            else:
                 print(step, file=sys.stderr)
-                continue
-            result = futures[step].result()
-            reports += result if isinstance(result, list) else [result]
     finally:
         for future in futures.values():
             future.cancel()
@@ -405,12 +387,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     params = _params(cfg)
     suite = args.suite
     n, seed = int(cfg["samples"]), int(cfg["seed"])
-    plan, degraded = [], None
+    plan = []
     if suite in ("mc", "all"):
         plan += _mc_suite(params, n, seed)
     if suite == "degraded" or (suite == "all" and params.b >= 1.0):
-        degraded = functools.partial(_degradedness_pair, params, n, seed)
-        plan.append(degraded)
+        plan += [
+            functools.partial(degradedness_check, params, n, seed),
+            functools.partial(degradedness_check, params, n, seed + 1, input_rho=0.7),
+        ]
     elif suite == "all":
         plan.append("skipping degraded: needs |b| >= 1")
     if suite in ("cond5", "all"):
@@ -439,7 +423,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reason = "needs p2 > 0" if in_th3_regime else "not in Theorem-3 regime"
         plan.append(f"skipping th3: {reason}")
 
-    reports = _run_plan(plan, first=degraded)
+    reports = _run_plan(plan)
     text = "".join(report.to_json_line() + "\n" for report in reports)
     _write(cfg["out"], text)
     if cfg["out"] is None:

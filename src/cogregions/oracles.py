@@ -5,11 +5,12 @@ formulas from sampled Gaussian inputs; the degradedness check reconstructs
 receiver 1's observation from receiver 2's and compares joint covariances;
 the condition sweeps brute-force the redundancy of sum constraints against
 their claimed thresholds.  Every report is deterministic for a fixed seed.
-The sampled checks stream their draws through ``_BLOCK``-row buffers and
-reduce in place, with the same random streams and the same floating-point
-operations as a one-shot draw, so their reports do not depend on the block
-size; each check holds only its own RNG, so independent checks may run on
-separate threads.
+The sampled checks draw blocks of at most ``_BLOCK`` rows and keep only
+running first and second moments, so no buffer spans all the samples.
+Each sampled variable has a child stream of its own, so its draws do not
+depend on the block size, which reaches a report only through summation
+order.  Each check holds only its own RNGs, so independent checks may run
+on separate threads.
 
 Discrepancies are reported in units that make ``passed iff max_discrepancy
 <= tolerance`` hold exactly: standard-error multiples for sampled checks,
@@ -41,49 +42,34 @@ __all__ = [
 MIN_MC_SAMPLES = 10_000
 
 # Rows per block of streamed Monte Carlo draws; bounds each check's
-# temporaries to about a megabyte whatever ``n_samples`` is.
+# temporaries to a few megabytes whatever ``n_samples`` is.
 _BLOCK = 65_536
 
 
-def _blocks(n: int):
-    """Consecutive row slices covering ``range(n)``, of about ``_BLOCK`` rows.
+def _block_sizes(n: int):
+    """Row counts of consecutive blocks of at most ``_BLOCK`` rows, ``n`` in all."""
+    for start in range(0, n, _BLOCK):
+        yield min(_BLOCK, n - start)
 
-    No block holds a single row: numpy multiplies a one-row matrix by its
-    vector path, which rounds differently from the matrix path of a one-shot
-    product.  So blocks have at least two rows, and a lone last row joins
-    the block before it.
+
+def _streamed_cov(blocks, d: int, n: int) -> np.ndarray:
+    """Unbiased sample covariance of ``d`` variables sampled in blocks.
+
+    ``blocks`` yields ``(d, m)`` arrays, one column per sample and ``n``
+    columns in all.  Only the running sums of the samples and of their
+    pairwise products are kept, so no buffer spans all ``n`` samples; the
+    result is ``(sum x x^T - sum x sum x^T / n) / (n - 1)``.  Every sampled
+    variable has zero mean, so the raw moments lose nothing measurable to
+    cancellation.  The products go through ``einsum``, not a BLAS product:
+    BLAS threads over the sample axis would contend with ``verify``'s
+    worker for the cores.
     """
-    step = max(_BLOCK, 2)
-    start = 0
-    while start < n:
-        stop = start + step if n - start - step >= 2 else n
-        yield slice(start, stop)
-        start = stop
-
-
-def _sample_variance(x: np.ndarray) -> float:
-    """``np.var(x, ddof=1)`` of a 1-D array by ``np.var``'s own steps, in place.
-
-    Overwrites ``x`` with its squared deviations instead of allocating them.
-    """
-    n = x.size
-    mean = np.add.reduce(x, keepdims=True)
-    mean /= n
-    x -= mean
-    np.square(x, out=x)
-    return float(np.add.reduce(x) / (n - 1))
-
-
-def _sample_covariance(samples: np.ndarray) -> np.ndarray:
-    """``np.cov(samples)`` of a ``(d, n)`` array by ``np.cov``'s own steps, in place.
-
-    Overwrites ``samples`` with its deviations from the row means instead of
-    copying it first.
-    """
-    samples -= samples.mean(axis=1)[:, None]
-    cov = np.dot(samples, samples.T)
-    cov *= np.true_divide(1, samples.shape[1] - 1)
-    return cov
+    total = np.zeros(d)
+    cross = np.zeros((d, d))
+    for block in blocks:
+        total += block.sum(axis=1)
+        cross += np.einsum("im,jm->ij", block, block)
+    return (cross - np.outer(total, total) / n) / (n - 1)
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -125,19 +111,18 @@ def mc_rate_check(
         raise ValueError("covariance must be finite")
     if not np.array_equal(cov, cov.T):
         raise ValueError("covariance must be symmetric")
-    factor = _psd_factor(cov)
+    weights = _psd_factor(cov).T @ h
 
-    # All inputs are drawn before any noise, as one (n, k) draw followed by
-    # one (n,) draw would consume the stream.
-    rng = np.random.default_rng(seed)
-    received = np.empty(n)
-    for rows in _blocks(n):
-        draws = rng.standard_normal((rows.stop - rows.start, h.size))
-        received[rows] = (draws @ factor.T) @ h
-    for rows in _blocks(n):
-        noisy = received[rows]
-        noisy += rng.standard_normal(rows.stop - rows.start)
-    estimate = _sample_variance(received)
+    # Inputs and noise come from streams of their own, so each variable's
+    # draws do not depend on the block size.
+    inputs, noise = np.random.default_rng(seed).spawn(2)
+
+    def received():
+        for m in _block_sizes(n):
+            signal = inputs.standard_normal((m, h.size)) @ weights
+            yield (signal + noise.standard_normal(m))[None]
+
+    estimate = float(_streamed_cov(received(), 1, n)[0, 0])
     target = float(1.0 + h @ cov @ h)
     # Sample variance of Gaussian data has variance 2 sigma^4 / (n - 1).
     stderr = target * math.sqrt(2.0 / (n - 1))
@@ -196,45 +181,23 @@ def degradedness_check(
 
     a, b = params.a, params.b
     p1, p2 = params.p1, params.p2
-    # One (5, n) draw would fill g1, g2, z1, z2, z0 in turn.  The first four
-    # land in the rows that become x1, x2, y1 and y2 (then the rebuilt y1);
-    # z0 is drawn block by block last.  Each expression keeps its order of
-    # operations; in-place updates only swap the operands of a single + or
-    # *, which IEEE arithmetic leaves bit for bit the same.
-    rng = np.random.default_rng(seed)
-    samples = np.empty((4, n))
-    for row in samples:
-        rng.standard_normal(out=row)
-    x1, x2, y1, y1_rebuilt = samples
+    # Each variable comes from a stream of its own, so its draws do not
+    # depend on the block size.
+    streams = np.random.default_rng(seed).spawn(5)
     spread = math.sqrt(1.0 - rho * rho)
-    for rows in _blocks(n):
-        # x1 = sqrt(p1) * (rho * g2 + sqrt(1 - rho^2) * g1)
-        x1_rows = x1[rows]
-        x1_rows *= spread
-        x1_rows += rho * x2[rows]
-        x1_rows *= math.sqrt(p1)
-    x2 *= math.sqrt(p2)
     rebuild_noise = math.sqrt(1.0 - 1.0 / (b * b))
-    for rows in _blocks(n):
-        x1_rows, x2_rows = x1[rows], x2[rows]
-        y1_rows, y2_rows = y1[rows], y1_rebuilt[rows]
-        # y1 = x1 + a * x2 + z1
-        signal = a * x2_rows
-        signal += x1_rows
-        y1_rows += signal
-        # y2 = b * x1 + x2 + z2
-        signal = b * x1_rows
-        signal += x2_rows
-        y2_rows += signal
-        # y1_rebuilt = (y2 - x2) / b + a * x2 + sqrt(1 - 1/b^2) * z0
-        y2_rows -= x2_rows
-        y2_rows /= b
-        y2_rows += a * x2_rows
-        z0 = rng.standard_normal(rows.stop - rows.start)
-        z0 *= rebuild_noise
-        y2_rows += z0
 
-    cov = _sample_covariance(samples)
+    def samples():
+        for m in _block_sizes(n):
+            g1, g2, z1, z2, z0 = (stream.standard_normal(m) for stream in streams)
+            x1 = math.sqrt(p1) * (rho * g2 + spread * g1)
+            x2 = math.sqrt(p2) * g2
+            y1 = x1 + a * x2 + z1
+            y2 = b * x1 + x2 + z2
+            y1_rebuilt = (y2 - x2) / b + a * x2 + rebuild_noise * z0
+            yield np.stack([x1, x2, y1, y1_rebuilt])
+
+    cov = _streamed_cov(samples(), 4, n)
     direct_rows, rebuilt_rows = [0, 1, 2], [0, 1, 3]
     direct = cov[np.ix_(direct_rows, direct_rows)]
     rebuilt = cov[np.ix_(rebuilt_rows, rebuilt_rows)]

@@ -21,7 +21,6 @@ import numpy as np
 
 from .channel import ChannelParams, gaussian_rate
 from .region_geometry import (
-    _WITNESS_STRIDE,
     Frontier,
     GridAxis,
     Pentagon,
@@ -322,6 +321,9 @@ def _split_mesh(params: ChannelParams, split_grid):
 # Most splits one slab of the streamed split mesh holds, unless a single
 # alpha1 row holds more (see _split_hull).
 _BLOCK_SPLITS = 1 << 15
+
+# Stride of the split sample whose staircase prefilters the mesh in _split_hull.
+_WITNESS_STRIDE = 64
 
 
 def _split_hull(params: ChannelParams, split_grid, points) -> Frontier:

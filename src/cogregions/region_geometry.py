@@ -413,9 +413,6 @@ def corner_cloud(r1_max, r2_max, sum_max):
     return np.concatenate([x1, x2]), np.concatenate([y1, y2])
 
 
-# Stride of the sample whose staircase prefilters a cloud in hull_frontier.
-_WITNESS_STRIDE = 64
-
 # Buckets of the first-stage table of _witness_test.
 _BUCKETS = 1024
 
@@ -644,19 +641,6 @@ def hull_frontier(x, y) -> Frontier:
     is exact for the given points — no sampling grid is involved — and
     extends flat to r1 = 0, matching the down-closed region the points
     describe.
-
-    Before the staircase's full sort, the cloud is prefiltered by the
-    staircase of every ``_WITNESS_STRIDE``-th point (the witnesses): a point
-    is dropped when some witness has ``x_w >= x`` and ``y_w > y``
-    (:func:`_witness_test`).  The staircase drops every such point too (the
-    witness beats it on larger x, or on larger y at equal x), and that
-    dominance is transitive, so each point the staircase drops is still
-    dominated by a staircase point that the prefilter keeps.  Survivors
-    keep their relative order, so the staircase, the monotone-chain input
-    and the result are unchanged.  The same holds for witnesses drawn from
-    anywhere in the cloud, so the covariance-split builders of
-    :mod:`~cogregions.outer_bounds` filter their mesh slab by slab and pass
-    only the survivors here.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -664,12 +648,7 @@ def hull_frontier(x, y) -> Frontier:
         raise ValueError("no pentagons")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("corner coordinates must be finite")
-
-    unbeaten = _witness_test(*_staircase(x[::_WITNESS_STRIDE], y[::_WITNESS_STRIDE]))
-    keep = unbeaten(x, y)
-    x, y = _staircase(x[keep], y[keep])
-
-    return _staircase_hull(x, y)
+    return _staircase_hull(*_staircase(x, y))
 
 
 def _sorted_unique(values) -> np.ndarray:
@@ -686,18 +665,18 @@ def _sorted_unique(values) -> np.ndarray:
     return values[first]
 
 
-def sweep_grid(n: int, tail_stop: float = 1e-2) -> np.ndarray:
+def sweep_grid(n: int) -> np.ndarray:
     """Uniform grid on [0, 1] densified geometrically near both endpoints.
 
     Several bound families have square-root boundary layers at the ends of
     their auxiliary-parameter range, where a uniform grid underestimates the
-    envelope noticeably.  Appending short geometric tails (1e-9 up to
-    ``tail_stop``, mirrored at 1) resolves those layers at negligible cost.
+    envelope noticeably.  Appending short geometric tails (1e-9 up to 1e-2,
+    mirrored at 1) resolves those layers at negligible cost.
     """
     if n < 2:
         raise ValueError("grid resolution must be at least 2")
     base = np.linspace(0.0, 1.0, int(n))
-    tail = np.geomspace(1e-9, tail_stop, 29)
+    tail = np.geomspace(1e-9, 1e-2, 29)
     return _sorted_unique(np.concatenate([base, tail, 1.0 - tail]))
 
 

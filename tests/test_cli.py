@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -534,9 +533,9 @@ def test_verify_reports_match_one_by_one_oracle_calls(capsys, suite, a, b, err):
 
 
 def test_verify_all_memory_is_bounded(capsys):
-    # Checks run two at a time, but the two degradedness checks (a 32 MB
-    # sample matrix each at the default n) run in turn on one worker: the
-    # peak is one of them plus one 8 MB Monte Carlo check, not 64 MB and up.
+    # Checks run two at a time and each holds only one block of draws, so
+    # the peak is two checks' blocks (at most about 10 MB each), not the
+    # 32 MB sample matrix a whole-length degradedness check would need.
     tracemalloc.start()
     try:
         code, _, _ = run(capsys, "verify", "all", "--a", "0", "--b", "5")
@@ -544,24 +543,7 @@ def test_verify_all_memory_is_bounded(capsys):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak_mb <= 48.0
-
-
-def test_verify_runs_degradedness_checks_on_the_calling_thread(capsys, monkeypatch):
-    # Their 32 MB sample matrices then always come from, and go back to, the
-    # calling thread's malloc arena, not one arena per pool thread.
-    threads = []
-
-    def recorded(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return degradedness_check(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "degradedness_check", recorded)
-    for suite in ("all", "degraded"):
-        code, _, _ = run(capsys, "verify", suite, "--a", "0", "--b", "3",
-                         "--samples", "20000")
-        assert code == 0
-    assert threads == [threading.get_ident()] * 4
+    assert peak_mb <= 24.0
 
 
 def _failing_mc(slow_name, failing_names):
@@ -578,10 +560,11 @@ def _failing_mc(slow_name, failing_names):
 
 
 def test_verify_all_reports_the_earliest_error_in_plan_order(capsys, monkeypatch):
-    # The calling thread runs the degradedness pair first and, while the
-    # worker lags on the first check, takes back the last Monte Carlo check.
-    # Both fail before the checks ahead of them in the plan have finished,
-    # yet only the Monte Carlo error, the earlier one in the plan, is shown.
+    # While the worker lags on the first check, the calling thread takes
+    # back every later one, latest first: the degradedness checks and the
+    # last Monte Carlo check fail before the checks ahead of them in the
+    # plan have finished, yet only the Monte Carlo error, the earliest one
+    # in the plan, is shown.
     def failing_degradedness(*args, **kwargs):
         raise ValueError("degradedness failed")
 
@@ -611,8 +594,8 @@ def test_verify_mc_reports_the_first_checks_error(capsys, monkeypatch):
 )
 def test_repeated_verify_all_keeps_resident_memory_flat(tmp_path):
     # glibc keeps freed buffers resident in the malloc arena of the thread
-    # that used them.  Were the degradedness pair to run on whichever thread
-    # is free, each thread's arena would end up holding a 32 MB matrix.
+    # that used them; with checks on two threads, that must not add up
+    # from one verify call to the next.
     script = (
         "import contextlib, io\n"
         "from cogregions.cli import main\n"

@@ -429,6 +429,20 @@ def test_hull_frontier_matches_unfiltered_staircase_bitwise(cloud):
     assert np.array_equal(_bits(got.r2), _bits(want_y))
 
 
+@settings(max_examples=400, deadline=None)
+@given(_clouds(), st.integers(1, 64))
+def test_witness_prefilter_keeps_the_staircase_bitwise(cloud, stride):
+    # The split-hull builders drop the points a sampled staircase beats
+    # before the full staircase; that must leave the staircase unchanged.
+    x, y = cloud
+    staircase = region_geometry._staircase
+    keep = region_geometry._witness_test(*staircase(x[::stride], y[::stride]))(x, y)
+    got_x, got_y = staircase(x[keep], y[keep])
+    want_x, want_y = staircase(x, y)
+    assert np.array_equal(_bits(got_x), _bits(want_x))
+    assert np.array_equal(_bits(got_y), _bits(want_y))
+
+
 # Staircases from a seeded search over random clouds.  In the first, one
 # segment between candidate hull vertices is not simple, so the chain kernel
 # replays it from its two-point stack.  In the second, near-collinear, that
