@@ -50,9 +50,8 @@ from .outer_bounds import (
     unifying_region,
 )
 from .region_geometry import (
-    DEFAULT_R1_POINTS,
     Frontier,
-    _sorted_unique,
+    _abscissas_up_to,
     concavify,
     contains,
     grid_axis,
@@ -223,10 +222,20 @@ def _region_meta(cfg: dict, selector: str, params: ChannelParams) -> dict:
             "alpha": cfg["alpha_grid"],
             "beta": cfg["beta_grid"],
             "split": cfg["split_grid"],
-            "r1": DEFAULT_R1_POINTS,
         },
         "format": cfg["format"],
     }
+
+
+def _gap(outer: Frontier, inner: Frontier, top: float):
+    """Abscissas in ``[0, top]`` and ``outer - inner`` r2 there.
+
+    The abscissas are both frontiers' vertices up to ``top``, and ``top``.
+    The difference of two polylines is linear between them, so its
+    extremes on ``[0, top]`` lie among them.
+    """
+    xs = _abscissas_up_to(top, outer.r1, inner.r1)
+    return xs, outer.interp(xs) - inner.interp(xs)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -263,11 +272,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     first, _ = _frontier_for(args.first, params, cfg)
     second, _ = _frontier_for(args.second, params, cfg)
     report = contains(outer=second, inner=first, tol=cfg["tol"])
-    top = min(first.max_r1, second.max_r1)
-    xs = _sorted_unique(
-        np.concatenate([first.r1[first.r1 <= top], second.r1[second.r1 <= top]])
-    )
-    gap = second.interp(xs) - first.interp(xs)
+    xs, gap = _gap(second, first, min(first.max_r1, second.max_r1))
     doc = {
         "command": "compare",
         "first": args.first,
@@ -447,9 +452,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     inner = concavify(scheme_e_region(params, beta_grid=beta_axis))
 
     plot_top = float(gaussian_rate(params.p1))
-    top = min(plot_top, inner.max_r1, outer.max_r1)
-    xs = np.linspace(0.0, top, DEFAULT_R1_POINTS)
-    gap = outer.interp(xs) - inner.interp(xs)
+    xs, gap = _gap(outer, inner, min(plot_top, inner.max_r1, outer.max_r1))
     max_gap = float(np.max(gap))
     min_gap = float(np.min(gap))
     within = xs[np.maximum.accumulate(gap) <= 0.1]
@@ -489,7 +492,6 @@ def cmd_fig3(args: argparse.Namespace) -> int:
                 "alpha": cfg["alpha_grid"],
                 "beta": cfg["beta_grid"],
                 "split": "tuned" if args.split_grid is None else cfg["split_grid"],
-                "r1": DEFAULT_R1_POINTS,
             },
         }
         path = f"{prefix}_{name}.{cfg['format']}"

@@ -119,17 +119,18 @@ def scheme_e_general_pentagon(params: ChannelParams, beta: float) -> Pentagon:
 def scheme_e_region(
     params: ChannelParams, beta_grid: GridAxis = DEFAULT_BETA_POINTS
 ) -> Frontier:
-    """Upper envelope of the superposition family over a ``beta`` grid.
+    """Union of the superposition family over a ``beta`` grid.
 
     Evaluates the caps of :func:`scheme_e_general_pentagon` on the whole
     grid at once (the same arithmetic, so matched-grid identities hold to
-    float precision).  The raw union is achievable as-is; apply
+    float precision).  The raw union's corners are achievable and time
+    sharing achieves the chords between them; apply
     :func:`~cogregions.region_geometry.concavify` for the time-sharing
     inner bound.
     """
     beta = grid_axis(beta_grid, "beta grid")
     _check_copy_scaling(params, beta)
-    return union_frontier_arrays(*_scheme_e_caps(params, beta), inject_corners=True)
+    return union_frontier_arrays(*_scheme_e_caps(params, beta))
 
 
 def beta_of_alpha(alpha, p1: float):

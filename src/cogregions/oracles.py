@@ -42,8 +42,12 @@ __all__ = [
 MIN_MC_SAMPLES = 10_000
 
 # Rows per block of streamed Monte Carlo draws; bounds each check's
-# temporaries to a few megabytes whatever ``n_samples`` is.
-_BLOCK = 65_536
+# temporaries to about a megabyte whatever ``n_samples`` is.  Small blocks
+# also keep resident memory flat across checks: glibc raises its mmap
+# threshold after freeing a large buffer, so multi-megabyte blocks end up
+# in the malloc arena of whichever thread ran them, and how much each arena
+# keeps varied by about 10 MB from one ``verify`` call to the next.
+_BLOCK = 8_192
 
 
 def _block_sizes(n: int):
@@ -209,15 +213,17 @@ def degradedness_check(
     stderr = np.sqrt(np.maximum(var_diff, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(stderr > 0.0, diff / stderr, np.where(diff == 0.0, 0.0, np.inf))
-    worst = int(np.argmax(ratio))
-    i, j = divmod(worst, 3)
+    # Entries that tie in exact arithmetic (at input_rho = +-1, X1 is a
+    # multiple of X2) differ by rounding: report the first of them.
+    top = float(ratio.max())
+    i, j = divmod(int(np.argmax(ratio >= top * (1.0 - 1e-9))), 3)
     var_y1_closed_form = (
         1.0 + p1 + a * a * p2 + 2.0 * a * rho * math.sqrt(p1 * p2)
     )
     return VerificationReport(
         name="degradedness_check",
-        passed=bool(ratio[i, j] <= 5.0),
-        max_discrepancy=float(ratio[i, j]),
+        passed=bool(top <= 5.0),
+        max_discrepancy=top,
         tolerance=5.0,
         n=n,
         seed=int(seed),

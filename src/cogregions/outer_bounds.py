@@ -103,14 +103,14 @@ def unifying_bound(params: ChannelParams, alpha: float) -> Pentagon:
 def unifying_region(
     params: ChannelParams, alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS
 ) -> Frontier:
-    """Upper envelope of :func:`unifying_bound` over a power-split grid.
+    """Union of :func:`unifying_bound` over a power-split grid.
 
-    Corner abscissas of every pentagon are injected into the r1 grid, so
-    the envelope is exact at the corners of the family instead of sampled
-    to within one grid step.
+    The union is exact at the corners of the family and follows their
+    chords in between (see
+    :func:`~cogregions.region_geometry.union_frontier_arrays`).
     """
     alpha = grid_axis(alpha_grid, "alpha grid")
-    return union_frontier_arrays(*_unifying_caps(params, alpha), inject_corners=True)
+    return union_frontier_arrays(*_unifying_caps(params, alpha))
 
 
 def _check_p1(p1: float) -> None:
@@ -143,10 +143,10 @@ def bergmans_region(p1: float, b: float, alpha: float) -> Pentagon:
 def bergmans_frontier(
     p1: float, b: float, alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS
 ) -> Frontier:
-    """Upper envelope of :func:`bergmans_region` over a power-split grid."""
+    """Union of :func:`bergmans_region` over a power-split grid."""
     _check_p1(p1)
     alpha = grid_axis(alpha_grid, "alpha grid")
-    return union_frontier_arrays(*_bergmans_caps(p1, b, alpha), inject_corners=True)
+    return union_frontier_arrays(*_bergmans_caps(p1, b, alpha))
 
 
 def _check_z_strong(params: ChannelParams) -> None:
@@ -181,10 +181,10 @@ def cor2_bound(params: ChannelParams, alpha: float) -> Pentagon:
 def cor2_region(
     params: ChannelParams, alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS
 ) -> Frontier:
-    """Upper envelope of :func:`cor2_bound` over a power-split grid."""
+    """Union of :func:`cor2_bound` over a power-split grid."""
     _check_z_strong(params)
     alpha = grid_axis(alpha_grid, "alpha grid")
-    return union_frontier_arrays(*_cor2_caps(params, alpha), inject_corners=True)
+    return union_frontier_arrays(*_cor2_caps(params, alpha))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Regions are exchanged as Pareto frontiers: monotone polylines of
 ``(r1, r2)`` points with ``r1`` strictly increasing and ``r2``
 non-increasing.  Rate constraints at a fixed auxiliary-parameter value form
 a :class:`Pentagon` (``R1 <= A``, ``R2 <= B``, ``R1 + R2 <= C``); parametric
-families of pentagons are collapsed to their upper envelope by
-:func:`union_frontier`.  All rates are in bits.
+families of pentagons are collapsed to one frontier by
+:func:`union_frontier`, which evaluates the union of the family at the
+pentagons' own corner abscissas and joins them by chords.  All rates are in
+bits.
 """
 
 from __future__ import annotations
@@ -31,18 +33,6 @@ __all__ = [
     "contains",
     "sweep_grid",
 ]
-
-# Default resolution of the uniform r1 grid used when a frontier is built
-# from a pentagon family.
-DEFAULT_R1_POINTS = 2001
-
-# Admissibility slack (bits) when testing a pentagon against a grid point.
-# Abscissas injected from one closed form can land one ulp above the same
-# quantity computed through an algebraically equal but differently rounded
-# expression; without the slack such a corner would be skipped at its own
-# abscissa and the envelope would dip to the next corner.
-FEASIBILITY_SLACK = 1e-12
-
 
 @dataclass(frozen=True)
 class Pentagon:
@@ -213,7 +203,7 @@ def _envelope(
 ) -> np.ndarray:
     """Upper envelope of ``min(r2cap, sum_cap - r1)`` over admissible pentagons.
 
-    Admissibility of pentagon j at grid point r1 is ``r1_ext[j] >= r1 - slack``.
+    Pentagon j is admissible at grid point r1 when ``r1_ext[j] >= r1``.
     Returns ``-inf`` where no pentagon is admissible.  ``grid`` must be
     sorted and free of NaN.
 
@@ -221,8 +211,8 @@ def _envelope(
     at every grid point, in O((M + G) log G) time and O(M + G) memory.  It
     rests on three monotone facts about floating point on a sorted grid:
 
-    - ``fl(g - slack)`` is non-decreasing in ``g``, so pentagon j is
-      admissible on a grid prefix ``[0, e_j)``, found by ``searchsorted``.
+    - Pentagon j is admissible on a grid prefix ``[0, e_j)``, found by
+      ``searchsorted``.
     - ``fl(sum_cap[j] - g)`` is non-increasing in ``g``, so the predicate
       ``r2cap[j] <= fl(sum_cap[j] - g)`` holds on a prefix ``[0, k_j)``;
       a vectorized bisection that evaluates this very predicate finds
@@ -236,11 +226,11 @@ def _envelope(
 
     Maxima involve no rounding, so splitting the maximum over pentagons into
     these two terms changes no bit, save the sign of a zero result when the
-    inputs hold negative zeros; :func:`union_frontier_arrays` clamps that
-    away.
+    inputs hold negative zeros; :func:`union_frontier_arrays` makes its
+    zeros positive first.
     """
     n = grid.size
-    ext_end = np.searchsorted(grid - FEASIBILITY_SLACK, r1_ext, side="right")
+    ext_end = np.searchsorted(grid, r1_ext, side="right")
     # Bisection for knee_end = min(k_j, e_j): the first grid index where the
     # r2 cap exceeds the sum-cap line, capped at the admissible end.
     lo = np.zeros(r1_ext.size, dtype=np.intp)
@@ -293,19 +283,10 @@ def _stabbing_max(
     return tree[size : size + n]
 
 
-def union_frontier(
-    pentagons: Sequence[Pentagon],
-    grid: Union[int, np.ndarray] = DEFAULT_R1_POINTS,
-    inject_corners: bool = False,
-) -> Frontier:
-    """Upper envelope of a pentagon family as a :class:`Frontier`.
+def union_frontier(pentagons: Sequence[Pentagon]) -> Frontier:
+    """Union of a pentagon family as a :class:`Frontier`.
 
-    ``grid`` is either the number of uniform r1 points spanning
-    ``[0, max r1]`` or an explicit array of r1 values.  With
-    ``inject_corners`` the r1 extents of all pentagons are added to the
-    grid, which makes the envelope exact at the corners of closed-form
-    one-parameter families (recommended whenever the family is small).
-    No convexification is applied.
+    See :func:`union_frontier_arrays`.  No convexification is applied.
     """
     pentagons = list(pentagons)
     if not pentagons:
@@ -314,29 +295,39 @@ def union_frontier(
         np.array([p.r1_max for p in pentagons]),
         np.array([p.r2_max for p in pentagons]),
         np.array([p.sum_max for p in pentagons]),
-        grid=grid,
-        inject_corners=inject_corners,
     )
 
 
 def union_frontier_arrays(
-    r1_max: np.ndarray,
-    r2_max: np.ndarray,
-    sum_max: np.ndarray,
-    grid: Union[int, np.ndarray] = DEFAULT_R1_POINTS,
-    inject_corners: bool = False,
+    r1_max: np.ndarray, r2_max: np.ndarray, sum_max: np.ndarray
 ) -> Frontier:
-    """Array form of :func:`union_frontier` for large pentagon families.
+    """Union of a pentagon family, given as parallel constraint arrays.
 
-    Takes parallel constraint arrays instead of :class:`Pentagon` objects so
-    callers sweeping thousands of auxiliary parameters never materialize the
-    family.  Semantics match :func:`union_frontier` exactly, including sum
-    normalization and the :class:`Pentagon` checks on NaN and negative
-    constraints.
+    The frontier's vertices are the family's corner abscissas, sorted and
+    distinct: 0, every pentagon's r1 extent and every pentagon's knee,
+    where its sum cap meets its r2 cap (clamped to its extent).  At each
+    vertex the r2 value is that of the union, the largest
+    ``min(r2 cap, sum cap - r1)`` over the pentagons whose extent reaches
+    it.  Between two adjacent vertices the frontier is their chord.  Time
+    sharing achieves the chord of two achievable corners, so an inner bound
+    stays achievable.  No pentagon has a knee or an extent strictly between
+    two adjacent vertices, so there the union is a maximum of flat and
+    slope -1 pieces, a convex function, which lies on or under the chord:
+    an outer bound stays an outer bound.  For a family sampled from one
+    continuous parameter the frontier is the linear interpolation of the
+    family's corner curve.
+
+    Arrays, not :class:`Pentagon` objects, so that callers sweeping
+    thousands of auxiliary parameters never materialize the family.  The
+    sum cap is normalized and NaN and negative constraints are rejected,
+    as by :class:`Pentagon`; negative zeros count as zeros, so the
+    frontier starts at ``+0.0``.
     """
-    a = np.asarray(r1_max, dtype=float)
-    b = np.asarray(r2_max, dtype=float)
-    s = np.asarray(sum_max, dtype=float)
+    # Adding 0.0 turns negative zeros positive and leaves every other value.
+    a, b, s = (
+        np.asarray(v, dtype=float).ravel() + 0.0
+        for v in np.broadcast_arrays(r1_max, r2_max, sum_max)
+    )
     if a.size == 0:
         raise ValueError("no pentagons")
     if np.isnan(a).any() or np.isnan(b).any() or np.isnan(s).any():
@@ -344,36 +335,20 @@ def union_frontier_arrays(
     negative = (a < 0) | (b < 0) | (s < 0)
     if negative.any():
         j = np.argmax(negative)
-        r1, r2, total = (float(v.flat[j]) for v in np.broadcast_arrays(a, b, s))
         raise ValueError(
-            f"pentagon constraints must be nonnegative, got ({r1}, {r2}, {total})"
+            "pentagon constraints must be nonnegative, "
+            f"got ({float(a[j])}, {float(b[j])}, {float(s[j])})"
         )
     sum_cap = np.minimum(s, a + b)
     r1_ext = np.minimum(a, sum_cap)
     r2cap = np.minimum(b, sum_cap)
-
-    top = float(r1_ext.max())
-    if isinstance(grid, (int, np.integer)):
-        if not math.isfinite(top):
-            raise ValueError("region unbounded in r1; pass an explicit grid")
-        if grid < 2:
-            raise ValueError("grid resolution must be at least 2")
-        base = np.linspace(0.0, top, int(grid))
-    else:
-        base = np.asarray(grid, dtype=float)
-    pieces = [base]
-    if inject_corners:
-        # Both Pareto-corner abscissas per pentagon: the r1 extent and the
-        # knee where the sum constraint meets the r2 cap.
-        knees = np.maximum(sum_cap - r2cap, 0.0)
-        for candidate in (r1_ext, knees):
-            pieces.append(candidate[np.isfinite(candidate)])
-    r1 = _sorted_unique(np.concatenate(pieces))
-    r1 = r1[(r1 >= 0.0) & (r1 <= top + FEASIBILITY_SLACK)]
-
-    values = _envelope(r1_ext, r2cap, sum_cap, r1)
-    keep = values > -np.inf
-    return Frontier(r1[keep], np.maximum(values[keep], 0.0))
+    if not math.isfinite(float(r1_ext.max())):
+        raise ValueError("region unbounded in r1")
+    if not math.isfinite(float(r2cap.max())):
+        raise ValueError("region unbounded in r2")
+    knees = np.minimum(sum_cap - r2cap, r1_ext)
+    r1 = _sorted_unique(np.concatenate([[0.0], r1_ext, knees]))
+    return Frontier(r1, _envelope(r1_ext, r2cap, sum_cap, r1))
 
 
 def _corner_kinds(r1_max, r2_max, sum_max):
@@ -665,6 +640,12 @@ def _sorted_unique(values) -> np.ndarray:
     return values[first]
 
 
+def _abscissas_up_to(top: float, *arrays) -> np.ndarray:
+    """Sorted distinct values of the arrays and ``top``, up to ``top``."""
+    xs = _sorted_unique(np.concatenate([*arrays, [top]]))
+    return xs[xs <= top]
+
+
 def sweep_grid(n: int) -> np.ndarray:
     """Uniform grid on [0, 1] densified geometrically near both endpoints.
 
@@ -737,33 +718,42 @@ def intersect_frontiers(f: Frontier, g: Frontier) -> Frontier:
     """Pointwise minimum of two frontiers on the intersection of their ranges.
 
     Every frontier starts at r1 = 0, so the common range is ``[0, min of the
-    two right endpoints]`` and is never empty.
+    two right endpoints]`` and is never empty.  The vertices are both
+    frontiers' vertices in that range and, between two of them where
+    ``f - g`` changes sign, the abscissa where its linear interpolation
+    vanishes.
     """
-    top = min(f.max_r1, g.max_r1)
-    xs = _sorted_unique(
-        np.concatenate(
-            [f.r1[f.r1 <= top], g.r1[g.r1 <= top], np.array([0.0, top])]
-        )
-    )
-    ys = np.minimum(f.interp(xs), g.interp(xs))
-    return Frontier(xs, ys)
+    xs = _abscissas_up_to(min(f.max_r1, g.max_r1), f.r1, g.r1)
+    d = f.interp(xs) - g.interp(xs)
+    cross = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+    x0, x1 = xs[cross], xs[cross + 1]
+    # d[i] / (d[i] - d[i+1]) lies in (0, 1); the clip keeps rounding in the cell.
+    at = np.clip(x0 + d[cross] / (d[cross] - d[cross + 1]) * (x1 - x0), x0, x1)
+    xs = _sorted_unique(np.concatenate([xs, at]))
+    return Frontier(xs, np.minimum(f.interp(xs), g.interp(xs)))
 
 
 def contains(outer: Frontier, inner: Frontier, tol: float) -> VerificationReport:
     """Check ``inner ⊆ outer`` within ``tol`` bits.
 
-    Passes iff at every inner vertex the linearly interpolated outer r2 is at
-    least the inner r2 minus ``tol``.  Inner vertices beyond the outer
-    frontier's r1 range (past a tiny abscissa slack) are compared against an
-    absent region, i.e. r2 = 0 there.
+    Abscissas beyond the outer frontier's r1 range (past a tiny abscissa
+    slack) are compared against an absent region, i.e. r2 = 0 there.
+    Passes iff the interpolated inner r2 exceeds the outer one by at most
+    ``tol`` at every vertex of either frontier in the inner one's range and
+    at the first abscissa past the slack.  The difference of two polylines
+    is linear between these abscissas, and past the slack the inner r2
+    only falls, so no other point can do worse.
     """
-    beyond = inner.r1 > outer.max_r1 + 1e-9
-    outer_vals = np.where(beyond, 0.0, outer.interp(inner.r1))
-    viol = inner.r2 - outer_vals
+    edge = np.nextafter(outer.max_r1 + 1e-9, math.inf)
+    xs = _abscissas_up_to(inner.max_r1, inner.r1, outer.r1, [edge])
+    inner_vals = inner.interp(xs)
+    beyond = xs > outer.max_r1 + 1e-9
+    outer_vals = np.where(beyond, 0.0, outer.interp(xs))
+    viol = inner_vals - outer_vals
     i = int(np.argmax(viol))
     worst = {
-        "r1": float(inner.r1[i]),
-        "inner_r2": float(inner.r2[i]),
+        "r1": float(xs[i]),
+        "inner_r2": float(inner_vals[i]),
         "outer_r2": float(outer_vals[i]),
     }
     return VerificationReport(
@@ -771,6 +761,6 @@ def contains(outer: Frontier, inner: Frontier, tol: float) -> VerificationReport
         passed=bool(viol[i] <= tol),
         max_discrepancy=float(viol[i]),
         tolerance=float(tol),
-        n=int(inner.r1.size),
+        n=int(xs.size),
         worst_case=worst,
     )

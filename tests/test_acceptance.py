@@ -238,8 +238,6 @@ def test_acceptance_5_broadcast_region_containment():
         r1_caps,
         gaussian_rate(amplitude * amplitude),
         np.full(axis.size, math.inf),
-        grid=2001,
-        inject_corners=True,
     )
     containment = contains(reference, region, tol=1e-3)
     worst_slice = 0.0
@@ -392,8 +390,8 @@ def test_acceptance_9_geometry_property_suite():
     for _ in range(n_cases):
         first_set = random_pentagons(int(rng.integers(1, 5)))
         second_set = random_pentagons(int(rng.integers(1, 4)))
-        first = union_frontier(first_set, grid=301, inject_corners=True)
-        second = union_frontier(second_set, grid=301, inject_corners=True)
+        first = union_frontier(first_set)
+        second = union_frontier(second_set)
 
         # Union dominates every input corner.
         for pent in first_set:

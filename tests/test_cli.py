@@ -534,7 +534,7 @@ def test_verify_reports_match_one_by_one_oracle_calls(capsys, suite, a, b, err):
 
 def test_verify_all_memory_is_bounded(capsys):
     # Checks run two at a time and each holds only one block of draws, so
-    # the peak is two checks' blocks (at most about 10 MB each), not the
+    # the peak is two checks' blocks (about a megabyte each), not the
     # 32 MB sample matrix a whole-length degradedness check would need.
     tracemalloc.start()
     try:
@@ -677,11 +677,11 @@ def test_fig3_reference_pair(capsys, tmp_path):
     }
     digests["stdout"] = digest(out.encode())
     assert digests == {
-        "_outer.csv": "2eaae8372b2bb703",
-        "_inner.csv": "b17511d9574350d2",
-        "_outer.meta.json": "c9c4546dd74c76fb",
-        "_inner.meta.json": "a99e2e5c7383231d",
-        "stdout": "b95da41794a9e65e",
+        "_outer.csv": "3a84066c28ca7573",
+        "_inner.csv": "616e57e99e68135c",
+        "_outer.meta.json": "25710cc7669f5363",
+        "_inner.meta.json": "52ec9e9097b4d63c",
+        "stdout": "98198eac7d767062",
     }
     assert (tmp_path / "fig_gap.json").read_text() == out
 

@@ -65,63 +65,63 @@ SPLIT_APPLIES = {
 }
 
 REGION_DIGESTS = {
-    "unifying/b_zero": "1107a608c52addce",
-    "unifying/pdc_exact": "e9a2598c4697a416",
-    "unifying/th3_exact": "c5eae176eec5513f",
-    "unifying/open_weak": "b96f85c45d919f17",
-    "unifying/open_strong": "68968f563e9dd9fc",
-    "cor2/pdc_exact": "4971593d5d565f83",
-    "cor2/th3_exact": "f81505012859c5ef",
-    "bcdms/b_zero": "f680566021b6746a",
-    "bcdms/pdc_exact": "d15928eff372bfd8",
-    "bcdms/th3_exact": "5597cdb8e2adc16d",
-    "bcdms/open_weak": "87a0522bbc8ab037",
-    "bcdms/open_strong": "6cccc91324b70d93",
-    "th1/pdc_exact": "9cdfc345107e648b",
-    "th1/th3_exact": "117cb7a6be355243",
-    "th1/open_strong": "156cb21d21782b6c",
-    "bcpr/b_zero": "a01cadb5517c0e27",
-    "bcpr/pdc_exact": "c90b63cb47220261",
-    "bcpr/th3_exact": "9b1ca1112b2a489d",
-    "bcpr/open_weak": "140f9862f78d1472",
-    "bcpr/open_strong": "427227a83a6a7ce6",
-    "bergmans/b_zero": "dcc2ce11108c3f5e",
-    "bergmans/pdc_exact": "627235b0eedaedb8",
-    "bergmans/th3_exact": "2ac30e91dc971cb1",
-    "bergmans/open_weak": "53b8da2fd925f75d",
-    "bergmans/open_strong": "fa9a78b553b06481",
-    "schemeE/b_zero": "f3e45fc52e40a584",
-    "schemeE/pdc_exact": "da28be165b38a21c",
-    "schemeE/th3_exact": "5b9a954fca7c2b2b",
-    "schemeE/open_weak": "77b877966e693600",
-    "schemeE/open_strong": "9ce7ecf833db8dbe",
-    "capacity/b_zero": "0d8257ae0f8268dd",
-    "capacity/pdc_exact": "6d09b501b5cfe736",
-    "capacity/th3_exact": "e4a82191ee30c1fd",
-    "capacity/open_weak": "89f227f8851b4032",
-    "capacity/open_strong": "4d158be82bda5ae8",
+    "unifying/b_zero": "f64733e9e60b1b0e",
+    "unifying/pdc_exact": "cb4ae3ddfcfdf2b5",
+    "unifying/th3_exact": "a259747db0efebdf",
+    "unifying/open_weak": "b8ab1603c14f744f",
+    "unifying/open_strong": "1cc1fa5eebe37c29",
+    "cor2/pdc_exact": "0cc4539bfb00b7e2",
+    "cor2/th3_exact": "b983b5cc1b6dc929",
+    "bcdms/b_zero": "c51815803a7cfbf6",
+    "bcdms/pdc_exact": "d517e940288d25b6",
+    "bcdms/th3_exact": "da3d932c08ad2c67",
+    "bcdms/open_weak": "5dc00c267545dbda",
+    "bcdms/open_strong": "683b5f5a57717e86",
+    "th1/pdc_exact": "89382aa900520220",
+    "th1/th3_exact": "0cf74383658b517c",
+    "th1/open_strong": "e43479377d6a09ab",
+    "bcpr/b_zero": "c6317f2a304d8c6b",
+    "bcpr/pdc_exact": "7ef0423a359dd392",
+    "bcpr/th3_exact": "6e80aca2e48f3ad5",
+    "bcpr/open_weak": "b8d7aebc6a99854b",
+    "bcpr/open_strong": "e608d4fef7580f0b",
+    "bergmans/b_zero": "abbb934096015eba",
+    "bergmans/pdc_exact": "336f0621b0b81be2",
+    "bergmans/th3_exact": "5ea5ac3f4710cc6b",
+    "bergmans/open_weak": "5e88ae427c780434",
+    "bergmans/open_strong": "376e97bb57d360d0",
+    "schemeE/b_zero": "c2c349de8324ff68",
+    "schemeE/pdc_exact": "db6bb3aa0855c5f2",
+    "schemeE/th3_exact": "4cbdb1f67cebf3f5",
+    "schemeE/open_weak": "cc49fd71c347b553",
+    "schemeE/open_strong": "18d1942d0892edf8",
+    "capacity/b_zero": "500ca7173bd6be7d",
+    "capacity/pdc_exact": "898096345ff56b44",
+    "capacity/th3_exact": "aba9bb646d4460bd",
+    "capacity/open_weak": "08230c66762e4643",
+    "capacity/open_strong": "8505438806d56543",
 }
 
 SPLIT_DIGESTS = {
-    "bcdms/open_weak": "60ed4333a85ee936",
-    "bcdms/open_strong": "af85fdce75021d6d",
-    "bcdms/p1_zero": "4cbfbcb9b78398b0",
-    "bcdms/p2_zero": "657bafc086020890",
-    "th1/open_strong": "6f46394c6b84e8e8",
-    "th1/p1_zero": "da9e95a703ed5772",
-    "th1/p2_zero": "42477e83eaed0b1d",
-    "bcpr/open_weak": "54136405afcf3a7e",
-    "bcpr/open_strong": "624acbf6f514c309",
-    "bcpr/p1_zero": "c255d4450c5ae87d",
-    "bcpr/p2_zero": "ae35583fa4fe7947",
-    "capacity/open_weak": "da3f8e7adce9c230",
-    "capacity/open_strong": "f773ef428f1ef63d",
-    "capacity/p1_zero": "3752bc0147c837c2",
-    "capacity/p2_zero": "b95086fd33e7c112",
+    "bcdms/open_weak": "5bdcf2318f4b8492",
+    "bcdms/open_strong": "16737764a07a045c",
+    "bcdms/p1_zero": "ad2a370e6a6f836e",
+    "bcdms/p2_zero": "7b6b2dcc67037636",
+    "th1/open_strong": "b3e2262312fef067",
+    "th1/p1_zero": "8cfc7f0c861d85a9",
+    "th1/p2_zero": "941ec971bc1ad181",
+    "bcpr/open_weak": "36eca31a987d03a2",
+    "bcpr/open_strong": "675cf490aa57a83b",
+    "bcpr/p1_zero": "e7c585e365c27b42",
+    "bcpr/p2_zero": "d0716f96b100c4f6",
+    "capacity/open_weak": "3648ce198bce570a",
+    "capacity/open_strong": "776e1f4eb767af41",
+    "capacity/p1_zero": "d66f9b763dee394a",
+    "capacity/p2_zero": "f902b79d36f96e9a",
 }
 
 COMPARE_DIGESTS = {
-    "schemeE/cor2": "2d9f5d262967dce3",
+    "schemeE/cor2": "31c756bf1b15b6c1",
     "th1/unifying": "86a12f796e85e9bc",
 }
 

@@ -176,6 +176,26 @@ def test_streamed_checks_match_one_shot_across_default_blocks(extra):
     _assert_degradedness_matches(ChannelParams(a=0.0, b=4.0, p1=1.0, p2=2.0), n, 6, 0.7)
 
 
+# Points at input_rho = +-1, where X1 is a multiple of X2 and the entries
+# (0, 2) and (1, 2) tie in exact arithmetic; which one has the larger
+# rounded ratio changes with the block size.
+_TIED = [
+    (ChannelParams(0.0, 8.327499048493465, 0.2963580401523752, 0.9103941710646964), -1.0, 198),
+    (ChannelParams(1.6900461831366929, 18.836284741117808, 0.3239155159813273,
+                   1.2692417487935013), 1.0, 360),
+]
+
+
+@pytest.mark.parametrize("params, rho, seed", _TIED)
+def test_degradedness_check_reports_the_first_of_tied_entries(params, rho, seed):
+    entries = set()
+    for block in range(1, 65):
+        with mock.patch.object(oracles, "_BLOCK", block):
+            report = degradedness_check(params, oracles.MIN_MC_SAMPLES, seed, input_rho=rho)
+        entries.add(tuple(report.worst_case["entry"]))
+    assert entries == {(0, 2)}
+
+
 # ------------------------------------------------------------------ memory
 
 

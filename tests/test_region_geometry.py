@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from cogregions import region_geometry
 from cogregions.region_geometry import (
-    FEASIBILITY_SLACK,
     Frontier,
     Pentagon,
     concavify,
     contains,
     corner_cloud,
+    grid_axis,
     hull_frontier,
     intersect_frontiers,
     pentagon_corners,
@@ -107,20 +107,19 @@ def test_frontier_interp_across_a_subnormal_step():
 
 
 def test_union_single_rectangle_is_flat_segment():
-    f = union_frontier([Pentagon(1.0, 1.0, math.inf)], grid=11)
+    f = union_frontier([Pentagon(1.0, 1.0, math.inf)])
     np.testing.assert_allclose(f.interp([0.0, 0.5, 1.0]), 1.0, atol=0)
     assert f.max_r1 == 1.0
 
 
 def test_union_two_rectangles_staircase():
-    f = union_frontier(
-        [Pentagon(1.0, 2.0, math.inf), Pentagon(2.0, 1.0, math.inf)],
-        grid=np.linspace(0.0, 2.0, 21),
-    )
-    assert f.interp(0.5) == pytest.approx(2.0)
-    assert f.interp(1.0) == pytest.approx(2.0)  # corner belongs to the tall box
-    assert f.interp(1.5) == pytest.approx(1.0)
-    assert f.interp(2.0) == pytest.approx(1.0)
+    f = union_frontier([Pentagon(1.0, 2.0, math.inf), Pentagon(2.0, 1.0, math.inf)])
+    # The vertices are the corners; the corner at r1 = 1 belongs to the tall box.
+    assert f.r1.tolist() == [0.0, 1.0, 2.0]
+    assert f.r2.tolist() == [2.0, 2.0, 1.0]
+    # Between the corners the frontier is their chord, which time sharing
+    # achieves, not the union's step.
+    assert f.interp(1.5) == 1.5
 
 
 def test_union_errors():
@@ -129,18 +128,21 @@ def test_union_errors():
     assert str(err.value) == "no pentagons"
     with pytest.raises(ValueError) as err:
         union_frontier([Pentagon(math.inf, 1.0, math.inf)])
-    assert str(err.value) == "region unbounded in r1; pass an explicit grid"
+    assert str(err.value) == "region unbounded in r1"
     with pytest.raises(ValueError) as err:
-        union_frontier([Pentagon(1.0, 1.0)], grid=1)
-    assert str(err.value) == "grid resolution must be at least 2"
+        union_frontier([Pentagon(1.0, math.inf)])
+    assert str(err.value) == "region unbounded in r2"
 
 
-def test_union_corner_injection_hits_exact_corner():
-    # An irrational corner abscissa off any uniform grid.
+def test_union_hits_exact_corner():
+    # An irrational corner abscissa: the pentagon is admissible at its own
+    # extent, with no slack.
     pent = Pentagon(math.sqrt(2.0) / 2.0, 1.0, math.inf)
-    f = union_frontier([pent], grid=7, inject_corners=True)
-    assert pent.r1_max in f.r1.tolist()
-    assert f.interp(pent.r1_max) == pytest.approx(1.0, abs=FEASIBILITY_SLACK)
+    f = union_frontier([pent])
+    assert f.r1[-1] == pent.r1_max
+    # The normalized sum cap r1 + r2 rounds, so the knee may sit an ulp
+    # below the extent and the sum cap may clip the last ulp of r2 there.
+    assert f.interp(pent.r1_max) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sweep_grid_shape():
@@ -225,6 +227,44 @@ def test_intersect_rectangles():
     np.testing.assert_allclose(h.interp([0.0, 0.5, 1.0]), 0.5, atol=0)
 
 
+def test_intersect_adds_the_crossing():
+    f = Frontier(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    g = Frontier(np.array([0.0, 1.0]), np.array([0.8, 0.2]))
+    h = intersect_frontiers(f, g)
+    assert h.r1.size == 3
+    assert h.r1[1] == pytest.approx(0.5, abs=1e-15)
+    assert h.interp(0.5) == pytest.approx(0.5, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_intersect_is_the_pointwise_minimum(data):
+    f, g = data.draw(_frontiers()), data.draw(_frontiers())
+    h = intersect_frontiers(f, g)
+    assert h.max_r1 == min(f.max_r1, g.max_r1)
+    xs = np.linspace(0.0, h.max_r1, 257)
+    want = np.minimum(f.interp(xs), g.interp(xs))
+    np.testing.assert_allclose(h.interp(xs), want, rtol=0.0, atol=1e-12)
+
+
+def test_contains_checks_outer_vertices_too():
+    # The worst point is an outer vertex, between the inner ones.
+    outer = Frontier(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.2, 0.19]))
+    inner = Frontier(np.array([0.0, 1.0]), np.array([0.5, 0.3]))
+    rep = contains(outer=outer, inner=inner, tol=1e-9)
+    assert rep.max_discrepancy == pytest.approx(0.2)
+    assert rep.worst_case["r1"] == 0.5
+
+
+def test_contains_checks_just_past_the_outer_range():
+    # Past the outer range the inner r2 falls from 0.5 to 0 at its last vertex.
+    outer = Frontier(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    inner = Frontier(np.array([0.0, 2.0]), np.array([1.0, 0.0]))
+    rep = contains(outer=outer, inner=inner, tol=1e-9)
+    assert rep.max_discrepancy == pytest.approx(0.5)
+    assert rep.worst_case["outer_r2"] == 0.0
+
+
 def test_contains_reflexive_at_zero_tolerance():
     f = Frontier(np.array([0.0, 1.0, 2.0]), np.array([2.0, 1.5, 0.5]))
     rep = contains(outer=f, inner=f, tol=0.0)
@@ -262,7 +302,7 @@ def _dense_envelope(r1_ext, r2cap, sum_cap, grid):
     """Reference: every pentagon evaluated at every grid point."""
     g = grid[:, None]
     vals = np.where(
-        r1_ext[None, :] >= g - FEASIBILITY_SLACK,
+        r1_ext[None, :] >= g,
         np.minimum(r2cap[None, :], sum_cap[None, :] - g),
         -np.inf,
     )
@@ -331,8 +371,7 @@ def _grids(draw, a, b, s):
     knees = sum_cap - np.minimum(b, sum_cap)
     anchors = np.concatenate([ext, knees[np.isfinite(knees)], [0.0]])
     anchor = st.sampled_from(anchors.tolist())
-    slack = FEASIBILITY_SLACK
-    shift = st.sampled_from([0.0, slack, -slack, 2 * slack, -slack / 2])
+    shift = st.sampled_from([0.0, 1e-12, -1e-12, 2e-12, -5e-13])
     pairs = draw(st.lists(st.tuples(anchor, shift), min_size=1, max_size=12))
     points = [p + d for p, d in pairs]
     points += draw(st.lists(st.floats(0.0, 3.5), max_size=12))
@@ -359,24 +398,22 @@ def test_envelope_matches_dense_reference_bitwise(data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_union_frontier_matches_dense_reference_bitwise(data):
-    a, b, s = data.draw(_families())
-    grid = data.draw(_grids(a, b, s))
-    inject = data.draw(st.booleans())
-
-    def outcome():
-        # Explicit grids may leave no valid frontier; both kernels must then
-        # fail the same way.
-        try:
-            f = union_frontier_arrays(a, b, s, grid=grid, inject_corners=inject)
-        except ValueError as err:
-            return str(err)
-        return _bits(f.r1).tolist(), _bits(f.r2).tolist()
-
-    got = outcome()
-    with mock.patch.object(region_geometry, "_envelope", _dense_envelope):
-        assert got == outcome()
+@given(_families())
+def test_union_frontier_matches_dense_reference_bitwise(family):
+    f = union_frontier_arrays(*family)
+    # Negative zeros count as zeros: the frontier starts at +0.0.
+    a, b, s = (v + 0.0 for v in family)
+    sum_cap = np.minimum(s, a + b)
+    r1_ext = np.minimum(a, sum_cap)
+    r2cap = np.minimum(b, sum_cap)
+    knees = np.minimum(sum_cap - r2cap, r1_ext)
+    corners = np.unique(np.concatenate([[0.0], r1_ext, knees]))
+    assert _bits(f.r1)[0] == 0
+    assert np.array_equal(_bits(f.r1), _bits(corners))
+    assert np.array_equal(_bits(f.r2), _bits(_dense_envelope(r1_ext, r2cap, sum_cap, corners)))
+    # Between corners the union is convex, so the chords lie on or above it.
+    between = np.linspace(0.0, f.max_r1, 101)
+    assert np.all(f.interp(between) >= _dense_envelope(r1_ext, r2cap, sum_cap, between) - 1e-12)
 
 
 @st.composite
@@ -600,36 +637,44 @@ def test_witness_test_matches_searchsorted_mask(case):
 
 
 def test_union_large_grid_memory_is_linear():
-    # A 20k-pentagon family on a 240k-point explicit grid: the dense
-    # envelope needed grid x 2048 doubles per chunk and was OOM-killed.
+    # A 200k-pentagon family: its corner abscissas are a grid of about 400k
+    # points, where a dense envelope would need grid x family doubles.
     rng = np.random.default_rng(3)
-    m = 20_000
+    m = 200_000
     a, b = rng.uniform(0.0, 4.0, m), rng.uniform(0.0, 4.0, m)
     s = rng.uniform(0.0, 8.0, m)
-    grid = np.linspace(0.0, 4.0, 240_001)
     tracemalloc.start()
     try:
-        f = union_frontier_arrays(a, b, s, grid=grid, inject_corners=True)
+        f = union_frontier_arrays(a, b, s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    assert f.r1.size > grid.size
+    assert f.r1.size > m
     sum_cap = np.minimum(s, a + b)
     picks = np.sort(rng.choice(f.r1.size, 200, replace=False))
     want = _dense_envelope(
         np.minimum(a, sum_cap), np.minimum(b, sum_cap), sum_cap, f.r1[picks]
     )
-    assert np.array_equal(_bits(f.r2[picks]), _bits(np.maximum(want, 0.0)))
+    assert np.array_equal(_bits(f.r2[picks]), _bits(want))
 
 
 @pytest.mark.parametrize("grid", [11, np.linspace(0.0, 1.0, 5)])
 def test_union_arrays_rejects_nan_and_negative_caps(grid):
+    # One bad pentagon at the end of a family swept over a parameter grid.
+    t = grid_axis(grid, "t")
+    ok_a, ok_b, ok_s = 1.0 + t, 2.0 - t, np.full(t.size, 2.5)
+
+    def family(a, b, s):
+        return np.append(ok_a, a), np.append(ok_b, b), np.append(ok_s, s)
+
     with pytest.raises(ValueError) as err:
-        union_frontier_arrays([1.0, math.nan], [1.0, 1.0], [2.0, 2.0], grid=grid)
+        union_frontier_arrays(*family(math.nan, 1.0, 2.0))
     assert str(err.value) == "pentagon constraints must not be NaN"
     with pytest.raises(ValueError) as want:
         Pentagon(1.0, -0.5, 2.0)
     with pytest.raises(ValueError) as err:
-        union_frontier_arrays([1.0, 1.0], [1.0, -0.5], [2.0, 2.0], grid=grid)
+        union_frontier_arrays(*family(1.0, -0.5, 2.0))
     assert str(err.value) == str(want.value)
+    # The family without the bad pentagon is accepted.
+    assert union_frontier_arrays(ok_a, ok_b, ok_s).max_r1 == 2.0
