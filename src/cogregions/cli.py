@@ -4,9 +4,11 @@ Subcommands: ``classify`` (regime flags as JSON), ``region`` (compute one
 bound/region frontier and export it), ``compare`` (containment and gap
 report for two frontiers), ``verify`` (oracle suites as JSON-lines reports),
 and ``fig3`` (inner/outer frontier pair at a fixed reference configuration
-with a gap report).  ``verify`` runs its checks two at a time, one on the
-calling thread and one on a private worker thread; its output is the same,
-byte for byte, as running them one by one.
+with a gap report).  ``verify`` runs its checks one after another on the
+calling thread.  Its five Monte Carlo cases share one draw under the seed,
+and its two degradedness cases share another under the seed plus one, so
+each sampled report is, byte for byte, its one-case oracle call with the
+report's own seed.
 
 Every command is deterministic for fixed flags and seed: output files are
 byte-identical across re-runs and metadata carries no timestamps.
@@ -33,8 +35,8 @@ from .inner_bounds import (
     scheme_e_region,
 )
 from .oracles import (
-    degradedness_check,
-    mc_rate_check,
+    degradedness_checks,
+    mc_rate_checks,
     verify_condition5,
     verify_condition6,
     verify_th3_capacity,
@@ -291,16 +293,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _mc_suite(params: ChannelParams, n_samples: int, seed: int) -> list:
-    """Monte Carlo checks of the received-variance form ``1 + h S h^T``.
+def _mc_cases(params: ChannelParams) -> list:
+    """Monte Carlo cases of the received-variance form ``1 + h S h^T``.
 
     The rate expressions reduce to ``log2`` of ``1 + h S h^T`` for a
     receive vector ``h`` and an input (or layer) covariance ``S``.  Each
     case builds its own ``(h, S)``, shaped like one family's cap at a
     representative split, and checks the sampled variance against that
     form; no case reads a package caps function, so a wrong cap formula
-    passes here.  Returns the checks as zero-argument calls, in report
-    order.
+    passes here.  Returns ``(name, h, S)`` triples in report order.
     """
     p1, p2, b, a = params.p1, params.p2, params.b, params.a
     h2 = (b, 1.0)
@@ -316,119 +317,53 @@ def _mc_suite(params: ChannelParams, n_samples: int, seed: int) -> list:
         [bbar * p1, math.sqrt(bbar * p1 * p2)],
         [math.sqrt(bbar * p1 * p2), p2],
     ]
-    cases = [
+    return [
         ("mc_unifying_r2cap", h2, input_cov(0.3 * p1)),
         ("mc_z_sumcap", h2, input_cov(p1)),
         ("mc_scheme_layercap", h2, layer_cov),
         ("mc_scheme_sumcap", h2, input_cov(0.5 * p1)),
         ("mc_receiver1_var", (1.0, a), input_cov(0.5 * p1)),
     ]
-    return [
-        functools.partial(
-            mc_rate_check, h, cov, n_samples=n_samples, seed=seed + i, name=name
-        )
-        for i, (name, h, cov) in enumerate(cases)
-    ]
-
-
-@functools.cache
-def _verify_pool():
-    """The one worker thread of ``verify``, started on first use and kept.
-
-    With the calling thread it runs a verify plan's checks two at a time.
-    Each check holds its own random streams and numpy releases the GIL
-    while it draws and reduces, so the two use two cores.
-    """
-    # Imported here: the other commands never pay for the import.
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(1, thread_name_prefix="cogregions-verify")
-
-
-def _run_here(check):
-    """Run ``check`` on the calling thread; its result or error, as a future."""
-    from concurrent.futures import Future
-
-    future = Future()
-    try:
-        future.set_result(check())
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
-
-
-def _run_plan(plan: list) -> list:
-    """Run a verify plan; return its reports in plan order.
-
-    ``plan`` holds stderr notes and zero-argument checks, each returning a
-    report.  The checks run two at a time: the pool's one worker takes them
-    in plan order, while the calling thread takes back, latest first, every
-    check the worker has not started.  Reports, notes and the first failing
-    check's error come out in plan order, exactly as a one-by-one run gives
-    them.
-    """
-    pool = _verify_pool()
-    checks = [step for step in plan if callable(step)]
-    futures = {check: pool.submit(check) for check in checks}
-    reports = []
-    try:
-        for check in reversed(checks):
-            # A cancelled future is one the worker had not started.
-            if futures[check].cancel():
-                futures[check] = _run_here(check)
-        for step in plan:
-            if callable(step):
-                reports.append(futures[step].result())
-            else:
-                print(step, file=sys.stderr)
-    finally:
-        for future in futures.values():
-            future.cancel()
-    return reports
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Run a suite's checks in order; notes go to stderr as they come.
+
+    The Monte Carlo cases draw under ``seed`` and the degradedness cases
+    under ``seed + 1``, so the two draws share no random stream.  The first
+    error ends the run, after the notes before it.
+    """
     cfg = _resolve(args)
     params = _params(cfg)
     suite = args.suite
     n, seed = int(cfg["samples"]), int(cfg["seed"])
-    plan = []
+    reports = []
     if suite in ("mc", "all"):
-        plan += _mc_suite(params, n, seed)
+        reports += mc_rate_checks(_mc_cases(params), n, seed)
     if suite == "degraded" or (suite == "all" and params.b >= 1.0):
-        plan += [
-            functools.partial(degradedness_check, params, n, seed),
-            functools.partial(degradedness_check, params, n, seed + 1, input_rho=0.7),
-        ]
+        reports += degradedness_checks(params, n, seed + 1, (0.0, 0.7))
     elif suite == "all":
-        plan.append("skipping degraded: needs |b| >= 1")
+        print("skipping degraded: needs |b| >= 1", file=sys.stderr)
     if suite in ("cond5", "all"):
-        plan.append(
-            functools.partial(
-                verify_condition5, params.p1, params.p2, params.b, cfg["alpha_grid"]
-            )
+        reports.append(
+            verify_condition5(params.p1, params.p2, params.b, cfg["alpha_grid"])
         )
     if suite in ("cond6", "all"):
-        plan.append(
-            functools.partial(
-                verify_condition6, params.p1, params.p2, params.b, cfg["beta_grid"]
-            )
+        reports.append(
+            verify_condition6(params.p1, params.p2, params.b, cfg["beta_grid"])
         )
     # The Theorem-3 precondition, not the ``th3_exact`` label: where both
     # thresholds meet at b the label reads ``pdc_exact`` and the check holds.
     report = classify(params)
     in_th3_regime = report.z_channel == "a_zero" and report.th3_capacity
     if suite == "th3" or (suite == "all" and in_th3_regime and params.p2 > 0.0):
-        plan.append(
-            functools.partial(
-                verify_th3_capacity, params.p1, params.p2, params.b, cfg["alpha_grid"]
-            )
+        reports.append(
+            verify_th3_capacity(params.p1, params.p2, params.b, cfg["alpha_grid"])
         )
     elif suite == "all":
         reason = "needs p2 > 0" if in_th3_regime else "not in Theorem-3 regime"
-        plan.append(f"skipping th3: {reason}")
+        print(f"skipping th3: {reason}", file=sys.stderr)
 
-    reports = _run_plan(plan)
     text = "".join(report.to_json_line() + "\n" for report in reports)
     _write(cfg["out"], text)
     if cfg["out"] is None:

@@ -9,8 +9,9 @@ The sampled checks draw blocks of at most ``_BLOCK`` rows and keep only
 running first and second moments, so no buffer spans all the samples.
 Each sampled variable has a child stream of its own, so its draws do not
 depend on the block size, which reaches a report only through summation
-order.  Each check holds only its own RNGs, so independent checks may run
-on separate threads.
+order.  ``mc_rate_checks`` and ``degradedness_checks`` run several cases
+on one draw (common random numbers); each of their reports equals, bit for
+bit, the one-case call with the same seed.
 
 Discrepancies are reported in units that make ``passed iff max_discrepancy
 <= tolerance`` hold exactly: standard-error multiples for sampled checks,
@@ -33,7 +34,9 @@ from .region_geometry import GridAxis, VerificationReport, concavify, grid_axis
 __all__ = [
     "VerificationReport",
     "mc_rate_check",
+    "mc_rate_checks",
     "degradedness_check",
+    "degradedness_checks",
     "verify_condition5",
     "verify_condition6",
     "verify_th3_capacity",
@@ -44,36 +47,49 @@ MIN_MC_SAMPLES = 10_000
 # Rows per block of streamed Monte Carlo draws; bounds each check's
 # temporaries to about a megabyte whatever ``n_samples`` is.  Small blocks
 # also keep resident memory flat across checks: glibc raises its mmap
-# threshold after freeing a large buffer, so multi-megabyte blocks end up
-# in the malloc arena of whichever thread ran them, and how much each arena
-# keeps varied by about 10 MB from one ``verify`` call to the next.
+# threshold after freeing a large buffer, so later multi-megabyte blocks
+# come from the malloc heap, which may keep them resident.
 _BLOCK = 8_192
 
 
-def _block_sizes(n: int):
-    """Row counts of consecutive blocks of at most ``_BLOCK`` rows, ``n`` in all."""
-    for start in range(0, n, _BLOCK):
-        yield min(_BLOCK, n - start)
+def _blocks(n: int, make):
+    """Buffers for consecutive blocks of at most ``_BLOCK`` rows, ``n`` in all.
 
-
-def _streamed_cov(blocks, d: int, n: int) -> np.ndarray:
-    """Unbiased sample covariance of ``d`` variables sampled in blocks.
-
-    ``blocks`` yields ``(d, m)`` arrays, one column per sample and ``n``
-    columns in all.  Only the running sums of the samples and of their
-    pairwise products are kept, so no buffer spans all ``n`` samples; the
-    result is ``(sum x x^T - sum x sum x^T / n) / (n - 1)``.  Every sampled
-    variable has zero mean, so the raw moments lose nothing measurable to
-    cancellation.  The products go through ``einsum``, not a BLAS product:
-    BLAS threads over the sample axis would contend with ``verify``'s
-    worker for the cores.
+    ``make(m)`` builds the buffers for an ``m``-row block; each block size
+    gets them once, and every block of that size is handed the same ones.
+    The sampling steps write into them rather than into fresh arrays, which
+    saves the allocations and, for arrays above glibc's mmap threshold such
+    as a stacked ``(4, m)`` block, the page faults of mapping them anew for
+    every block.
     """
-    total = np.zeros(d)
-    cross = np.zeros((d, d))
-    for block in blocks:
-        total += block.sum(axis=1)
-        cross += np.einsum("im,jm->ij", block, block)
-    return (cross - np.outer(total, total) / n) / (n - 1)
+    size = buffers = None
+    for start in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - start)
+        if m != size:
+            size, buffers = m, make(m)
+        yield buffers
+
+
+def _streamed_covs(blocks, c: int, d: int, n: int) -> np.ndarray:
+    """Unbiased sample covariances of ``c`` cases of ``d`` variables, sampled in blocks.
+
+    ``blocks`` yields, per block, ``c`` arrays of shape ``(d, m)``, one per
+    case with one column per sample, and ``n`` columns in all.  Each case
+    keeps only the running sums of its samples and of their pairwise
+    products, so no buffer spans all ``n`` samples; entry ``i`` of the
+    result is case ``i``'s ``(sum x x^T - sum x sum x^T / n) / (n - 1)``.
+    Every sampled variable has zero mean, so the raw moments lose nothing
+    measurable to cancellation.  The products go through ``einsum``: a
+    BLAS product would sum them in another order and change the reports'
+    last digits.
+    """
+    total = np.zeros((c, d))
+    cross = np.zeros((c, d, d))
+    for cases in blocks:
+        for case_total, case_cross, block in zip(total, cross, cases):
+            case_total += block.sum(axis=1)
+            case_cross += np.einsum("im,jm->ij", block, block)
+    return (cross - total[:, :, None] * total[:, None, :] / n) / (n - 1)
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -100,46 +116,78 @@ def mc_rate_check(
     expression in this package feeds to ``log2``.  Passes iff the estimate
     is within 5 standard errors of the sample-variance estimator.  ``cov``
     must be finite and exactly symmetric: the factorization reads only one
-    triangle, while the closed form reads both.
+    triangle, while the closed form reads both.  The one-case form of
+    :func:`mc_rate_checks`.
+    """
+    return mc_rate_checks([(name, gains, cov)], n_samples, seed)[0]
+
+
+def mc_rate_checks(cases, n_samples: int = 1_000_000, seed: int = 0) -> list:
+    """:func:`mc_rate_check` of several cases on one draw of inputs and noise.
+
+    ``cases`` holds ``(name, gains, cov)`` triples whose gain vectors have
+    one length.  Every case reads the same sampled inputs and noise (common
+    random numbers), so the draws cost what one case's do, and each report
+    is, bit for bit, ``mc_rate_check(gains, cov, n_samples, seed, name)``.
     """
     n = int(n_samples)
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
-    h = np.asarray(gains, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (h.size, h.size):
-        raise ValueError("covariance shape must match the gain vector")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("gains must be finite")
-    if not np.all(np.isfinite(cov)):
-        raise ValueError("covariance must be finite")
-    if not np.array_equal(cov, cov.T):
-        raise ValueError("covariance must be symmetric")
-    weights = _psd_factor(cov).T @ h
+    prepared = []
+    for name, gains, cov in cases:
+        h = np.asarray(gains, dtype=float)
+        cov = np.asarray(cov, dtype=float)
+        if cov.shape != (h.size, h.size):
+            raise ValueError("covariance shape must match the gain vector")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("gains must be finite")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("covariance must be finite")
+        if not np.array_equal(cov, cov.T):
+            raise ValueError("covariance must be symmetric")
+        prepared.append((name, h, cov, _psd_factor(cov).T @ h))
+    sizes = {h.size for _, h, _, _ in prepared}
+    if len(sizes) != 1:
+        raise ValueError("cases must be one or more, with gain vectors of one length")
+    (k,) = sizes
 
     # Inputs and noise come from streams of their own, so each variable's
     # draws do not depend on the block size.
     inputs, noise = np.random.default_rng(seed).spawn(2)
 
-    def received():
-        for m in _block_sizes(n):
-            signal = inputs.standard_normal((m, h.size)) @ weights
-            yield (signal + noise.standard_normal(m))[None]
+    def buffers(m):
+        return np.empty((m, k)), np.empty(m), np.empty((len(prepared), 1, m))
 
-    estimate = float(_streamed_cov(received(), 1, n)[0, 0])
-    target = float(1.0 + h @ cov @ h)
-    # Sample variance of Gaussian data has variance 2 sigma^4 / (n - 1).
-    stderr = target * math.sqrt(2.0 / (n - 1))
-    discrepancy = abs(estimate - target) / stderr
-    return VerificationReport(
-        name=name,
-        passed=bool(discrepancy <= 5.0),
-        max_discrepancy=float(discrepancy),
-        tolerance=5.0,
-        n=n,
-        seed=int(seed),
-        worst_case={"closed_form": target, "estimate": estimate},
-    )
+    def received():
+        for x, z, y in _blocks(n, buffers):
+            inputs.standard_normal(out=x)
+            noise.standard_normal(out=z)
+            # y = x . weights + z, one row per case.
+            for (_, _, _, weights), row in zip(prepared, y):
+                np.matmul(x, weights, out=row[0])
+                row += z
+            yield y
+
+    covs = _streamed_covs(received(), len(prepared), 1, n)
+    reports = []
+    for (name, h, cov, _), var in zip(prepared, covs):
+        estimate = float(var[0, 0])
+        target = float(1.0 + h @ cov @ h)
+        # Sample variance of Gaussian data has variance 2 sigma^4 / (n - 1).
+        stderr = target * math.sqrt(2.0 / (n - 1))
+        discrepancy = abs(estimate - target) / stderr
+        reports.append(
+            VerificationReport(
+                name=name,
+                passed=bool(discrepancy <= 5.0),
+                max_discrepancy=float(discrepancy),
+                tolerance=5.0,
+                n=n,
+                seed=int(seed),
+                worst_case={"closed_form": target, "estimate": estimate},
+            )
+        )
+    return reports
 
 
 def _pair_moment(s_ab: np.ndarray) -> np.ndarray:
@@ -172,36 +220,86 @@ def degradedness_check(
     ``(X1, X2, Y1, Y1_rebuilt)``, the Gaussian identity ``n Cov(cov(A, B),
     cov(C, D)) = S_AC S_BD + S_AD S_BC`` gives both variances and the cross
     term.  Entries with a vanishing standard error (degenerate inputs) must
-    agree exactly.
+    agree exactly.  The one-case form of :func:`degradedness_checks`.
+    """
+    return degradedness_checks(params, n_samples, seed, (input_rho,))[0]
+
+
+def degradedness_checks(
+    params: ChannelParams,
+    n_samples: int = 1_000_000,
+    seed: int = 0,
+    input_rhos: Sequence[float] = (0.0,),
+) -> list:
+    """:func:`degradedness_check` at several input correlations on one draw.
+
+    The cases read the same five sampled variables (common random
+    numbers), so the draws cost what one case's do, and the report for
+    ``rho`` in ``input_rhos`` is, bit for bit, ``degradedness_check(params,
+    n_samples, seed, rho)``.
     """
     if params.b < 1.0:
         raise ValueError("construction requires |b| ≥ 1")
     n = int(n_samples)
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
-    rho = float(input_rho)
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"input_rho must lie in [-1, 1], got {rho}")
+    rhos = [float(rho) for rho in input_rhos]
+    if not rhos:
+        raise ValueError("input_rhos must hold one or more correlations")
+    for rho in rhos:
+        if not -1.0 <= rho <= 1.0:
+            raise ValueError(f"input_rho must lie in [-1, 1], got {rho}")
 
     a, b = params.a, params.b
     p1, p2 = params.p1, params.p2
     # Each variable comes from a stream of its own, so its draws do not
     # depend on the block size.
     streams = np.random.default_rng(seed).spawn(5)
-    spread = math.sqrt(1.0 - rho * rho)
+    spreads = [math.sqrt(1.0 - rho * rho) for rho in rhos]
     rebuild_noise = math.sqrt(1.0 - 1.0 / (b * b))
 
-    def samples():
-        for m in _block_sizes(n):
-            g1, g2, z1, z2, z0 = (stream.standard_normal(m) for stream in streams)
-            x1 = math.sqrt(p1) * (rho * g2 + spread * g1)
-            x2 = math.sqrt(p2) * g2
-            y1 = x1 + a * x2 + z1
-            y2 = b * x1 + x2 + z2
-            y1_rebuilt = (y2 - x2) / b + a * x2 + rebuild_noise * z0
-            yield np.stack([x1, x2, y1, y1_rebuilt])
+    def buffers(m):
+        return np.empty((5, m)), np.empty((4, m)), np.empty((len(rhos), 4, m))
 
-    cov = _streamed_cov(samples(), 4, n)
+    def samples():
+        for draws, shared, cases in _blocks(n, buffers):
+            for stream, row in zip(streams, draws):
+                stream.standard_normal(out=row)
+            g1, g2, z1, z2, z0 = draws
+            x2, ax2, noise0, scratch = shared
+            np.multiply(math.sqrt(p2), g2, out=x2)
+            np.multiply(a, x2, out=ax2)
+            np.multiply(rebuild_noise, z0, out=noise0)
+            # Each case's rows are (X1, X2, Y1, Y1_rebuilt).
+            for (x1, x2_row, y1, y1_rebuilt), rho, spread in zip(cases, rhos, spreads):
+                # x1 = sqrt(p1) (rho g2 + spread g1)
+                np.multiply(rho, g2, out=x1)
+                np.multiply(spread, g1, out=scratch)
+                x1 += scratch
+                x1 *= math.sqrt(p1)
+                x2_row[:] = x2
+                # y1 = x1 + a x2 + z1
+                np.add(x1, ax2, out=y1)
+                y1 += z1
+                # y1_rebuilt = (y2 - x2) / b + a x2 + sqrt(1 - 1/b^2) z0,
+                # with y2 = b x1 + x2 + z2
+                np.multiply(b, x1, out=y1_rebuilt)
+                y1_rebuilt += x2
+                y1_rebuilt += z2
+                y1_rebuilt -= x2
+                y1_rebuilt /= b
+                y1_rebuilt += ax2
+                y1_rebuilt += noise0
+            yield cases
+
+    covs = _streamed_covs(samples(), len(rhos), 4, n)
+    return [_degradedness_report(params, n, seed, rho, cov) for rho, cov in zip(rhos, covs)]
+
+
+def _degradedness_report(
+    params: ChannelParams, n: int, seed: int, rho: float, cov: np.ndarray
+) -> VerificationReport:
+    """:func:`degradedness_check`'s report from the covariance of ``(X1, X2, Y1, Y1_rebuilt)``."""
     direct_rows, rebuilt_rows = [0, 1, 2], [0, 1, 3]
     direct = cov[np.ix_(direct_rows, direct_rows)]
     rebuilt = cov[np.ix_(rebuilt_rows, rebuilt_rows)]
@@ -217,6 +315,7 @@ def degradedness_check(
     # multiple of X2) differ by rounding: report the first of them.
     top = float(ratio.max())
     i, j = divmod(int(np.argmax(ratio >= top * (1.0 - 1e-9))), 3)
+    a, p1, p2 = params.a, params.p1, params.p2
     var_y1_closed_form = (
         1.0 + p1 + a * a * p2 + 2.0 * a * rho * math.sqrt(p1 * p2)
     )

@@ -28,6 +28,7 @@ from cogregions.outer_bounds import (
 )
 from cogregions.region_geometry import (
     Pentagon,
+    _abscissas_up_to,
     concavify,
     contains,
     intersect_frontiers,
@@ -303,7 +304,9 @@ def test_acceptance_7_reference_frontier_pair_gap():
     inner = concavify(scheme_e_region(params, beta_grid=sweep_grid(1001)))
     plot_top = math.log2(6.0)
     support_deficit = plot_top - inner.max_r1
-    xs = np.linspace(0.0, min(plot_top, inner.max_r1, outer.max_r1), 2001)
+    # The difference of two polylines is linear between their vertices, so
+    # its extremes on [0, top] lie at the vertices of either frontier or at top.
+    xs = _abscissas_up_to(min(plot_top, inner.max_r1, outer.max_r1), outer.r1, inner.r1)
     gap = outer.interp(xs) - inner.interp(xs)
     max_gap = float(np.max(gap))
     min_gap = float(np.min(gap))

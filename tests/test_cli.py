@@ -6,10 +6,10 @@ import math
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cogregions
@@ -482,7 +482,11 @@ def test_verify_mc_reports_are_json_lines(capsys):
 
 
 def _sequential_lines(a, b, p1, p2, n, seed, suite):
-    """The reports of ``verify SUITE`` from the public oracles, one by one."""
+    """The reports of ``verify SUITE`` from the public oracles, one by one.
+
+    The Monte Carlo cases all draw under ``seed``, the degradedness cases
+    under ``seed + 1``.
+    """
     params = ChannelParams(a=a, b=b, p1=p1, p2=p2)
 
     def input_cov(cross_power):
@@ -497,14 +501,14 @@ def _sequential_lines(a, b, p1, p2, n, seed, suite):
         ("mc_scheme_sumcap", (b, 1.0), input_cov(0.5 * p1)),
         ("mc_receiver1_var", (1.0, a), input_cov(0.5 * p1)),
     ]
-    reports = [
-        mc_rate_check(h, cov, n_samples=n, seed=seed + i, name=name)
-        for i, (name, h, cov) in enumerate(cases)
-    ]
+    reports = []
+    if suite in ("mc", "all"):
+        reports += [mc_rate_check(h, cov, n_samples=n, seed=seed, name=name)
+                    for name, h, cov in cases]
+    if suite == "degraded" or (suite == "all" and b >= 1.0):
+        reports.append(degradedness_check(params, n, seed + 1))
+        reports.append(degradedness_check(params, n, seed + 1, input_rho=0.7))
     if suite == "all":
-        if b >= 1.0:
-            reports.append(degradedness_check(params, n, seed))
-            reports.append(degradedness_check(params, n, seed + 1, input_rho=0.7))
         reports.append(verify_condition5(p1, p2, b, 1001))
         reports.append(verify_condition6(p1, p2, b, 1001))
         if a == 0.0 and b >= th3_threshold(p1, p2):
@@ -520,10 +524,12 @@ def _sequential_lines(a, b, p1, p2, n, seed, suite):
                           "skipping th3: not in Theorem-3 regime\n"),
         ("all", 0.01, 10.0, "skipping th3: not in Theorem-3 regime\n"),
         ("mc", 0.3, 2.0, ""),
+        ("degraded", 0.3, 2.0, ""),
     ],
 )
 def test_verify_reports_match_one_by_one_oracle_calls(capsys, suite, a, b, err):
-    # The checks run two at a time; the bytes are those of a sequential run.
+    # Each pass shares one draw among its cases; the bytes are those of
+    # one-case calls with each report's own seed.
     argv = ["verify", suite, "--a", str(a), "--b", str(b), "--p1", "2", "--p2", "3",
             "--samples", "20001", "--seed", "9"]
     code, out, stderr = run(capsys, *argv)
@@ -532,10 +538,35 @@ def test_verify_reports_match_one_by_one_oracle_calls(capsys, suite, a, b, err):
     assert code == (0 if all(json.loads(line)["passed"] for line in out.splitlines()) else 1)
 
 
+@pytest.mark.parametrize("seed", [0, 4])
+def test_verify_passes_share_no_random_stream(capsys, seed):
+    # A sampled report with seed s draws from the children of
+    # SeedSequence(s): two for the Monte Carlo cases (inputs, noise), five
+    # for the degradedness cases.  Within a pass the cases share their
+    # streams; across the passes no stream may repeat, or the two passes
+    # would not be independent checks.
+    code, out, _ = run(capsys, "verify", "all", "--a", "0", "--b", "3",
+                       "--samples", "10000", "--seed", str(seed))
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+
+    def first_draws(is_member, k):
+        return {
+            tuple(child.standard_normal(16))
+            for report in reports if is_member(report["name"])
+            for child in np.random.default_rng(report["seed"]).spawn(k)
+        }
+
+    mc = first_draws(lambda name: name.startswith("mc_"), 2)
+    degraded = first_draws(lambda name: name == "degradedness_check", 5)
+    assert not mc & degraded
+    assert (len(mc), len(degraded)) == (2, 5)
+
+
 def test_verify_all_memory_is_bounded(capsys):
-    # Checks run two at a time and each holds only one block of draws, so
-    # the peak is two checks' blocks (about a megabyte each), not the
-    # 32 MB sample matrix a whole-length degradedness check would need.
+    # Each pass holds only one block of draws and of its cases' samples
+    # (about a megabyte), not the 32 MB sample matrix a whole-length
+    # degradedness check would need.
     tracemalloc.start()
     try:
         code, _, _ = run(capsys, "verify", "all", "--a", "0", "--b", "5")
@@ -546,55 +577,58 @@ def test_verify_all_memory_is_bounded(capsys):
     assert peak_mb <= 24.0
 
 
-def _failing_mc(slow_name, failing_names):
-    """``mc_rate_check`` that raises for ``failing_names``; ``slow_name`` lags."""
+def _failing(name, calls):
+    """A check that records its call in ``calls`` and raises ``name failed``."""
 
-    def check(*args, name, **kwargs):
-        if name == slow_name:
-            time.sleep(0.1)
-        if name in failing_names:
-            raise ValueError(f"{name} failed")
-        return mc_rate_check(*args, name=name, **kwargs)
+    def check(*args, **kwargs):
+        calls.append(name)
+        raise ValueError(f"{name} failed")
 
     return check
 
 
 def test_verify_all_reports_the_earliest_error_in_plan_order(capsys, monkeypatch):
-    # While the worker lags on the first check, the calling thread takes
-    # back every later one, latest first: the degradedness checks and the
-    # last Monte Carlo check fail before the checks ahead of them in the
-    # plan have finished, yet only the Monte Carlo error, the earliest one
-    # in the plan, is shown.
-    def failing_degradedness(*args, **kwargs):
-        raise ValueError("degradedness failed")
+    # The checks run one after another: the first error ends the run after
+    # the notes before it, and nothing later in the plan runs or prints.
+    calls = []
+    for name in ("verify_condition5", "verify_condition6", "verify_th3_capacity"):
+        monkeypatch.setattr(cli, name, _failing(name, calls))
+    code, out, err = run(capsys, "verify", "all", "--a", "0.5", "--b", "0.5",
+                         "--samples", "10000")
+    assert (code, out) == (2, "")
+    assert err == "skipping degraded: needs |b| >= 1\nerror: verify_condition5 failed\n"
+    assert calls == ["verify_condition5"]
 
-    monkeypatch.setattr(cli, "degradedness_check", failing_degradedness)
-    monkeypatch.setattr(
-        cli, "mc_rate_check", _failing_mc("mc_unifying_r2cap", {"mc_receiver1_var"})
-    )
+    calls.clear()
+    monkeypatch.setattr(cli, "degradedness_checks", _failing("degradedness_checks", calls))
     code, out, err = run(capsys, "verify", "all", "--a", "0", "--b", "3",
-                         "--samples", "20000")
-    assert (code, out, err) == (2, "", "error: mc_receiver1_var failed\n")
+                         "--samples", "10000")
+    assert (code, out, err) == (2, "", "error: degradedness_checks failed\n")
+    assert calls == ["degradedness_checks"]
 
 
 def test_verify_mc_reports_the_first_checks_error(capsys, monkeypatch):
-    # The last check fails first, on the calling thread; the first check's
-    # error still wins.
-    monkeypatch.setattr(
-        cli,
-        "mc_rate_check",
-        _failing_mc("mc_unifying_r2cap", {"mc_unifying_r2cap", "mc_receiver1_var"}),
-    )
+    # The Monte Carlo pass checks its cases in report order before drawing:
+    # of two malformed cases, the first one's error is shown.
+    mc_cases = cli._mc_cases
+
+    def malformed_cases(params):
+        cases = mc_cases(params)
+        (name, h, cov), last = cases[0], cases[-1]
+        cases[0] = (name, h, [[1.0, 0.5], [0.0, 1.0]])
+        cases[-1] = (last[0], (math.inf, 1.0), last[2])
+        return cases
+
+    monkeypatch.setattr(cli, "_mc_cases", malformed_cases)
     code, out, err = run(capsys, "verify", "mc", "--samples", "20000")
-    assert (code, out, err) == (2, "", "error: mc_unifying_r2cap failed\n")
+    assert (code, out, err) == (2, "", "error: covariance must be symmetric\n")
 
 
 @pytest.mark.skipif(
     not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc"
 )
 def test_repeated_verify_all_keeps_resident_memory_flat(tmp_path):
-    # glibc keeps freed buffers resident in the malloc arena of the thread
-    # that used them; with checks on two threads, that must not add up
+    # glibc may keep freed sample buffers resident; that must not add up
     # from one verify call to the next.
     script = (
         "import contextlib, io\n"
@@ -709,15 +743,18 @@ def test_cli_never_imports_numpy_ma(tmp_path):
 
 
 def test_other_commands_never_import_concurrent_futures(tmp_path):
-    # Only verify runs checks on a thread pool; importing the pool module
-    # costs every other fresh CLI process about 7 ms.
+    # No command runs anything on a thread pool or starts a Python thread,
+    # verify included; importing the pool module would cost every fresh
+    # CLI process about 7 ms.
     script = (
-        "import sys\n"
+        "import sys, threading\n"
         "from cogregions.cli import main\n"
         "assert main(['classify']) == 0\n"
+        "assert main(['verify', 'all', '--a', '0', '--b', '3', '--samples', '10000']) == 0\n"
         "assert main(['region', '--bound', 'capacity', '--a', '0.01', '--b', '10',"
         " '--p1', '5', '--p2', '5']) == 0\n"
         "assert main(['fig3']) == 0\n"
+        "assert threading.active_count() == 1\n"
         "print('concurrent.futures' in sys.modules)\n"
     )
     done = subprocess.run(

@@ -6,7 +6,10 @@ keep only running moments.  These tests pin that their reports equal, up
 to summation order, those of a one-shot reference that draws the same
 streams whole and reduces them with ``np.var`` / ``np.cov``, with the block
 shrunk so that many blocks, one-row blocks and a ragged last block take
-part; and that memory stays bounded at a million samples.
+part; that the multi-case passes ``mc_rate_checks`` and
+``degradedness_checks``, whose cases share one draw, give each case the
+bytes of its one-case call; and that memory stays bounded at a million
+samples.
 """
 
 import math
@@ -18,9 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogregions import oracles
+from cogregions import cli, oracles
 from cogregions.channel import ChannelParams
-from cogregions.oracles import _pair_moment, _psd_factor, degradedness_check, mc_rate_check
+from cogregions.oracles import (
+    _pair_moment,
+    _psd_factor,
+    degradedness_check,
+    degradedness_checks,
+    mc_rate_check,
+    mc_rate_checks,
+)
 
 # A moment may differ from the reference's by this much, relative to its
 # scale: the two sum the same products in different orders.
@@ -85,21 +95,25 @@ def _ratios(cov, n):
         return np.where(stderr > 0.0, diff / stderr, np.where(diff == 0.0, 0.0, np.inf))
 
 
-def _assert_mc_matches(gains, cov, n, seed):
-    got = mc_rate_check(gains, cov, n_samples=n, seed=seed, name="x")
+def _assert_mc_matches(gains, cov, n, seed, got=None):
+    """``got`` (by default the one-case call) against the one-shot reference."""
+    if got is None:
+        got = mc_rate_check(gains, cov, n_samples=n, seed=seed, name="x")
     h = np.asarray(gains, dtype=float)
     target = float(1.0 + h @ np.asarray(cov) @ h)
     estimate = _one_shot_variance(gains, cov, n, seed)
     discrepancy = abs(estimate - target) / (target * math.sqrt(2.0 / (n - 1)))
-    assert (got.name, got.n, got.seed, got.tolerance) == ("x", n, seed, 5.0)
+    assert (got.n, got.seed, got.tolerance) == (n, seed, 5.0)
     assert got.worst_case["closed_form"] == target
     assert math.isclose(got.worst_case["estimate"], estimate, rel_tol=_MOMENT_RTOL)
     assert _close_discrepancy(got.max_discrepancy, discrepancy, n)
     assert _same_verdict(got.passed, discrepancy, 5.0)
 
 
-def _assert_degradedness_matches(params, n, seed, rho):
-    got = degradedness_check(params, n_samples=n, seed=seed, input_rho=rho)
+def _assert_degradedness_matches(params, n, seed, rho, got=None):
+    """``got`` (by default the one-case call) against the one-shot reference."""
+    if got is None:
+        got = degradedness_check(params, n_samples=n, seed=seed, input_rho=rho)
     cov = _one_shot_covariance(params, n, seed, rho)
     ratio = _ratios(cov, n)
     worst = float(ratio.max())
@@ -130,9 +144,10 @@ _POWERS = st.sampled_from([0.0]) | st.floats(0.0, 10.0)
 
 
 @st.composite
-def _gains_and_cov(draw):
+def _gains_and_cov(draw, k=None):
     """``k`` gains and a symmetric PSD ``k x k`` covariance of rank 1 to ``k``."""
-    k = draw(st.integers(1, 3))
+    if k is None:
+        k = draw(st.integers(1, 3))
     rank = draw(st.integers(1, k))
     # Zero gains and zero rows (a silent input) are drawn on purpose.
     rng = np.random.default_rng(draw(_SEEDS))
@@ -174,6 +189,72 @@ def test_streamed_checks_match_one_shot_across_default_blocks(extra):
     n = 2 * oracles._BLOCK + extra
     _assert_mc_matches((3.0, 1.0), [[2.0, 1.2], [1.2, 3.0]], n, 5)
     _assert_degradedness_matches(ChannelParams(a=0.0, b=4.0, p1=1.0, p2=2.0), n, 6, 0.7)
+
+
+@st.composite
+def _mc_cases(draw):
+    """One to four named ``(gains, cov)`` cases with one gain-vector length."""
+    k = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 4))
+    return [(f"case{i}", *draw(_gains_and_cov(k))) for i in range(count)]
+
+
+def _lines(reports):
+    return [report.to_json_line() for report in reports]
+
+
+@settings(max_examples=10, deadline=None)
+@given(_mc_cases(), _SAMPLES, _SEEDS, _BLOCKS)
+def test_mc_rate_checks_give_each_case_its_one_case_bytes(cases, n, seed, block):
+    with mock.patch.object(oracles, "_BLOCK", block):
+        reports = mc_rate_checks(cases, n, seed)
+        alone = [mc_rate_check(gains, cov, n, seed, name) for name, gains, cov in cases]
+    assert _lines(reports) == _lines(alone)
+    assert [report.name for report in reports] == [name for name, _, _ in cases]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.floats(0.0, 2.0),
+    st.floats(1.0, 20.0),
+    _POWERS,
+    _POWERS,
+    st.lists(st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0), min_size=1, max_size=3),
+    _SAMPLES,
+    _SEEDS,
+    _BLOCKS,
+)
+def test_degradedness_checks_give_each_case_its_one_case_bytes(
+    a, b, p1, p2, rhos, n, seed, block
+):
+    params = ChannelParams(a=a, b=b, p1=p1, p2=p2)
+    with mock.patch.object(oracles, "_BLOCK", block):
+        reports = degradedness_checks(params, n, seed, rhos)
+        alone = [degradedness_check(params, n, seed, rho) for rho in rhos]
+    assert _lines(reports) == _lines(alone)
+
+
+@pytest.mark.parametrize(
+    "block, n",
+    [
+        (1, oracles.MIN_MC_SAMPLES + 2),
+        (97, oracles.MIN_MC_SAMPLES + 1),
+        (4_096, 65_537),
+        (None, 65_537),  # the default block: 8 whole blocks and a one-row one
+    ],
+)
+def test_multi_case_passes_match_one_shot(block, n):
+    # The passes of ``verify``, with its cases.
+    params = ChannelParams(a=0.3, b=2.0, p1=2.0, p2=3.0)
+    cases = cli._mc_cases(params)
+    rhos = (0.0, 0.7)
+    with mock.patch.object(oracles, "_BLOCK", block or oracles._BLOCK):
+        mc = mc_rate_checks(cases, n, 9)
+        degraded = degradedness_checks(params, n, 10, rhos)
+    for (_, gains, cov), report in zip(cases, mc, strict=True):
+        _assert_mc_matches(gains, cov, n, 9, got=report)
+    for rho, report in zip(rhos, degraded, strict=True):
+        _assert_degradedness_matches(params, n, 10, rho, got=report)
 
 
 # Points at input_rho = +-1, where X1 is a multiple of X2 and the entries

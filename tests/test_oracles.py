@@ -9,7 +9,9 @@ from cogregions.channel import ChannelParams, th3_threshold
 from cogregions.inner_bounds import beta_of_alpha, scheme_e_pentagon
 from cogregions.oracles import (
     degradedness_check,
+    degradedness_checks,
     mc_rate_check,
+    mc_rate_checks,
     verify_condition5,
     verify_condition6,
     verify_th3_capacity,
@@ -62,6 +64,20 @@ def test_mc_rate_check_validation():
     with pytest.raises(ValueError) as err:
         mc_rate_check((1.0, math.inf), np.eye(2), n_samples=10_000)
     assert str(err.value) == "gains must be finite"
+
+
+def test_multi_case_checks_need_cases_of_one_shape():
+    params = ChannelParams(a=0.0, b=2.0, p1=1.0, p2=1.0)
+    for cases in ([], [("one", (1.0,), [[1.0]]), ("two", (1.0, 1.0), np.eye(2))]):
+        with pytest.raises(ValueError) as err:
+            mc_rate_checks(cases, n_samples=10_000)
+        assert str(err.value) == "cases must be one or more, with gain vectors of one length"
+    with pytest.raises(ValueError) as err:
+        degradedness_checks(params, n_samples=10_000, input_rhos=())
+    assert str(err.value) == "input_rhos must hold one or more correlations"
+    with pytest.raises(ValueError) as err:
+        degradedness_checks(params, n_samples=10_000, input_rhos=(0.0, -1.5))
+    assert str(err.value) == "input_rho must lie in [-1, 1], got -1.5"
 
 
 def test_mc_rate_check_is_deterministic_per_seed():
