@@ -6,9 +6,10 @@ report for two frontiers), ``verify`` (oracle suites as JSON-lines reports),
 and ``fig3`` (inner/outer frontier pair at a fixed reference configuration
 with a gap report).  ``verify`` runs its checks one after another on the
 calling thread.  Its five Monte Carlo cases share one draw under the seed,
-and its two degradedness cases share another under the seed plus one, so
-each sampled report is, byte for byte, its one-case oracle call with the
-report's own seed.
+and its two degradedness cases share another under the seed plus one.  Each
+pass keeps one running covariance of its raw normals and maps every case
+through its own coefficient matrix, so each sampled report is, byte for
+byte, its one-case oracle call with the report's own seed.
 
 Every command is deterministic for fixed flags and seed: output files are
 byte-identical across re-runs and metadata carries no timestamps.
@@ -120,6 +121,18 @@ _DEFAULTS = {
 }
 
 
+# The JSON type each config value must have; a JSON boolean is neither a
+# number nor an integer here.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("a", "b", "p1", "p2", "tol"), ((int, float), "a number")),
+    **dict.fromkeys(
+        ("alpha_grid", "beta_grid", "split_grid", "samples", "seed"), (int, "an integer")
+    ),
+    "format": (str, "a string"),
+    "out": ((str, type(None)), "a string or null"),
+}
+
+
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--a", type=float, default=None, help="cross gain at receiver 1")
     sub.add_argument("--b", type=float, default=None, help="cross gain at receiver 2")
@@ -150,20 +163,29 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, encoding="utf-8") as handle:
-            loaded = json.load(handle)
+        try:
+            with open(config_path, encoding="utf-8") as handle:
+                loaded = json.load(handle)
+        except OSError as exc:
+            raise ValueError(f"cannot read config {config_path}: {exc.strerror}") from exc
+        if not isinstance(loaded, dict):
+            raise ValueError("config must be a JSON object")
         unknown = sorted(set(loaded) - set(_DEFAULTS))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            types, kind = _CONFIG_TYPES[key]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
         cfg.update(loaded)
     for key in _DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     for key in ("alpha_grid", "beta_grid", "split_grid"):
-        if int(cfg[key]) < 2:
+        if cfg[key] < 2:
             raise ValueError("grid resolution must be at least 2")
-    if int(cfg["samples"]) < 1:
+    if cfg["samples"] < 1:
         raise ValueError("sample count must be at least 1")
     if cfg["format"] not in ("csv", "json"):
         raise ValueError(f"unknown format: {cfg['format']}")

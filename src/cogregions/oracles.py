@@ -5,13 +5,17 @@ formulas from sampled Gaussian inputs; the degradedness check reconstructs
 receiver 1's observation from receiver 2's and compares joint covariances;
 the condition sweeps brute-force the redundancy of sum constraints against
 their claimed thresholds.  Every report is deterministic for a fixed seed.
-The sampled checks draw blocks of at most ``_BLOCK`` rows and keep only
-running first and second moments, so no buffer spans all the samples.
-Each sampled variable has a child stream of its own, so its draws do not
-depend on the block size, which reaches a report only through summation
-order.  ``mc_rate_checks`` and ``degradedness_checks`` run several cases
-on one draw (common random numbers); each of their reports equals, bit for
-bit, the one-case call with the same seed.
+Every sampled quantity is a fixed linear map of a few independent standard
+normals, and a sample covariance commutes with linear maps: the covariance
+of ``A g`` is ``A cov(g) A^T`` exactly, centring included.  So each sampled
+pass keeps one running covariance of its raw normals, drawn in blocks of at
+most ``_BLOCK`` samples so that no buffer spans them all, and maps every
+case through its own coefficient matrix.  Each raw variable has a child
+stream of its own, so its draws do not depend on the block size, which
+reaches a report only through summation order.  ``mc_rate_checks`` and
+``degradedness_checks`` run several cases on one draw (common random
+numbers); each of their reports equals, bit for bit, the one-case call with
+the same seed.
 
 Discrepancies are reported in units that make ``passed iff max_discrepancy
 <= tolerance`` hold exactly: standard-error multiples for sampled checks,
@@ -44,52 +48,37 @@ __all__ = [
 
 MIN_MC_SAMPLES = 10_000
 
-# Rows per block of streamed Monte Carlo draws; bounds each check's
-# temporaries to about a megabyte whatever ``n_samples`` is.  Small blocks
+# Samples per block of streamed Monte Carlo draws; bounds each pass's
+# buffers to a few hundred kilobytes whatever ``n_samples`` is.  Small blocks
 # also keep resident memory flat across checks: glibc raises its mmap
 # threshold after freeing a large buffer, so later multi-megabyte blocks
 # come from the malloc heap, which may keep them resident.
 _BLOCK = 8_192
 
 
-def _blocks(n: int, make):
-    """Buffers for consecutive blocks of at most ``_BLOCK`` rows, ``n`` in all.
+def _sample_cov(draw, d: int, n: int) -> np.ndarray:
+    """Unbiased sample covariance of ``d`` variables, ``n`` samples drawn in blocks.
 
-    ``make(m)`` builds the buffers for an ``m``-row block; each block size
-    gets them once, and every block of that size is handed the same ones.
-    The sampling steps write into them rather than into fresh arrays, which
-    saves the allocations and, for arrays above glibc's mmap threshold such
-    as a stacked ``(4, m)`` block, the page faults of mapping them anew for
-    every block.
+    ``draw(block)`` fills a ``(d, m)`` buffer with the next ``m`` samples,
+    one row per variable, ``m`` at most ``_BLOCK``.  Full blocks reuse one
+    buffer and a ragged last block gets a shorter one.  Only the running
+    sums of the samples and of their pairwise products are kept, so no
+    buffer spans all ``n`` samples; the result is ``(sum x x^T - sum x sum
+    x^T / n) / (n - 1)``.  Every sampled variable has zero mean, so the raw
+    moments lose nothing measurable to cancellation.  The products go
+    through ``einsum``, whose summation order depends on no BLAS build.
     """
-    size = buffers = None
+    total = np.zeros(d)
+    cross = np.zeros((d, d))
+    block = np.empty((d, min(_BLOCK, n)))
     for start in range(0, n, _BLOCK):
         m = min(_BLOCK, n - start)
-        if m != size:
-            size, buffers = m, make(m)
-        yield buffers
-
-
-def _streamed_covs(blocks, c: int, d: int, n: int) -> np.ndarray:
-    """Unbiased sample covariances of ``c`` cases of ``d`` variables, sampled in blocks.
-
-    ``blocks`` yields, per block, ``c`` arrays of shape ``(d, m)``, one per
-    case with one column per sample, and ``n`` columns in all.  Each case
-    keeps only the running sums of its samples and of their pairwise
-    products, so no buffer spans all ``n`` samples; entry ``i`` of the
-    result is case ``i``'s ``(sum x x^T - sum x sum x^T / n) / (n - 1)``.
-    Every sampled variable has zero mean, so the raw moments lose nothing
-    measurable to cancellation.  The products go through ``einsum``: a
-    BLAS product would sum them in another order and change the reports'
-    last digits.
-    """
-    total = np.zeros((c, d))
-    cross = np.zeros((c, d, d))
-    for cases in blocks:
-        for case_total, case_cross, block in zip(total, cross, cases):
-            case_total += block.sum(axis=1)
-            case_cross += np.einsum("im,jm->ij", block, block)
-    return (cross - total[:, :, None] * total[:, None, :] / n) / (n - 1)
+        if m != block.shape[1]:
+            block = np.empty((d, m))
+        draw(block)
+        total += block.sum(axis=1)
+        cross += np.einsum("im,jm->ij", block, block)
+    return (cross - np.outer(total, total) / n) / (n - 1)
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -128,7 +117,8 @@ def mc_rate_checks(cases, n_samples: int = 1_000_000, seed: int = 0) -> list:
     ``cases`` holds ``(name, gains, cov)`` triples whose gain vectors have
     one length.  Every case reads the same sampled inputs and noise (common
     random numbers), so the draws cost what one case's do, and each report
-    is, bit for bit, ``mc_rate_check(gains, cov, n_samples, seed, name)``.
+    is, bit for bit, ``mc_rate_check(gains, cov, n_samples, seed, name)``:
+    a case reads only the shared sample covariance and its own gains.
     """
     n = int(n_samples)
     if n < MIN_MC_SAMPLES:
@@ -145,33 +135,27 @@ def mc_rate_checks(cases, n_samples: int = 1_000_000, seed: int = 0) -> list:
             raise ValueError("covariance must be finite")
         if not np.array_equal(cov, cov.T):
             raise ValueError("covariance must be symmetric")
-        prepared.append((name, h, cov, _psd_factor(cov).T @ h))
+        prepared.append((name, h, cov, np.append(_psd_factor(cov).T @ h, 1.0)))
     sizes = {h.size for _, h, _, _ in prepared}
     if len(sizes) != 1:
         raise ValueError("cases must be one or more, with gain vectors of one length")
     (k,) = sizes
 
-    # Inputs and noise come from streams of their own, so each variable's
-    # draws do not depend on the block size.
+    # The raw variables are the k standard-normal inputs and the noise, each
+    # from a stream of its own; a case receives (F^T h, 1) . raw.
     inputs, noise = np.random.default_rng(seed).spawn(2)
+    rows = np.empty((min(_BLOCK, n), k))
 
-    def buffers(m):
-        return np.empty((m, k)), np.empty(m), np.empty((len(prepared), 1, m))
+    def draw(block):
+        x = rows[: block.shape[1]]
+        inputs.standard_normal(out=x)
+        block[:k] = x.T
+        noise.standard_normal(out=block[k])
 
-    def received():
-        for x, z, y in _blocks(n, buffers):
-            inputs.standard_normal(out=x)
-            noise.standard_normal(out=z)
-            # y = x . weights + z, one row per case.
-            for (_, _, _, weights), row in zip(prepared, y):
-                np.matmul(x, weights, out=row[0])
-                row += z
-            yield y
-
-    covs = _streamed_covs(received(), len(prepared), 1, n)
+    raw = _sample_cov(draw, k + 1, n)
     reports = []
-    for (name, h, cov, _), var in zip(prepared, covs):
-        estimate = float(var[0, 0])
+    for name, h, cov, r in prepared:
+        estimate = float(r @ raw @ r)
         target = float(1.0 + h @ cov @ h)
         # Sample variance of Gaussian data has variance 2 sigma^4 / (n - 1).
         stderr = target * math.sqrt(2.0 / (n - 1))
@@ -236,7 +220,8 @@ def degradedness_checks(
     The cases read the same five sampled variables (common random
     numbers), so the draws cost what one case's do, and the report for
     ``rho`` in ``input_rhos`` is, bit for bit, ``degradedness_check(params,
-    n_samples, seed, rho)``.
+    n_samples, seed, rho)``: a case reads only the shared sample covariance
+    and its own rows.
     """
     if params.b < 1.0:
         raise ValueError("construction requires |b| ≥ 1")
@@ -250,50 +235,36 @@ def degradedness_checks(
         if not -1.0 <= rho <= 1.0:
             raise ValueError(f"input_rho must lie in [-1, 1], got {rho}")
 
-    a, b = params.a, params.b
-    p1, p2 = params.p1, params.p2
-    # Each variable comes from a stream of its own, so its draws do not
-    # depend on the block size.
+    # The raw variables are (g1, g2, z1, z2, z0), each from a stream of its own.
     streams = np.random.default_rng(seed).spawn(5)
-    spreads = [math.sqrt(1.0 - rho * rho) for rho in rhos]
-    rebuild_noise = math.sqrt(1.0 - 1.0 / (b * b))
 
-    def buffers(m):
-        return np.empty((5, m)), np.empty((4, m)), np.empty((len(rhos), 4, m))
+    def draw(block):
+        for stream, row in zip(streams, block):
+            stream.standard_normal(out=row)
 
-    def samples():
-        for draws, shared, cases in _blocks(n, buffers):
-            for stream, row in zip(streams, draws):
-                stream.standard_normal(out=row)
-            g1, g2, z1, z2, z0 = draws
-            x2, ax2, noise0, scratch = shared
-            np.multiply(math.sqrt(p2), g2, out=x2)
-            np.multiply(a, x2, out=ax2)
-            np.multiply(rebuild_noise, z0, out=noise0)
-            # Each case's rows are (X1, X2, Y1, Y1_rebuilt).
-            for (x1, x2_row, y1, y1_rebuilt), rho, spread in zip(cases, rhos, spreads):
-                # x1 = sqrt(p1) (rho g2 + spread g1)
-                np.multiply(rho, g2, out=x1)
-                np.multiply(spread, g1, out=scratch)
-                x1 += scratch
-                x1 *= math.sqrt(p1)
-                x2_row[:] = x2
-                # y1 = x1 + a x2 + z1
-                np.add(x1, ax2, out=y1)
-                y1 += z1
-                # y1_rebuilt = (y2 - x2) / b + a x2 + sqrt(1 - 1/b^2) z0,
-                # with y2 = b x1 + x2 + z2
-                np.multiply(b, x1, out=y1_rebuilt)
-                y1_rebuilt += x2
-                y1_rebuilt += z2
-                y1_rebuilt -= x2
-                y1_rebuilt /= b
-                y1_rebuilt += ax2
-                y1_rebuilt += noise0
-            yield cases
+    raw = _sample_cov(draw, 5, n)
+    reports = []
+    for rho in rhos:
+        rows = _degradedness_rows(params, rho)
+        reports.append(_degradedness_report(params, n, seed, rho, rows @ raw @ rows.T))
+    return reports
 
-    covs = _streamed_covs(samples(), len(rhos), 4, n)
-    return [_degradedness_report(params, n, seed, rho, cov) for rho, cov in zip(rhos, covs)]
+
+def _degradedness_rows(params: ChannelParams, rho: float) -> np.ndarray:
+    """Rows of ``(X1, X2, Y1, Y1_rebuilt)`` as linear maps of ``(g1, g2, z1, z2, z0)``.
+
+    The inputs are ``X1 = sqrt(p1) (rho g2 + sqrt(1 - rho^2) g1)`` and
+    ``X2 = sqrt(p2) g2``; receiver 2 sees ``Y2 = b X1 + X2 + Z2``, from
+    which ``Y1`` is rebuilt as ``(Y2 - X2)/b + a X2 + sqrt(1 - 1/b^2) Z0``.
+    """
+    a, b = params.a, params.b
+    g1, g2, z1, z2, z0 = np.eye(5)
+    x1 = math.sqrt(params.p1) * (rho * g2 + math.sqrt(1.0 - rho * rho) * g1)
+    x2 = math.sqrt(params.p2) * g2
+    y1 = x1 + a * x2 + z1
+    y2 = b * x1 + x2 + z2
+    y1_rebuilt = (y2 - x2) / b + a * x2 + math.sqrt(1.0 - 1.0 / (b * b)) * z0
+    return np.stack([x1, x2, y1, y1_rebuilt])
 
 
 def _degradedness_report(

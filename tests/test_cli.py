@@ -302,6 +302,23 @@ def test_config_validates_values(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "mc", "--config", str(config))
     assert code == 2
     assert err.strip() == "error: sample count must be at least 1"
+    # Values of the wrong type exit 2 with a message, not a traceback.
+    for loaded, message in (
+        ({"alpha_grid": [0, 0.5, 1]}, "alpha_grid must be an integer, got [0, 0.5, 1]"),
+        ({"split_grid": True}, "split_grid must be an integer, got True"),
+        ({"samples": 20000.0}, "samples must be an integer, got 20000.0"),
+        ({"a": [1]}, "a must be a number, got [1]"),
+        ({"out": 5}, "out must be a string or null, got 5"),
+        ([1, 2], "config must be a JSON object"),
+    ):
+        config.write_text(json.dumps(loaded))
+        code, _, err = run(capsys, "verify", "mc", "--config", str(config))
+        assert code == 2
+        assert err.strip() == f"error: {message}"
+    missing = tmp_path / "missing.json"
+    code, _, err = run(capsys, "classify", "--config", str(missing))
+    assert code == 2
+    assert err.strip() == f"error: cannot read config {missing}: No such file or directory"
 
 
 # ----------------------------------------------------------------- compare
@@ -564,9 +581,8 @@ def test_verify_passes_share_no_random_stream(capsys, seed):
 
 
 def test_verify_all_memory_is_bounded(capsys):
-    # Each pass holds only one block of draws and of its cases' samples
-    # (about a megabyte), not the 32 MB sample matrix a whole-length
-    # degradedness check would need.
+    # Each pass holds only one block of its raw draws (about 0.3 MB), not
+    # the 32 MB sample matrix a whole-length degradedness check would need.
     tracemalloc.start()
     try:
         code, _, _ = run(capsys, "verify", "all", "--a", "0", "--b", "5")

@@ -1,8 +1,9 @@
 """The streamed Monte Carlo oracles against one-shot references.
 
-``mc_rate_check`` and ``degradedness_check`` draw blocks of at most
-``_BLOCK`` rows, each sampled variable from a child stream of its own, and
-keep only running moments.  These tests pin that their reports equal, up
+``mc_rate_check`` and ``degradedness_check`` draw their raw normals in
+blocks of at most ``_BLOCK`` samples, each from a child stream of its own,
+keep one running covariance of them and map each case through its own
+coefficient matrix.  These tests pin that their reports equal, up
 to summation order, those of a one-shot reference that draws the same
 streams whole and reduces them with ``np.var`` / ``np.cov``, with the block
 shrunk so that many blocks, one-row blocks and a ragged last block take
@@ -290,13 +291,14 @@ def _peak_mb(fn, *args, **kwargs) -> float:
 
 
 def test_degradedness_check_memory_is_bounded():
-    # One block's five draws and its (4, m) stack are about 5 MB; a (4, n)
-    # sample matrix would be 32 MB.
+    # One block of the five raw draws is about 0.3 MB; a (4, n) sample
+    # matrix would be 32 MB.
     params = ChannelParams(a=0.0, b=5.0, p1=1.0, p2=1.0)
     assert _peak_mb(degradedness_check, params, n_samples=1_000_000) <= 16.0
 
 
 def test_mc_rate_check_memory_is_bounded():
-    # One block's draws are about 2 MB; the received samples alone would be 8 MB.
+    # One block of the three raw draws and its input rows are about 0.3 MB;
+    # the received samples alone would be 8 MB.
     cov = [[1.0, 0.5], [0.5, 1.0]]
     assert _peak_mb(mc_rate_check, (5.0, 1.0), cov, n_samples=1_000_000) <= 4.0

@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cogregions import cli
 from cogregions.channel import ChannelParams, th3_threshold
 from cogregions.inner_bounds import beta_of_alpha, scheme_e_pentagon
 from cogregions.oracles import (
+    _degradedness_rows,
+    _psd_factor,
     degradedness_check,
     degradedness_checks,
     mc_rate_check,
@@ -150,6 +155,57 @@ def test_degradedness_check_validation():
     with pytest.raises(ValueError) as err:
         degradedness_check(ChannelParams(a=0.0, b=2.0, p1=1.0, p2=1.0), n_samples=99)
     assert str(err.value) == "n_samples must be at least 10000"
+
+
+# ---------------------------------------------------------- exact identities
+
+# The sampled checks' linear maps, checked without sampling: a sample
+# covariance of A g is A cov(g) A^T, so these identities are what the
+# sampled checks test up to sampling noise.
+
+_POWERS = st.sampled_from([0.0]) | st.floats(0.0, 10.0)
+
+
+def _cauchy_schwarz_gap(first: np.ndarray, second: np.ndarray) -> float:
+    """Largest ``|first - second|`` entry over ``sqrt(first_ii first_jj)``; 0 where both are 0."""
+    diag = np.diag(first)
+    scale = np.sqrt(np.outer(diag, diag))
+    diff = np.abs(first - second)
+    assert np.all(diff[scale == 0.0] == 0.0)
+    return float(np.max(diff / np.where(scale > 0.0, scale, 1.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 2.0),
+    st.sampled_from([1.0]) | st.floats(1.0, 20.0),
+    _POWERS,
+    _POWERS,
+    st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0),
+)
+def test_degradedness_rows_rebuild_receiver_1_exactly(a, b, p1, p2, rho):
+    # (X1, X2, Y1) and (X1, X2, Y1_rebuilt) have one Gram matrix: the
+    # rebuilt observation has receiver 1's joint law with the inputs.
+    rows = _degradedness_rows(ChannelParams(a=a, b=b, p1=p1, p2=p2), rho)
+    direct, rebuilt = rows[[0, 1, 2]], rows[[0, 1, 3]]
+    assert _cauchy_schwarz_gap(direct @ direct.T, rebuilt @ rebuilt.T) <= 1e-12
+
+
+# Nonzero powers stop at 1e-100: below about 1e-150 the squares inside
+# eigh underflow and the factor loses relative accuracy on a term that the
+# received variance 1 + h S h^T cannot show.
+_FACTORED_POWERS = st.sampled_from([0.0]) | st.floats(1e-100, 10.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 2.0), st.floats(0.0, 20.0), _FACTORED_POWERS, _FACTORED_POWERS)
+def test_mc_cases_weights_carry_the_closed_form_variance(a, b, p1, p2):
+    # |F^T h|^2 = h S h^T for the factor F F^T = S that the check samples
+    # through, so its received variance is 1 + h S h^T.
+    for name, gains, cov in cli._mc_cases(ChannelParams(a=a, b=b, p1=p1, p2=p2)):
+        h, cov = np.asarray(gains), np.asarray(cov)
+        weights = _psd_factor(cov).T @ h
+        assert math.isclose(weights @ weights, h @ cov @ h, rel_tol=1e-12, abs_tol=0.0), name
 
 
 # --------------------------------------------- sum-redundancy biconditionals
