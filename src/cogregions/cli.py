@@ -4,12 +4,13 @@ Subcommands: ``classify`` (regime flags as JSON), ``region`` (compute one
 bound/region frontier and export it), ``compare`` (containment and gap
 report for two frontiers), ``verify`` (oracle suites as JSON-lines reports),
 and ``fig3`` (inner/outer frontier pair at a fixed reference configuration
-with a gap report).  ``verify`` runs its checks one after another on the
-calling thread.  Its five Monte Carlo cases share one draw under the seed,
-and its two degradedness cases share another under the seed plus one.  Each
-pass keeps one running covariance of its raw normals and maps every case
-through its own coefficient matrix, so each sampled report is, byte for
-byte, its one-case oracle call with the report's own seed.
+with a gap report).  Each flag is declared once, in ``_FLAGS``; a command
+accepts exactly the flags it reads (``_COMMAND_FLAGS``) plus ``--config``,
+whose keys are those flags' names, so no input is silently ignored.
+``verify`` runs its checks one after another on the calling thread; its
+Monte Carlo cases share one draw under the seed and its degradedness cases
+another under the seed plus one, and each sampled report is, byte for byte,
+its one-case oracle call with the report's own seed.
 
 Every command is deterministic for fixed flags and seed: output files are
 byte-identical across re-runs and metadata carries no timestamps.
@@ -55,7 +56,6 @@ from .outer_bounds import (
 from .region_geometry import (
     Frontier,
     _abscissas_up_to,
-    concavify,
     contains,
     grid_axis,
     sweep_grid,
@@ -105,91 +105,98 @@ FIG3 = ChannelParams(a=0.01, b=10.0, p1=5.0, p2=5.0)
 # shrinks toward zero as the split grids are refined.
 FIG3_DOMINANCE_ALLOWANCE = 5e-3
 
-_DEFAULTS = {
-    "a": 0.0,
-    "b": 1.0,
-    "p1": 1.0,
-    "p2": 1.0,
-    "alpha_grid": DEFAULT_ALPHA_POINTS,
-    "beta_grid": DEFAULT_BETA_POINTS,
-    "split_grid": DEFAULT_SPLIT_POINTS,
-    "samples": 1_000_000,
-    "seed": 0,
-    "format": "csv",
-    "tol": 1e-9,
-    "out": None,
-}
-
-
-# The JSON type each config value must have; a JSON boolean is neither a
-# number nor an integer here.
-_CONFIG_TYPES = {
-    **dict.fromkeys(("a", "b", "p1", "p2", "tol"), ((int, float), "a number")),
-    **dict.fromkeys(
-        ("alpha_grid", "beta_grid", "split_grid", "samples", "seed"), (int, "an integer")
+# Every flag once: its default, its argparse keywords, and the JSON type its
+# config value must have with the "must be" wording (a JSON boolean is
+# neither a number nor an integer here).
+_NUMBER, _INTEGER = ((int, float), "a number"), (int, "an integer")
+_FLAGS = {
+    "a": (0.0, dict(type=float, help="cross gain at receiver 1"), _NUMBER),
+    "b": (1.0, dict(type=float, help="cross gain at receiver 2"), _NUMBER),
+    "p1": (1.0, dict(type=float, help="cognitive transmit power"), _NUMBER),
+    "p2": (1.0, dict(type=float, help="primary transmit power"), _NUMBER),
+    "alpha_grid": (
+        DEFAULT_ALPHA_POINTS,
+        dict(type=int, help="points on the outer-bound power-split grid"),
+        _INTEGER,
     ),
-    "format": (str, "a string"),
-    "out": ((str, type(None)), "a string or null"),
+    "beta_grid": (
+        DEFAULT_BETA_POINTS,
+        dict(type=int, help="points on the inner-bound power-split grid"),
+        _INTEGER,
+    ),
+    "split_grid": (
+        DEFAULT_SPLIT_POINTS,
+        dict(type=int, help="points per axis of the covariance-split grid"),
+        _INTEGER,
+    ),
+    "samples": (1_000_000, dict(type=int, help="Monte Carlo sample count"), _INTEGER),
+    "seed": (0, dict(type=int, help="RNG seed"), _INTEGER),
+    "format": ("csv", dict(choices=("csv", "json"), help="output format"), (str, "a string")),
+    "out": (
+        None,
+        dict(help="output path (default: stdout)"),
+        ((str, type(None)), "a string or null"),
+    ),
+    "tol": (1e-9, dict(type=float, help="containment tolerance of compare, in bits"), _NUMBER),
+}
+
+_POINT = ("a", "b", "p1", "p2")
+_GRIDS = ("alpha_grid", "beta_grid", "split_grid")
+
+# The flags each command reads; its config keys are the same names.
+_COMMAND_FLAGS = {
+    "classify": (*_POINT, "out"),
+    "region": (*_POINT, *_GRIDS, "format", "out"),
+    "compare": (*_POINT, *_GRIDS, "tol", "out"),
+    "verify": (*_POINT, "alpha_grid", "beta_grid", "samples", "seed", "out"),
+    "fig3": (*_GRIDS, "format", "out"),
 }
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--a", type=float, default=None, help="cross gain at receiver 1")
-    sub.add_argument("--b", type=float, default=None, help="cross gain at receiver 2")
-    sub.add_argument("--p1", type=float, default=None, help="cognitive transmit power")
-    sub.add_argument("--p2", type=float, default=None, help="primary transmit power")
-    sub.add_argument(
-        "--alpha-grid", type=int, default=None, dest="alpha_grid",
-        help="points on the outer-bound power-split grid",
-    )
-    sub.add_argument(
-        "--beta-grid", type=int, default=None, dest="beta_grid",
-        help="points on the inner-bound power-split grid",
-    )
-    sub.add_argument(
-        "--split-grid", type=int, default=None, dest="split_grid",
-        help="points per axis of the covariance-split grid",
-    )
-    sub.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--tol", type=float, default=None, help="comparison tolerance in bits")
+def _add_command(subs, name: str, func, help: str) -> argparse.ArgumentParser:
+    """Subcommand ``name`` with exactly the flags it reads, plus ``--config``.
+
+    Flags are spelled in full: an abbreviation would let fig3 take ``--b``
+    for ``--beta-grid``.
+    """
+    sub = subs.add_parser(name, help=help, allow_abbrev=False)
+    for key in _COMMAND_FLAGS[name]:
+        sub.add_argument("--" + key.replace("_", "-"), default=None, **_FLAGS[key][1])
     sub.add_argument("--config", default=None, help="JSON config file mirroring the flags")
+    sub.set_defaults(func=func)
+    return sub
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
-    cfg = dict(_DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
+def _resolve(args: argparse.Namespace, **defaults) -> dict:
+    """The command's defaults (``defaults`` over the table's), overlaid by the
+    config file, overlaid by explicit flags.  Only the command's keys are
+    accepted, and only given values are range-checked.
+    """
+    keys = _COMMAND_FLAGS[args.command]
+    given = {}
+    if args.config:
         try:
-            with open(config_path, encoding="utf-8") as handle:
-                loaded = json.load(handle)
+            with open(args.config, encoding="utf-8") as handle:
+                given = json.load(handle)
         except OSError as exc:
-            raise ValueError(f"cannot read config {config_path}: {exc.strerror}") from exc
-        if not isinstance(loaded, dict):
+            raise ValueError(f"cannot read config {args.config}: {exc.strerror}") from exc
+        if not isinstance(given, dict):
             raise ValueError("config must be a JSON object")
-        unknown = sorted(set(loaded) - set(_DEFAULTS))
+        unknown = sorted(set(given) - set(keys))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in loaded.items():
-            types, kind = _CONFIG_TYPES[key]
+        for key, value in given.items():
+            types, kind = _FLAGS[key][2]
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ValueError(f"{key} must be {kind}, got {value!r}")
-        cfg.update(loaded)
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    for key in ("alpha_grid", "beta_grid", "split_grid"):
-        if cfg[key] < 2:
-            raise ValueError("grid resolution must be at least 2")
-    if cfg["samples"] < 1:
+    given.update({key: v for key in keys if (v := getattr(args, key)) is not None})
+    if any(given.get(key, 2) < 2 for key in _GRIDS):
+        raise ValueError("grid resolution must be at least 2")
+    if given.get("samples", 1) < 1:
         raise ValueError("sample count must be at least 1")
-    if cfg["format"] not in ("csv", "json"):
-        raise ValueError(f"unknown format: {cfg['format']}")
-    return cfg
+    if given.get("format", "csv") not in ("csv", "json"):
+        raise ValueError(f"unknown format: {given['format']}")
+    return {key: _FLAGS[key][0] for key in keys} | defaults | given
 
 
 def _params(cfg: dict) -> ChannelParams:
@@ -394,19 +401,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+    cfg = _resolve(args, split_grid="tuned")
     params = FIG3
-    # Densify the first power-fraction axis: the outer frontier's right edge
-    # is produced by splits in a thin boundary layer near alpha1 = 1.
-    if args.split_grid is None:
-        split = (sweep_grid(401), 21, 5, 21)
-    else:
-        split = cfg["split_grid"]
-    alpha_axis = sweep_grid(cfg["alpha_grid"])
-    beta_axis = sweep_grid(cfg["beta_grid"])
-
-    outer = th1_bound(params, split_grid=split, alpha_grid=alpha_axis)
-    inner = concavify(scheme_e_region(params, beta_grid=beta_axis))
+    # The tuned default densifies the first power-fraction axis: the outer
+    # frontier's right edge is produced by splits in a thin boundary layer
+    # near alpha1 = 1.
+    split = cfg["split_grid"]
+    pair = capacity_region(
+        params,
+        alpha_grid=sweep_grid(cfg["alpha_grid"]),
+        beta_grid=sweep_grid(cfg["beta_grid"]),
+        split_grid=(sweep_grid(401), 21, 5, 21) if split == "tuned" else split,
+    )
+    outer, inner = pair.outer, pair.frontier
 
     plot_top = float(gaussian_rate(params.p1))
     xs, gap = _gap(outer, inner, min(plot_top, inner.max_r1, outer.max_r1))
@@ -448,7 +455,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
             "grids": {
                 "alpha": cfg["alpha_grid"],
                 "beta": cfg["beta_grid"],
-                "split": "tuned" if args.split_grid is None else cfg["split_grid"],
+                "split": split,
             },
         }
         path = f"{prefix}_{name}.{cfg['format']}"
@@ -468,30 +475,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("classify", help="interference-regime flags as JSON")
-    _add_common_flags(sub)
-    sub.set_defaults(func=cmd_classify)
-
-    sub = subs.add_parser("region", help="compute one bound/region frontier")
+    _add_command(subs, "classify", cmd_classify, "interference-regime flags as JSON")
+    sub = _add_command(subs, "region", cmd_region, "compute one bound/region frontier")
     sub.add_argument("--bound", choices=BOUNDS, required=True)
-    _add_common_flags(sub)
-    sub.set_defaults(func=cmd_region)
-
-    sub = subs.add_parser("compare", help="containment and gap report for two frontiers")
+    sub = _add_command(
+        subs, "compare", cmd_compare, "containment and gap report for two frontiers"
+    )
     sub.add_argument("first", choices=BOUNDS)
     sub.add_argument("second", choices=BOUNDS)
-    _add_common_flags(sub)
-    sub.set_defaults(func=cmd_compare)
-
-    sub = subs.add_parser("verify", help="run an oracle suite, JSON-lines reports")
+    sub = _add_command(subs, "verify", cmd_verify, "run an oracle suite, JSON-lines reports")
     sub.add_argument("suite", choices=SUITES, nargs="?", default="all")
-    _add_common_flags(sub)
-    sub.set_defaults(func=cmd_verify)
-
-    sub = subs.add_parser("fig3", help="reference inner/outer frontier pair + gap report")
-    _add_common_flags(sub)
-    sub.set_defaults(func=cmd_fig3)
-
+    _add_command(subs, "fig3", cmd_fig3, "reference inner/outer frontier pair + gap report")
     return parser
 
 

@@ -247,12 +247,18 @@ def _split_forms(params: ChannelParams, alpha1, alpha2, rho1, rho2):
     q2_layer1, q2_layer2)``: the power of each layer seen at each receiver.
     The total input power at receiver 2 is ``q2_layer1 + q2_layer2`` since
     the form is linear in the covariance.
+
+    Each form is clamped at zero.  The layer covariances are PSD, so a
+    negative value is only rounding: where a rank-one layer (``|rho| = 1``)
+    nearly cancels, the expanded form can come out near ``-eps * power``,
+    and below ``-1`` the rate's ``log1p`` would be NaN.
     """
     a, b = params.a, params.b
     layer1, layer2 = _layer_entries(params.p1, params.p2, alpha1, alpha2, rho1, rho2)
 
     def form(h1, h2, m11, m22, m12):
-        return h1 * h1 * m11 + 2.0 * h1 * h2 * m12 + h2 * h2 * m22
+        q = h1 * h1 * m11 + 2.0 * h1 * h2 * m12 + h2 * h2 * m22
+        return np.maximum(q, 0.0, out=q if isinstance(q, np.ndarray) else None)
 
     return (
         form(1.0, a, *layer1),

@@ -505,8 +505,7 @@ def _monotone_chain(x, y, hull_x, hull_y):
 # settle in 2 to 6 rounds.  A round peels only one point off a dent (a
 # concave run that a later point pops one by one), so a dent of m points
 # would cost m rounds over the whole sequence; and the staircases that still
-# change after a few rounds are mostly made of segments that would need a
-# replay anyway.
+# change after a few rounds mostly fail the certificate anyway.
 _CANDIDATE_ROUNDS = 8
 
 
@@ -536,14 +535,11 @@ def _concave_chain(x: np.ndarray, y: np.ndarray):
        ``h_{-1}`` for ``t = 0``) and ``T(h_t, k - 1, k)`` is true for every
        ``k`` in it but the first: then each point is pushed onto ``h_t``
        and popped by the next one, and the run ends on
-       ``[h_{t-1}, h_t, h_{t+1}]``.  One vectorized pass decides this for
-       every segment.  Each segment that is not simple is replayed by
-       :func:`_monotone_chain` from that stack, and must end on it plus
-       ``h_{t+1}``; as x rises strictly, a replay that pops ``h_t`` cannot.
-       Then the stack holds ``h_0 .. h_{t+1}`` right after ``h_{t+1}`` is
-       pushed, and by induction over ``t`` the chain ends on exactly
-       ``h``.  If a replay ends anywhere else, the candidate is wrong, and
-       the whole sequence runs through :func:`_monotone_chain` instead.
+       ``[h_{t-1}, h_t, h_{t+1}]``, so the stack holds ``h_0 .. h_{t+1}``
+       right after ``h_{t+1}`` is pushed.  One vectorized pass decides
+       this for every segment.  If all are simple, by induction over ``t``
+       the chain ends on exactly ``h``; otherwise the whole sequence runs
+       through :func:`_monotone_chain` instead.
 
     The vectorized test and the loop evaluate ``T`` with the same
     operations in the same order, so no decision and no output bit differs
@@ -572,23 +568,7 @@ def _concave_chain(x: np.ndarray, y: np.ndarray):
         ax, ay = np.repeat(hx[:-2], counts[1:]), np.repeat(hy[:-2], counts[1:])
         c = h[1]
         bad[c:] |= _pops(ax, ay, bx[c:], by[c:], x[c + 1 :], y[c + 1 :])
-    if not bad.any():
-        return hx, hy
-
-    xs, ys, hs = x.tolist(), y.tolist(), h.tolist()
-    segments = np.searchsorted(h, np.flatnonzero(bad) + 1) - 1
-    for t in dict.fromkeys(segments.tolist()):
-        base = hs[max(t - 1, 0) : t + 1]
-        start, stop = hs[t] + 1, hs[t + 1] + 1
-        stack_x, _ = _monotone_chain(
-            xs[start:stop],
-            ys[start:stop],
-            [xs[i] for i in base],
-            [ys[i] for i in base],
-        )
-        if len(stack_x) != len(base) + 1 or stack_x[-2] != xs[hs[t]]:
-            return _whole_chain(x, y)
-    return hx, hy
+    return _whole_chain(x, y) if bad.any() else (hx, hy)
 
 
 def _whole_chain(x: np.ndarray, y: np.ndarray):

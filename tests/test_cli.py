@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config overlay, file outputs."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -295,7 +296,7 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
 def test_config_validates_values(capsys, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"format": "xml"}))
-    code, _, err = run(capsys, "classify", "--config", str(config))
+    code, _, err = run(capsys, "region", "--bound", "unifying", "--config", str(config))
     assert code == 2
     assert err.strip() == "error: unknown format: xml"
     config.write_text(json.dumps({"samples": 0}))
@@ -303,22 +304,83 @@ def test_config_validates_values(capsys, tmp_path):
     assert code == 2
     assert err.strip() == "error: sample count must be at least 1"
     # Values of the wrong type exit 2 with a message, not a traceback.
-    for loaded, message in (
-        ({"alpha_grid": [0, 0.5, 1]}, "alpha_grid must be an integer, got [0, 0.5, 1]"),
-        ({"split_grid": True}, "split_grid must be an integer, got True"),
-        ({"samples": 20000.0}, "samples must be an integer, got 20000.0"),
-        ({"a": [1]}, "a must be a number, got [1]"),
-        ({"out": 5}, "out must be a string or null, got 5"),
-        ([1, 2], "config must be a JSON object"),
+    verify, fig3 = ("verify", "mc"), ("fig3",)
+    for command, loaded, message in (
+        (verify, {"alpha_grid": [0, 0.5, 1]}, "alpha_grid must be an integer, got [0, 0.5, 1]"),
+        (fig3, {"split_grid": True}, "split_grid must be an integer, got True"),
+        (verify, {"samples": 20000.0}, "samples must be an integer, got 20000.0"),
+        (verify, {"a": [1]}, "a must be a number, got [1]"),
+        (verify, {"out": 5}, "out must be a string or null, got 5"),
+        (verify, [1, 2], "config must be a JSON object"),
     ):
         config.write_text(json.dumps(loaded))
-        code, _, err = run(capsys, "verify", "mc", "--config", str(config))
+        code, _, err = run(capsys, *command, "--config", str(config))
         assert code == 2
         assert err.strip() == f"error: {message}"
     missing = tmp_path / "missing.json"
     code, _, err = run(capsys, "classify", "--config", str(missing))
     assert code == 2
     assert err.strip() == f"error: cannot read config {missing}: No such file or directory"
+
+
+# The flags each command reads, besides --config, as README lists them.
+COMMAND_FLAGS = {
+    "classify": "--a --b --p1 --p2 --out",
+    "region": "--a --b --p1 --p2 --alpha-grid --beta-grid --split-grid --format --out",
+    "compare": "--a --b --p1 --p2 --alpha-grid --beta-grid --split-grid --tol --out",
+    "verify": "--a --b --p1 --p2 --alpha-grid --beta-grid --samples --seed --out",
+    "fig3": "--alpha-grid --beta-grid --split-grid --format --out",
+}
+
+# The positional arguments, or required flags, each command needs.
+COMMAND_ARGS = {
+    "classify": [],
+    "region": ["--bound", "unifying"],
+    "compare": ["bergmans", "unifying"],
+    "verify": ["cond5"],
+    "fig3": [],
+}
+
+# A valid value of every settable flag, by config key.
+FLAG_VALUES = {
+    "a": 0.5, "b": 2.0, "p1": 1.5, "p2": 2.5, "alpha_grid": 51, "beta_grid": 51,
+    "split_grid": 5, "samples": 20000, "seed": 3, "format": "json", "out": "x.json",
+    "tol": 0.001,
+}
+
+
+def test_each_command_accepts_exactly_the_flags_it_reads(capsys, tmp_path):
+    # Every command x flag pair: a flag the command reads reaches its
+    # configuration, from the command line and from a config file; any other
+    # flag exits 2, and so does the same key in a config file.  Flags are not
+    # abbreviated, or fig3 would take --a and --b for its grid flags.
+    parser = cli._build_parser()
+    subs = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(subs.choices) == set(COMMAND_FLAGS)
+    config = tmp_path / "cfg.json"
+    for command, reads in COMMAND_FLAGS.items():
+        options = {opt for action in subs.choices[command]._actions
+                   for opt in action.option_strings}
+        assert options - {"-h", "--help", "--bound"} == {*reads.split(), "--config"}
+        for key, value in FLAG_VALUES.items():
+            flag = "--" + key.replace("_", "-")
+            argv = [command, *COMMAND_ARGS[command], flag, str(value)]
+            config.write_text(json.dumps({key: value}))
+            from_config = [command, *COMMAND_ARGS[command], "--config", str(config)]
+            if flag in reads.split():
+                assert cli._resolve(parser.parse_args(argv))[key] == value
+                assert cli._resolve(parser.parse_args(from_config))[key] == value
+                continue
+            with pytest.raises(SystemExit) as stopped:
+                main(argv)
+            assert stopped.value.code == 2
+            err = capsys.readouterr().err
+            assert f"error: unrecognized arguments: {flag} {value}" in err
+            code, out, err = run(capsys, *from_config)
+            assert (code, out, err) == (2, "", f"error: unknown config keys: {key}\n")
 
 
 # ----------------------------------------------------------------- compare
@@ -734,6 +796,22 @@ def test_fig3_reference_pair(capsys, tmp_path):
         "stdout": "98198eac7d767062",
     }
     assert (tmp_path / "fig_gap.json").read_text() == out
+
+
+def test_fig3_split_grid_from_config_matches_the_flag(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"split_grid": 3}))
+    runs = []
+    for name, source in (("flag", ["--split-grid", "3"]), ("config", ["--config", str(config)])):
+        folder = tmp_path / name
+        folder.mkdir()
+        code, out, _ = run(capsys, "fig3", "--alpha-grid", "51", "--beta-grid", "51",
+                           *source, "--out", str(folder / "fig"))
+        files = {path.name: path.read_bytes() for path in folder.iterdir()}
+        runs.append((code, out, files))
+    assert runs[0] == runs[1]
+    assert len(runs[0][2]) == 5
+    assert json.loads(runs[0][2]["fig_outer.meta.json"])["grids"]["split"] == 3
 
 
 def test_cli_never_imports_numpy_ma(tmp_path):

@@ -232,6 +232,21 @@ def test_capacity_open_weak_cross_gain_uses_private_rates_bound():
     assert report.passed, report.worst_case
 
 
+@pytest.mark.parametrize("e", [17, 18, 40, 140, 150, 152])
+def test_capacity_open_at_huge_powers_where_a_split_form_cancels(e):
+    # At a = 0.3, b = 2, p1 = p2 = 10**e a rank-one layer's quadratic form
+    # cancels exactly on split-grid points.  Its rounding, about -eps times
+    # the power, is clamped at zero instead of sending log1p to NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = capacity_region(ChannelParams(a=0.3, b=2.0, p1=10.0**e, p2=10.0**e))
+    assert result.regime == "open_strong"
+    for frontier in (result.frontier, result.outer):
+        for rates in (frontier.r1, frontier.r2):
+            assert np.all(np.isfinite(rates))
+            assert np.all(rates >= 0.0)
+
+
 def test_capacity_open_without_primary_power():
     result = capacity_region(
         ChannelParams(a=0.5, b=10.0, p1=5.0, p2=0.0), split_grid=9

@@ -481,13 +481,13 @@ def test_witness_prefilter_keeps_the_staircase_bitwise(cloud, stride):
 
 
 # Staircases from a seeded search over random clouds.  In the first, one
-# segment between candidate hull vertices is not simple, so the chain kernel
-# replays it from its two-point stack.  In the second, near-collinear, that
-# replay pops the vertex it starts from, so the whole sequence runs through
-# the sequential loop.  In the third, also near-collinear, each point of every
-# segment pops its predecessor, but one point would pop the vertex that starts
-# its segment: only that test sends the segment to a replay.
-_REPLAYED = (
+# segment between candidate hull vertices is not simple.  In the second,
+# near-collinear, the loop over that segment would pop the vertex it starts
+# from.  In the third, also near-collinear, each point of every segment pops
+# its predecessor, but one point would pop the vertex that starts its
+# segment: only that test fails the segment.  Each time the chain kernel
+# runs the whole sequence through the sequential loop.
+_ONE_SEGMENT = (
     [0.0, 0.06555800041283832, 0.46148527862338673, 0.8345174520624182,
      2.7092224775834413],
     [2.458388151696552, 2.458388151696552, 2.1437331325260245,
@@ -510,12 +510,10 @@ _POPS_ITS_VERTEX = (
 @pytest.mark.parametrize(
     "cloud, loops",
     [
-        # One replay: a two-point stack, then the segment's three points.
-        (_REPLAYED, [(2, 3)]),
-        # The same replay, then the loop over all points after the first.
-        (_WHOLE_LOOP, [(2, 3), (1, 4)]),
-        # A replay of a two-point segment, then the whole loop.
-        (_POPS_ITS_VERTEX, [(2, 2), (1, 5)]),
+        # One loop from the first point over all the others.
+        (_ONE_SEGMENT, [(1, 4)]),
+        (_WHOLE_LOOP, [(1, 4)]),
+        (_POPS_ITS_VERTEX, [(1, 5)]),
     ],
 )
 def test_chain_kernel_replay_and_whole_loop_paths(cloud, loops):
