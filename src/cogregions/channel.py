@@ -36,6 +36,11 @@ class ChannelParams:
     receiver 2 (stored as a magnitude; only ``|b|`` enters any rate
     expression).  ``p1`` and ``p2`` are linear transmit powers.  Noise
     variances are fixed at 1 by the canonical form and are not fields.
+
+    The rate expressions multiply a squared gain by both powers (the cross
+    term ``b^2 p1 p2`` under a square root, for one) and add such terms, so
+    an instance is rejected with ``ValueError`` unless ``16 max(1, a^2, b^2)
+    max(1, p1) max(1, p2)`` is finite: about ``1.1e307`` is the limit.
     """
 
     a: float
@@ -54,6 +59,12 @@ class ChannelParams:
             raise ValueError("cross gain a must be nonnegative (real-valued model)")
         if self.p1 < 0 or self.p2 < 0:
             raise ValueError("powers p1, p2 must be nonnegative")
+        gain2 = max(1.0, self.a * self.a, self.b * self.b)
+        if not math.isfinite(16.0 * gain2 * max(1.0, self.p1) * max(1.0, self.p2)):
+            raise ValueError(
+                "gains and powers too large: 16 max(1, a^2, b^2) max(1, p1) "
+                "max(1, p2) must be finite"
+            )
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,8 @@ with a gap report).  Each flag is declared once, in ``_FLAGS``; a command
 accepts exactly the flags it reads (``_COMMAND_FLAGS``) plus ``--config``,
 whose keys are those flags' names, so no input is silently ignored.
 ``verify`` runs its checks one after another on the calling thread; its
-Monte Carlo cases share one draw under the seed and its degradedness cases
-another under the seed plus one, and each sampled report is, byte for byte,
-its one-case oracle call with the report's own seed.
+Monte Carlo and degradedness cases share one draw under the seed, and each
+sampled report is, byte for byte, its one-case oracle call with that seed.
 
 Every command is deterministic for fixed flags and seed: output files are
 byte-identical across re-runs and metadata carries no timestamps.
@@ -37,8 +36,7 @@ from .inner_bounds import (
     scheme_e_region,
 )
 from .oracles import (
-    degradedness_checks,
-    mc_rate_checks,
+    _sampled_checks,
     verify_condition5,
     verify_condition6,
     verify_th3_capacity,
@@ -151,6 +149,17 @@ _COMMAND_FLAGS = {
     "verify": (*_POINT, "alpha_grid", "beta_grid", "samples", "seed", "out"),
     "fig3": (*_GRIDS, "format", "out"),
 }
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: an argument it does not take is a usage error
+    under its own usage line, not handed back to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
 
 
 def _add_command(subs, name: str, func, help: str) -> argparse.ArgumentParser:
@@ -358,20 +367,21 @@ def _mc_cases(params: ChannelParams) -> list:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run a suite's checks in order; notes go to stderr as they come.
 
-    The Monte Carlo cases draw under ``seed`` and the degradedness cases
-    under ``seed + 1``, so the two draws share no random stream.  The first
-    error ends the run, after the notes before it.
+    The Monte Carlo and degradedness cases share one draw under ``seed``:
+    the Monte Carlo cases read its first three streams, so each report is
+    the one its own suite gives.  The first error ends the run, after the
+    notes before it.
     """
     cfg = _resolve(args)
     params = _params(cfg)
     suite = args.suite
-    n, seed = int(cfg["samples"]), int(cfg["seed"])
+    mc_cases = _mc_cases(params) if suite in ("mc", "all") else None
+    degraded = suite == "degraded" or (suite == "all" and params.b >= 1.0)
     reports = []
-    if suite in ("mc", "all"):
-        reports += mc_rate_checks(_mc_cases(params), n, seed)
-    if suite == "degraded" or (suite == "all" and params.b >= 1.0):
-        reports += degradedness_checks(params, n, seed + 1, (0.0, 0.7))
-    elif suite == "all":
+    if mc_cases or degraded:
+        rhos = (0.0, 0.7) if degraded else None
+        reports += _sampled_checks(mc_cases, params, rhos, cfg["samples"], cfg["seed"])
+    if suite == "all" and not degraded:
         print("skipping degraded: needs |b| >= 1", file=sys.stderr)
     if suite in ("cond5", "all"):
         reports.append(
@@ -473,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Capacity bounds for the Gaussian cognitive interference channel.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     _add_command(subs, "classify", cmd_classify, "interference-regime flags as JSON")
     sub = _add_command(subs, "region", cmd_region, "compute one bound/region frontier")

@@ -7,15 +7,19 @@ the condition sweeps brute-force the redundancy of sum constraints against
 their claimed thresholds.  Every report is deterministic for a fixed seed.
 Every sampled quantity is a fixed linear map of a few independent standard
 normals, and a sample covariance commutes with linear maps: the covariance
-of ``A g`` is ``A cov(g) A^T`` exactly, centring included.  So each sampled
+of ``A g`` is ``A cov(g) A^T`` exactly, centring included.  So a sampled
 pass keeps one running covariance of its raw normals, drawn in blocks of at
 most ``_BLOCK`` samples so that no buffer spans them all, and maps every
-case through its own coefficient matrix.  Each raw variable has a child
-stream of its own, so its draws do not depend on the block size, which
-reaches a report only through summation order.  ``mc_rate_checks`` and
-``degradedness_checks`` run several cases on one draw (common random
-numbers); each of their reports equals, bit for bit, the one-case call with
-the same seed.
+case through its own coefficient matrix.  Raw variable ``i`` is child
+stream ``i`` of ``SeedSequence(seed)``: the Monte Carlo cases read streams
+``0..k`` (their ``k`` inputs, then the noise), the degradedness cases
+streams ``0..4``.  Each stream's draws depend on neither the block size nor
+the other streams, and each entry of the running covariance on its own two
+rows only, so the Monte Carlo cases read the same bits from the top-left
+block of a pass that also serves the degradedness cases.  ``verify`` makes
+one such pass; ``mc_rate_checks`` and ``degradedness_checks`` run several
+cases of one suite on one draw (common random numbers), and each of their
+reports equals, bit for bit, the one-case call with the same seed.
 
 Discrepancies are reported in units that make ``passed iff max_discrepancy
 <= tolerance`` hold exactly: standard-error multiples for sampled checks,
@@ -115,12 +119,18 @@ def mc_rate_checks(cases, n_samples: int = 1_000_000, seed: int = 0) -> list:
     """:func:`mc_rate_check` of several cases on one draw of inputs and noise.
 
     ``cases`` holds ``(name, gains, cov)`` triples whose gain vectors have
-    one length.  Every case reads the same sampled inputs and noise (common
-    random numbers), so the draws cost what one case's do, and each report
-    is, bit for bit, ``mc_rate_check(gains, cov, n_samples, seed, name)``:
-    a case reads only the shared sample covariance and its own gains.
+    one length ``k``.  Every case reads the same sampled inputs and noise
+    (common random numbers), child streams ``0..k`` of ``SeedSequence(seed)``,
+    so the draws cost what one case's do, and each report is, bit for bit,
+    ``mc_rate_check(gains, cov, n_samples, seed, name)``: a case reads only
+    the shared sample covariance and its own gains.
     """
-    n = int(n_samples)
+    return _sampled_checks(cases, None, None, n_samples, seed)
+
+
+def _mc_rows(cases, n: int) -> list:
+    """Checked ``(name, h, cov, r)`` of each case, ``r = (F^T h, 1)`` its row of
+    the raw variables: the ``k`` standard-normal inputs, then the noise."""
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
     prepared = []
@@ -136,41 +146,63 @@ def mc_rate_checks(cases, n_samples: int = 1_000_000, seed: int = 0) -> list:
         if not np.array_equal(cov, cov.T):
             raise ValueError("covariance must be symmetric")
         prepared.append((name, h, cov, np.append(_psd_factor(cov).T @ h, 1.0)))
-    sizes = {h.size for _, h, _, _ in prepared}
-    if len(sizes) != 1:
+    if len({h.size for _, h, _, _ in prepared}) != 1:
         raise ValueError("cases must be one or more, with gain vectors of one length")
-    (k,) = sizes
+    return prepared
 
-    # The raw variables are the k standard-normal inputs and the noise, each
-    # from a stream of its own; a case receives (F^T h, 1) . raw.
-    inputs, noise = np.random.default_rng(seed).spawn(2)
-    rows = np.empty((min(_BLOCK, n), k))
+
+def _mc_report(name, h, cov, estimate: float, n: int, seed: int) -> VerificationReport:
+    """:func:`mc_rate_check`'s report from the sampled variance ``estimate``."""
+    target = float(1.0 + h @ cov @ h)
+    # Sample variance of Gaussian data has variance 2 sigma^4 / (n - 1).
+    stderr = target * math.sqrt(2.0 / (n - 1))
+    discrepancy = abs(estimate - target) / stderr
+    return VerificationReport(
+        name=name,
+        passed=bool(discrepancy <= 5.0),
+        max_discrepancy=float(discrepancy),
+        tolerance=5.0,
+        n=n,
+        seed=int(seed),
+        worst_case={"closed_form": target, "estimate": estimate},
+    )
+
+
+def _sampled_checks(mc_cases, params, input_rhos, n_samples: int, seed: int) -> list:
+    """``mc_rate_checks(mc_cases)`` then ``degradedness_checks(params,
+    input_rhos)``, on one draw; a suite whose cases are None is skipped.
+
+    Raw variable ``i`` is child stream ``i`` of ``SeedSequence(seed)``: the
+    Monte Carlo cases read streams ``0..k``, the degradedness cases streams
+    ``0..4`` as ``(g1, g2, z1, z2, z0)``.  One running covariance of as many
+    streams as either suite reads serves both, and each suite maps its
+    top-left block, which is bit for bit the covariance its own pass draws:
+    each stream draws its rows alone, and each sum of products reads only
+    its own two rows.  Both suites' arguments are checked before drawing.
+    """
+    n = int(n_samples)
+    mc = [] if mc_cases is None else _mc_rows(mc_cases, n)
+    rhos = [] if input_rhos is None else _checked_rhos(params, n, input_rhos)
+    k1 = mc[0][3].size if mc else 0
+    d = max(k1, 5 if rhos else 0)
+    streams = np.random.default_rng(seed).spawn(d)
 
     def draw(block):
-        x = rows[: block.shape[1]]
-        inputs.standard_normal(out=x)
-        block[:k] = x.T
-        noise.standard_normal(out=block[k])
+        for stream, row in zip(streams, block):
+            stream.standard_normal(out=row)
 
-    raw = _sample_cov(draw, k + 1, n)
-    reports = []
-    for name, h, cov, r in prepared:
-        estimate = float(r @ raw @ r)
-        target = float(1.0 + h @ cov @ h)
-        # Sample variance of Gaussian data has variance 2 sigma^4 / (n - 1).
-        stderr = target * math.sqrt(2.0 / (n - 1))
-        discrepancy = abs(estimate - target) / stderr
-        reports.append(
-            VerificationReport(
-                name=name,
-                passed=bool(discrepancy <= 5.0),
-                max_discrepancy=float(discrepancy),
-                tolerance=5.0,
-                n=n,
-                seed=int(seed),
-                worst_case={"closed_form": target, "estimate": estimate},
-            )
-        )
+    raw = _sample_cov(draw, d, n)
+    # Each suite reads the top-left block of its own streams, laid out as
+    # its own pass lays out the whole covariance.
+    mc_raw = np.ascontiguousarray(raw[:k1, :k1])
+    degraded_raw = np.ascontiguousarray(raw[:5, :5])
+    reports = [
+        _mc_report(name, h, cov, float(r @ mc_raw @ r), n, seed) for name, h, cov, r in mc
+    ]
+    for rho in rhos:
+        rows = _degradedness_rows(params, rho)
+        cov = rows @ degraded_raw @ rows.T
+        reports.append(_degradedness_report(params, n, seed, rho, cov))
     return reports
 
 
@@ -218,14 +250,19 @@ def degradedness_checks(
     """:func:`degradedness_check` at several input correlations on one draw.
 
     The cases read the same five sampled variables (common random
-    numbers), so the draws cost what one case's do, and the report for
-    ``rho`` in ``input_rhos`` is, bit for bit, ``degradedness_check(params,
-    n_samples, seed, rho)``: a case reads only the shared sample covariance
-    and its own rows.
+    numbers), child streams ``0..4`` of ``SeedSequence(seed)``, so the
+    draws cost what one case's do, and the report for ``rho`` in
+    ``input_rhos`` is, bit for bit, ``degradedness_check(params, n_samples,
+    seed, rho)``: a case reads only the shared sample covariance and its
+    own rows.
     """
+    return _sampled_checks(None, params, input_rhos, n_samples, seed)
+
+
+def _checked_rhos(params: ChannelParams, n: int, input_rhos) -> list:
+    """``input_rhos`` as floats, once the construction's arguments check out."""
     if params.b < 1.0:
         raise ValueError("construction requires |b| ≥ 1")
-    n = int(n_samples)
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_MC_SAMPLES}")
     rhos = [float(rho) for rho in input_rhos]
@@ -234,20 +271,7 @@ def degradedness_checks(
     for rho in rhos:
         if not -1.0 <= rho <= 1.0:
             raise ValueError(f"input_rho must lie in [-1, 1], got {rho}")
-
-    # The raw variables are (g1, g2, z1, z2, z0), each from a stream of its own.
-    streams = np.random.default_rng(seed).spawn(5)
-
-    def draw(block):
-        for stream, row in zip(streams, block):
-            stream.standard_normal(out=row)
-
-    raw = _sample_cov(draw, 5, n)
-    reports = []
-    for rho in rhos:
-        rows = _degradedness_rows(params, rho)
-        reports.append(_degradedness_report(params, n, seed, rho, rows @ raw @ rows.T))
-    return reports
+    return rhos
 
 
 def _degradedness_rows(params: ChannelParams, rho: float) -> np.ndarray:

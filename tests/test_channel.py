@@ -38,6 +38,16 @@ def test_params_reject_non_finite():
         ChannelParams(a=math.nan, b=1.0, p1=1.0, p2=1.0)
 
 
+def test_params_reject_products_that_overflow():
+    # 16 max(1, a^2, b^2) max(1, p1) max(1, p2) must be finite.
+    assert ChannelParams(a=0.0, b=1.0, p1=1e307, p2=1.0).p1 == 1e307
+    assert ChannelParams(a=0.0, b=10.0, p1=1e150, p2=1e150).b == 10.0
+    for a, b, p1, p2 in [(0.0, 1.0, 1.2e307, 1.0), (0.0, 10.0, 1e153, 1e153),
+                         (1e154, 0.0, 1.0, 1.0), (0.0, 2.0, 1e200, 1e200)]:
+        with pytest.raises(ValueError, match="gains and powers too large"):
+            ChannelParams(a=a, b=b, p1=p1, p2=p2)
+
+
 def test_gaussian_rate_matches_log2_and_broadcasts():
     assert abs(gaussian_rate(1.0) - 1.0) <= 1e-15
     assert abs(gaussian_rate(16.0) - math.log2(17.0)) <= 1e-12

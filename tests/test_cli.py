@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import cogregions
-from cogregions import cli
+from cogregions import cli, oracles
 from cogregions.channel import ChannelParams, th3_threshold
 from cogregions.cli import main
 from cogregions.oracles import (
+    _psd_factor,
     degradedness_check,
     mc_rate_check,
     verify_condition5,
@@ -377,8 +378,12 @@ def test_each_command_accepts_exactly_the_flags_it_reads(capsys, tmp_path):
             with pytest.raises(SystemExit) as stopped:
                 main(argv)
             assert stopped.value.code == 2
+            # The command reports it under its own usage line.
             err = capsys.readouterr().err
-            assert f"error: unrecognized arguments: {flag} {value}" in err
+            assert err.startswith(f"usage: cogregions {command} [-h]")
+            assert err.endswith(
+                f"cogregions {command}: error: unrecognized arguments: {flag} {value}\n"
+            )
             code, out, err = run(capsys, *from_config)
             assert (code, out, err) == (2, "", f"error: unknown config keys: {key}\n")
 
@@ -563,8 +568,7 @@ def test_verify_mc_reports_are_json_lines(capsys):
 def _sequential_lines(a, b, p1, p2, n, seed, suite):
     """The reports of ``verify SUITE`` from the public oracles, one by one.
 
-    The Monte Carlo cases all draw under ``seed``, the degradedness cases
-    under ``seed + 1``.
+    The Monte Carlo and degradedness cases all draw under ``seed``.
     """
     params = ChannelParams(a=a, b=b, p1=p1, p2=p2)
 
@@ -585,8 +589,8 @@ def _sequential_lines(a, b, p1, p2, n, seed, suite):
         reports += [mc_rate_check(h, cov, n_samples=n, seed=seed, name=name)
                     for name, h, cov in cases]
     if suite == "degraded" or (suite == "all" and b >= 1.0):
-        reports.append(degradedness_check(params, n, seed + 1))
-        reports.append(degradedness_check(params, n, seed + 1, input_rho=0.7))
+        reports.append(degradedness_check(params, n, seed))
+        reports.append(degradedness_check(params, n, seed, input_rho=0.7))
     if suite == "all":
         reports.append(verify_condition5(p1, p2, b, 1001))
         reports.append(verify_condition6(p1, p2, b, 1001))
@@ -617,29 +621,40 @@ def test_verify_reports_match_one_by_one_oracle_calls(capsys, suite, a, b, err):
     assert code == (0 if all(json.loads(line)["passed"] for line in out.splitlines()) else 1)
 
 
-@pytest.mark.parametrize("seed", [0, 4])
-def test_verify_passes_share_no_random_stream(capsys, seed):
-    # A sampled report with seed s draws from the children of
-    # SeedSequence(s): two for the Monte Carlo cases (inputs, noise), five
-    # for the degradedness cases.  Within a pass the cases share their
-    # streams; across the passes no stream may repeat, or the two passes
-    # would not be independent checks.
-    code, out, _ = run(capsys, "verify", "all", "--a", "0", "--b", "3",
-                       "--samples", "10000", "--seed", str(seed))
-    assert code == 0
-    reports = [json.loads(line) for line in out.splitlines()]
+@pytest.mark.parametrize("seed", [0, 4, 11])
+@pytest.mark.parametrize("block, n", [(1, 10_000), (97, 10_001), (None, 65_537)])
+def test_verify_all_draws_both_sampled_suites_at_once(capsys, monkeypatch, seed, block, n):
+    # verify all makes one sampling pass for both sampled suites.  Its
+    # Monte Carlo lines are, byte for byte, those of verify mc and its
+    # degradedness lines those of verify degraded, with one-row blocks,
+    # ragged ones, and the default block (8 whole blocks and a one-row one).
+    if block is not None:
+        monkeypatch.setattr(oracles, "_BLOCK", block)
+    point = ["--a", "0.3", "--b", "2", "--p1", "2", "--p2", "3"]
+    outs = {}
+    for suite in ("all", "mc", "degraded"):
+        code, out, _ = run(capsys, "verify", suite, *point, "--samples", str(n),
+                           "--seed", str(seed))
+        assert code == (0 if all(json.loads(line)["passed"] for line in out.splitlines()) else 1)
+        outs[suite] = out.splitlines()
+    assert outs["all"][:5] == outs["mc"]
+    assert outs["all"][5:7] == outs["degraded"]
 
-    def first_draws(is_member, k):
-        return {
-            tuple(child.standard_normal(16))
-            for report in reports if is_member(report["name"])
-            for child in np.random.default_rng(report["seed"]).spawn(k)
-        }
-
-    mc = first_draws(lambda name: name.startswith("mc_"), 2)
-    degraded = first_draws(lambda name: name == "degradedness_check", 5)
-    assert not mc & degraded
-    assert (len(mc), len(degraded)) == (2, 5)
+    # The Monte Carlo streams are the first k + 1 = 3 children of the
+    # degradedness seed, of its five: the two inputs, then the noise.
+    degraded_seed = json.loads(outs["degraded"][0])["seed"]
+    assert degraded_seed == seed
+    *inputs, noise = np.random.default_rng(degraded_seed).spawn(5)[:3]
+    x = np.stack([stream.standard_normal(n) for stream in inputs])
+    z = noise.standard_normal(n)
+    cases = cli._mc_cases(ChannelParams(a=0.3, b=2.0, p1=2.0, p2=3.0))
+    for line, (name, h, cov) in zip(outs["mc"], cases, strict=True):
+        received = np.asarray(h) @ (_psd_factor(np.asarray(cov)) @ x) + z
+        doc = json.loads(line)
+        assert (doc["name"], doc["seed"]) == (name, seed)
+        assert math.isclose(
+            doc["worst_case"]["estimate"], float(np.var(received, ddof=1)), rel_tol=1e-12
+        )
 
 
 def test_verify_all_memory_is_bounded(capsys):
@@ -678,11 +693,11 @@ def test_verify_all_reports_the_earliest_error_in_plan_order(capsys, monkeypatch
     assert calls == ["verify_condition5"]
 
     calls.clear()
-    monkeypatch.setattr(cli, "degradedness_checks", _failing("degradedness_checks", calls))
+    monkeypatch.setattr(cli, "_sampled_checks", _failing("_sampled_checks", calls))
     code, out, err = run(capsys, "verify", "all", "--a", "0", "--b", "3",
                          "--samples", "10000")
-    assert (code, out, err) == (2, "", "error: degradedness_checks failed\n")
-    assert calls == ["degradedness_checks"]
+    assert (code, out, err) == (2, "", "error: _sampled_checks failed\n")
+    assert calls == ["_sampled_checks"]
 
 
 def test_verify_mc_reports_the_first_checks_error(capsys, monkeypatch):

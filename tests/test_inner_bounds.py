@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogregions.channel import ChannelParams, gaussian_rate
 from cogregions.inner_bounds import (
@@ -242,6 +244,40 @@ def test_capacity_open_at_huge_powers_where_a_split_form_cancels(e):
         result = capacity_region(ChannelParams(a=0.3, b=2.0, p1=10.0**e, p2=10.0**e))
     assert result.regime == "open_strong"
     for frontier in (result.frontier, result.outer):
+        for rates in (frontier.r1, frontier.r2):
+            assert np.all(np.isfinite(rates))
+            assert np.all(rates >= 0.0)
+
+
+# Powers log-uniform from 1e-5 to the largest double, plus zero and a
+# subnormal; cross gains with b at both regime edges.
+_HUGE_POWERS = st.sampled_from([0.0, 1e-310]) | st.floats(-5.0, 308.25).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([0.0]) | st.floats(0.0, 20.0),
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 20.0),
+    _HUGE_POWERS,
+    _HUGE_POWERS,
+)
+def test_capacity_at_huge_powers_is_finite_or_rejected(a, b, p1, p2):
+    # Up to the documented limit every regime gives finite, nonnegative
+    # frontiers without a floating-point warning; beyond it ChannelParams
+    # says why it refuses the instance.
+    scale = 16.0 * max(1.0, a * a, b * b) * max(1.0, p1) * max(1.0, p2)
+    if not math.isfinite(scale):
+        with pytest.raises(ValueError, match="gains and powers too large"):
+            ChannelParams(a=a, b=b, p1=p1, p2=p2)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = capacity_region(
+            ChannelParams(a=a, b=b, p1=p1, p2=p2), alpha_grid=21, beta_grid=21, split_grid=5
+        )
+    for frontier in (result.frontier, result.outer):
+        if frontier is None:
+            continue
         for rates in (frontier.r1, frontier.r2):
             assert np.all(np.isfinite(rates))
             assert np.all(rates >= 0.0)

@@ -1,8 +1,9 @@
 """The streamed Monte Carlo oracles against one-shot references.
 
 ``mc_rate_check`` and ``degradedness_check`` draw their raw normals in
-blocks of at most ``_BLOCK`` samples, each from a child stream of its own,
-keep one running covariance of them and map each case through its own
+blocks of at most ``_BLOCK`` samples, each raw variable from a child stream
+of its own (the inputs, then the noise; or ``g1, g2, z1, z2, z0``), keep
+one running covariance of them and map each case through its own
 coefficient matrix.  These tests pin that their reports equal, up
 to summation order, those of a one-shot reference that draws the same
 streams whole and reduces them with ``np.var`` / ``np.cov``, with the block
@@ -65,8 +66,9 @@ def _same_verdict(passed: bool, discrepancy: float, tolerance: float) -> bool:
 def _one_shot_variance(gains, cov, n, seed):
     """``mc_rate_check``'s sampled variance from whole-length draws of its streams."""
     h = np.asarray(gains, dtype=float)
-    inputs, noise = np.random.default_rng(seed).spawn(2)
-    signal = (inputs.standard_normal((n, h.size)) @ _psd_factor(np.asarray(cov)).T) @ h
+    *inputs, noise = np.random.default_rng(seed).spawn(h.size + 1)
+    g = np.stack([stream.standard_normal(n) for stream in inputs], axis=1)
+    signal = (g @ _psd_factor(np.asarray(cov)).T) @ h
     return float(np.var(signal + noise.standard_normal(n), ddof=1))
 
 

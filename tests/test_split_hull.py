@@ -196,7 +196,13 @@ def test_zero_power_meshes_collapse_to_one_axis():
 
 def test_split_hull_rejects_non_finite_corners():
     # b^2 * p1 overflows, so the caps hold inf and the corners NaN.
-    params = ChannelParams(0.0, 1e200, 1e200, 1.0)
+    # ChannelParams refuses such an instance, so the hull's own guard is
+    # reached with one built past that check.
+    with pytest.raises(ValueError, match="gains and powers too large"):
+        ChannelParams(0.0, 1e200, 1e200, 1.0)
+    params = object.__new__(ChannelParams)
+    for name, value in zip(("a", "b", "p1", "p2"), (0.0, 1e200, 1e200, 1.0)):
+        object.__setattr__(params, name, value)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         ValueError, match="corner coordinates must be finite"
     ):
