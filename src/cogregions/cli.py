@@ -36,7 +36,7 @@ from .inner_bounds import (
     scheme_e_region,
 )
 from .oracles import (
-    _sampled_checks,
+    sampled_checks,
     verify_condition5,
     verify_condition6,
     verify_th3_capacity,
@@ -380,7 +380,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     if mc_cases or degraded:
         rhos = (0.0, 0.7) if degraded else None
-        reports += _sampled_checks(mc_cases, params, rhos, cfg["samples"], cfg["seed"])
+        reports += sampled_checks(mc_cases, params, rhos, cfg["samples"], cfg["seed"])
     if suite == "all" and not degraded:
         print("skipping degraded: needs |b| >= 1", file=sys.stderr)
     if suite in ("cond5", "all"):

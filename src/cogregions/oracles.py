@@ -17,9 +17,9 @@ streams ``0..4``.  Each stream's draws depend on neither the block size nor
 the other streams, and each entry of the running covariance on its own two
 rows only, so the Monte Carlo cases read the same bits from the top-left
 block of a pass that also serves the degradedness cases.  ``verify`` makes
-one such pass; ``mc_rate_checks`` and ``degradedness_checks`` run several
-cases of one suite on one draw (common random numbers), and each of their
-reports equals, bit for bit, the one-case call with the same seed.
+one such pass, :func:`sampled_checks`, over the cases of both suites
+(common random numbers), and each of its reports equals, bit for bit, the
+one-case call with the same seed.
 
 Discrepancies are reported in units that make ``passed iff max_discrepancy
 <= tolerance`` hold exactly: standard-error multiples for sampled checks,
@@ -42,9 +42,8 @@ from .region_geometry import GridAxis, VerificationReport, concavify, grid_axis
 __all__ = [
     "VerificationReport",
     "mc_rate_check",
-    "mc_rate_checks",
     "degradedness_check",
-    "degradedness_checks",
+    "sampled_checks",
     "verify_condition5",
     "verify_condition6",
     "verify_th3_capacity",
@@ -110,22 +109,9 @@ def mc_rate_check(
     is within 5 standard errors of the sample-variance estimator.  ``cov``
     must be finite and exactly symmetric: the factorization reads only one
     triangle, while the closed form reads both.  The one-case form of
-    :func:`mc_rate_checks`.
+    :func:`sampled_checks`.
     """
-    return mc_rate_checks([(name, gains, cov)], n_samples, seed)[0]
-
-
-def mc_rate_checks(cases, n_samples: int = 1_000_000, seed: int = 0) -> list:
-    """:func:`mc_rate_check` of several cases on one draw of inputs and noise.
-
-    ``cases`` holds ``(name, gains, cov)`` triples whose gain vectors have
-    one length ``k``.  Every case reads the same sampled inputs and noise
-    (common random numbers), child streams ``0..k`` of ``SeedSequence(seed)``,
-    so the draws cost what one case's do, and each report is, bit for bit,
-    ``mc_rate_check(gains, cov, n_samples, seed, name)``: a case reads only
-    the shared sample covariance and its own gains.
-    """
-    return _sampled_checks(cases, None, None, n_samples, seed)
+    return sampled_checks([(name, gains, cov)], None, None, n_samples, seed)[0]
 
 
 def _mc_rows(cases, n: int) -> list:
@@ -168,9 +154,17 @@ def _mc_report(name, h, cov, estimate: float, n: int, seed: int) -> Verification
     )
 
 
-def _sampled_checks(mc_cases, params, input_rhos, n_samples: int, seed: int) -> list:
-    """``mc_rate_checks(mc_cases)`` then ``degradedness_checks(params,
-    input_rhos)``, on one draw; a suite whose cases are None is skipped.
+def sampled_checks(mc_cases, params, input_rhos, n_samples: int, seed: int) -> list:
+    """:func:`mc_rate_check` of each case, then :func:`degradedness_check` at
+    each input correlation, all on one draw; a suite whose cases are None is
+    skipped.
+
+    ``mc_cases`` holds ``(name, gains, cov)`` triples whose gain vectors
+    have one length ``k``.  Every case reads the same sampled variables
+    (common random numbers), so the draws cost what one case's do, and each
+    report is, bit for bit, that of the one-case call with the same
+    ``n_samples`` and ``seed``: a case reads only the shared sample
+    covariance and its own gains or rows.
 
     Raw variable ``i`` is child stream ``i`` of ``SeedSequence(seed)``: the
     Monte Carlo cases read streams ``0..k``, the degradedness cases streams
@@ -236,27 +230,9 @@ def degradedness_check(
     ``(X1, X2, Y1, Y1_rebuilt)``, the Gaussian identity ``n Cov(cov(A, B),
     cov(C, D)) = S_AC S_BD + S_AD S_BC`` gives both variances and the cross
     term.  Entries with a vanishing standard error (degenerate inputs) must
-    agree exactly.  The one-case form of :func:`degradedness_checks`.
+    agree exactly.  The one-case form of :func:`sampled_checks`.
     """
-    return degradedness_checks(params, n_samples, seed, (input_rho,))[0]
-
-
-def degradedness_checks(
-    params: ChannelParams,
-    n_samples: int = 1_000_000,
-    seed: int = 0,
-    input_rhos: Sequence[float] = (0.0,),
-) -> list:
-    """:func:`degradedness_check` at several input correlations on one draw.
-
-    The cases read the same five sampled variables (common random
-    numbers), child streams ``0..4`` of ``SeedSequence(seed)``, so the
-    draws cost what one case's do, and the report for ``rho`` in
-    ``input_rhos`` is, bit for bit, ``degradedness_check(params, n_samples,
-    seed, rho)``: a case reads only the shared sample covariance and its
-    own rows.
-    """
-    return _sampled_checks(None, params, input_rhos, n_samples, seed)
+    return sampled_checks(None, params, (input_rho,), n_samples, seed)[0]
 
 
 def _checked_rhos(params: ChannelParams, n: int, input_rhos) -> list:

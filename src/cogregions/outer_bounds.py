@@ -26,7 +26,7 @@ from .region_geometry import (
     Pentagon,
     _corner_kinds,
     _staircase,
-    _witness_test,
+    _witness_filter,
     grid_axis,
     grid_point,
     hull_frontier,
@@ -208,10 +208,6 @@ class CovarianceSplit:
         ranges = (("alpha1", 0.0), ("alpha2", 0.0), ("rho1", -1.0), ("rho2", -1.0))
         for name, lo in ranges:
             object.__setattr__(self, name, grid_point(getattr(self, name), name, lo))
-        # In-range fields imply |rho| <= 1 (Cauchy-Schwarz); the check only
-        # guards against nonsense slipping through float conversion.
-        if abs(self.rho) > 1.0 + 1e-12:
-            raise ValueError("implied total correlation lies outside [-1, 1]")
 
     @property
     def rho(self) -> float:
@@ -347,8 +343,9 @@ def _split_hull(params: ChannelParams, split_grid, points) -> Frontier:
     1. Witness: the points of every ``_WITNESS_STRIDE``-th split by flat
        index, evaluated on gathered 1-D parameters, and their staircase.
     2. Stream: slabs of whole ``alpha1`` rows, at most ``_BLOCK_SPLITS``
-       splits unless one row alone holds more; a point some witness beats
-       (``x_w >= x`` and ``y_w > y``, :func:`_witness_test`) is dropped.
+       splits unless one row alone holds more; one bucket test,
+       :func:`_witness_filter`, drops most points some witness beats
+       (``x_w >= x`` and ``y_w > y``) and only those.
        A kind's x and y are broadcast against each other as views, not
        copied to the slab's shape; the survivors are gathered from them.
     3. Hull: one :func:`hull_frontier` call on the survivors, in the
@@ -371,7 +368,7 @@ def _split_hull(params: ChannelParams, split_grid, points) -> Frontier:
     gathered = (axis[i] for axis, i in zip(axes, sample))
     witness = [np.broadcast_arrays(*kind) for kind in points(*gathered)]
     wx, wy = (np.concatenate([c.ravel() for c in coords]) for coords in zip(*witness))
-    unbeaten = _witness_test(*_staircase(wx, wy))
+    prefilter = _witness_filter(*_staircase(wx, wy))
 
     rest = np.meshgrid(*axes[1:], indexing="ij", sparse=True)
     rows = max(_BLOCK_SPLITS // math.prod(shape[1:]), 1)
@@ -382,12 +379,15 @@ def _split_hull(params: ChannelParams, split_grid, points) -> Frontier:
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
                 raise ValueError("corner coordinates must be finite")
             x, y = np.broadcast_arrays(x, y)
-            keep = unbeaten(x, y)
+            keep = prefilter(x, y)
             kept.append((kind, x.take(keep), y.take(keep)))
-    # A stable sort restores the cloud's order: kinds, then splits.
+    # A stable sort restores the cloud's order: kinds, then splits.  The
+    # slab pieces go before the hull, which copies the survivors again.
     kept.sort(key=lambda item: item[0])
-    _, xs, ys = zip(*kept)
-    return hull_frontier(np.concatenate(xs), np.concatenate(ys))
+    x = np.concatenate([x for _, x, _ in kept])
+    y = np.concatenate([y for _, _, y in kept])
+    del kept
+    return hull_frontier(x, y)
 
 
 def _conditional_r1_caps(params: ChannelParams, split):

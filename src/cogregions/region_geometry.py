@@ -388,7 +388,7 @@ def corner_cloud(r1_max, r2_max, sum_max):
     return np.concatenate([x1, x2]), np.concatenate([y1, y2])
 
 
-# Buckets of the first-stage table of _witness_test.
+# Buckets of the table of _witness_filter.
 _BUCKETS = 1024
 
 
@@ -410,61 +410,49 @@ def _staircase(x: np.ndarray, y: np.ndarray):
     return x[keep], y[keep]
 
 
-def _witness_test(wx: np.ndarray, wy: np.ndarray):
-    """The test that drops the points a witness beats (``x_w >= x``, ``y_w > y``).
+def _witness_filter(wx: np.ndarray, wy: np.ndarray):
+    """A filter that drops only points a witness beats (``x_w >= x``, ``y_w > y``).
 
-    ``(wx, wy)`` is a :func:`_staircase`.  Returns ``unbeaten(x, y)``,
+    ``(wx, wy)`` is a :func:`_staircase`.  Returns ``prefilter(x, y)``,
     which takes finite arrays of one shape and returns the flat indices, in
-    ``x.ravel()`` order, of the points no witness beats.  The staircase's y
-    is strictly decreasing in x, so the first witness at or right of a
-    point has the largest y among those at or right of it; call its y
-    ``W(x)`` (``-inf`` past the last witness).  The points kept are those
-    with ``W(x) <= y``, the mask one ``searchsorted`` of every point would
-    give, but most points are settled by a cheaper first stage.
+    ``x.ravel()`` order, of the points it keeps: every point no witness
+    beats, and some that one does.  Callers take the exact staircase of the
+    survivors.
 
-    Stage 1 maps x to one of ``_BUCKETS + 1`` buckets by
-    ``f(x) = int((clip(x, wx[0], wx[-1]) - wx[0]) * scale)``.  Each rounded
-    step is monotone, so ``f`` does not fall as x rises.  ``table[k]`` is
-    the y of the first witness whose bucket exceeds ``k``, or ``-inf`` if
-    none does; it is built once per staircase.  Stage 2 runs the
-    ``searchsorted`` only on the points with ``table[f(x)] <= y``.
+    x maps to one of ``_BUCKETS + 1`` buckets by
+    ``f(x) = int((clip(x, wx[0], wx[-1]) - wx[0]) / span * _BUCKETS)``,
+    ``span = wx[-1] - wx[0]``.  Each rounded step is monotone, so ``f``
+    does not fall as x rises, and the quotient is at most 1, so no step
+    overflows, even for a subnormal span.  ``table[k]`` is the y of the
+    first witness whose bucket exceeds ``k``, or ``-inf`` if none does; it
+    is built once per staircase.  A point is kept iff ``table[f(x)] <= y``.
+    A staircase whose span is zero or not finite keeps every point.
 
-    Why the indices are those of the one-stage mask.  Take a point with
-    ``y < table[k]``, ``k = f(x)``, and let ``m`` be the witness that gave
-    ``table[k]``.  If ``wx[m] <= x``, then ``f(wx[m]) <= f(x) = k``, against
-    the choice of ``m``; so ``wx[m] > x``, the first witness at or right of
-    x comes no later than ``m``, and as W does not rise with x,
-    ``W(x) >= wy[m] = table[k] > y``: the one-stage mask drops the point
-    too.  Every other point gets the one-stage expression itself.  A
-    staircase of one x, or one whose width does not give a finite positive
-    ``scale``, skips stage 1.
+    Why a dropped point is beaten.  The staircase's y is strictly
+    decreasing in x, so the first witness at or right of a point has the
+    largest y among those at or right of it; call its y ``W(x)`` (``-inf``
+    past the last witness).  Take a point with ``y < table[k]``,
+    ``k = f(x)``, and let ``m`` be the witness that gave ``table[k]``.  If
+    ``wx[m] <= x``, then ``f(wx[m]) <= f(x) = k``, against the choice of
+    ``m``; so ``wx[m] > x``, the first witness at or right of x comes no
+    later than ``m``, and as W does not rise with x,
+    ``W(x) >= wy[m] = table[k] > y``.
     """
-    ext = np.append(wy, -np.inf)
-
-    def exact(x, y):
-        return ext[np.searchsorted(wx, x, side="left")] <= y
-
     lo, hi = float(wx[0]), float(wx[-1])
     span = hi - lo
-    scale = _BUCKETS / span if span > 0.0 else 0.0
-    if not 0.0 < scale < math.inf:
-        return lambda x, y: np.flatnonzero(exact(x, y))
+    if not 0.0 < span < math.inf:
+        return lambda x, y: np.arange(x.size)
 
     def bucket(v):
-        # In [0, _BUCKETS]: (v - lo) * scale rounds to at most span * scale,
-        # which is below _BUCKETS + 1.
         v = np.clip(v, lo, hi)
         v -= lo
-        v *= scale
+        v /= span
+        v *= _BUCKETS
         return v.astype(np.intp)
 
+    ext = np.append(wy, -np.inf)
     table = ext[np.searchsorted(bucket(wx), np.arange(_BUCKETS + 1), side="right")]
-
-    def unbeaten(x, y):
-        left = np.flatnonzero(table[bucket(x)] <= y)
-        return left[exact(x.take(left), y.take(left))]
-
-    return unbeaten
+    return lambda x, y: np.flatnonzero(table[bucket(x)] <= y)
 
 
 def _pops(xi, yi, xj, yj, xk, yk):

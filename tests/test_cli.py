@@ -324,6 +324,15 @@ def test_config_validates_values(capsys, tmp_path):
     assert err.strip() == f"error: cannot read config {missing}: No such file or directory"
 
 
+def test_grid_resolution_below_two_is_rejected_from_flag_and_config(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"alpha_grid": 1}))
+    region = ("region", "--bound", "unifying")
+    for given in (("--alpha-grid", "1"), ("--config", str(config))):
+        code, out, err = run(capsys, *region, *given)
+        assert (code, out, err) == (2, "", "error: grid resolution must be at least 2\n")
+
+
 # The flags each command reads, besides --config, as README lists them.
 COMMAND_FLAGS = {
     "classify": "--a --b --p1 --p2 --out",
@@ -693,11 +702,11 @@ def test_verify_all_reports_the_earliest_error_in_plan_order(capsys, monkeypatch
     assert calls == ["verify_condition5"]
 
     calls.clear()
-    monkeypatch.setattr(cli, "_sampled_checks", _failing("_sampled_checks", calls))
+    monkeypatch.setattr(cli, "sampled_checks", _failing("sampled_checks", calls))
     code, out, err = run(capsys, "verify", "all", "--a", "0", "--b", "3",
                          "--samples", "10000")
-    assert (code, out, err) == (2, "", "error: _sampled_checks failed\n")
-    assert calls == ["_sampled_checks"]
+    assert (code, out, err) == (2, "", "error: sampled_checks failed\n")
+    assert calls == ["sampled_checks"]
 
 
 def test_verify_mc_reports_the_first_checks_error(capsys, monkeypatch):

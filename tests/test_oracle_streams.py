@@ -8,10 +8,9 @@ coefficient matrix.  These tests pin that their reports equal, up
 to summation order, those of a one-shot reference that draws the same
 streams whole and reduces them with ``np.var`` / ``np.cov``, with the block
 shrunk so that many blocks, one-row blocks and a ragged last block take
-part; that the multi-case passes ``mc_rate_checks`` and
-``degradedness_checks``, whose cases share one draw, give each case the
-bytes of its one-case call; and that memory stays bounded at a million
-samples.
+part; that the multi-case pass ``sampled_checks``, whose cases share one
+draw, gives each case the bytes of its one-case call; and that memory stays
+bounded at a million samples.
 """
 
 import math
@@ -29,9 +28,8 @@ from cogregions.oracles import (
     _pair_moment,
     _psd_factor,
     degradedness_check,
-    degradedness_checks,
     mc_rate_check,
-    mc_rate_checks,
+    sampled_checks,
 )
 
 # A moment may differ from the reference's by this much, relative to its
@@ -210,7 +208,7 @@ def _lines(reports):
 @given(_mc_cases(), _SAMPLES, _SEEDS, _BLOCKS)
 def test_mc_rate_checks_give_each_case_its_one_case_bytes(cases, n, seed, block):
     with mock.patch.object(oracles, "_BLOCK", block):
-        reports = mc_rate_checks(cases, n, seed)
+        reports = sampled_checks(cases, None, None, n, seed)
         alone = [mc_rate_check(gains, cov, n, seed, name) for name, gains, cov in cases]
     assert _lines(reports) == _lines(alone)
     assert [report.name for report in reports] == [name for name, _, _ in cases]
@@ -232,7 +230,7 @@ def test_degradedness_checks_give_each_case_its_one_case_bytes(
 ):
     params = ChannelParams(a=a, b=b, p1=p1, p2=p2)
     with mock.patch.object(oracles, "_BLOCK", block):
-        reports = degradedness_checks(params, n, seed, rhos)
+        reports = sampled_checks(None, params, rhos, n, seed)
         alone = [degradedness_check(params, n, seed, rho) for rho in rhos]
     assert _lines(reports) == _lines(alone)
 
@@ -252,8 +250,8 @@ def test_multi_case_passes_match_one_shot(block, n):
     cases = cli._mc_cases(params)
     rhos = (0.0, 0.7)
     with mock.patch.object(oracles, "_BLOCK", block or oracles._BLOCK):
-        mc = mc_rate_checks(cases, n, 9)
-        degraded = degradedness_checks(params, n, 10, rhos)
+        mc = sampled_checks(cases, None, None, n, 9)
+        degraded = sampled_checks(None, params, rhos, n, 10)
     for (_, gains, cov), report in zip(cases, mc, strict=True):
         _assert_mc_matches(gains, cov, n, 9, got=report)
     for rho, report in zip(rhos, degraded, strict=True):

@@ -14,9 +14,8 @@ from cogregions.oracles import (
     _degradedness_rows,
     _psd_factor,
     degradedness_check,
-    degradedness_checks,
     mc_rate_check,
-    mc_rate_checks,
+    sampled_checks,
     verify_condition5,
     verify_condition6,
     verify_th3_capacity,
@@ -75,13 +74,13 @@ def test_multi_case_checks_need_cases_of_one_shape():
     params = ChannelParams(a=0.0, b=2.0, p1=1.0, p2=1.0)
     for cases in ([], [("one", (1.0,), [[1.0]]), ("two", (1.0, 1.0), np.eye(2))]):
         with pytest.raises(ValueError) as err:
-            mc_rate_checks(cases, n_samples=10_000)
+            sampled_checks(cases, None, None, 10_000, 0)
         assert str(err.value) == "cases must be one or more, with gain vectors of one length"
     with pytest.raises(ValueError) as err:
-        degradedness_checks(params, n_samples=10_000, input_rhos=())
+        sampled_checks(None, params, (), 10_000, 0)
     assert str(err.value) == "input_rhos must hold one or more correlations"
     with pytest.raises(ValueError) as err:
-        degradedness_checks(params, n_samples=10_000, input_rhos=(0.0, -1.5))
+        sampled_checks(None, params, (0.0, -1.5), 10_000, 0)
     assert str(err.value) == "input_rho must lie in [-1, 1], got -1.5"
 
 

@@ -51,6 +51,8 @@ def test_corners_symmetric_pentagon():
 
 def test_corners_rectangle_single_vertex():
     assert pentagon_corners(Pentagon(1.0, 1.0, 3.0)) == [(1.0, 1.0)]
+    # An infinite r1 cap leaves the sum cap infinite: one corner, at r1 = inf.
+    assert pentagon_corners(Pentagon(math.inf, 1.0)) == [(math.inf, 1.0)]
 
 
 def test_corners_power_reduction_shape():
@@ -81,6 +83,18 @@ def test_frontier_validation():
     with pytest.raises(ValueError) as err:
         Frontier(np.array([0.0, 1.0]), np.array([0.5, 1.0]))
     assert str(err.value) == "frontier r2 values must be non-increasing"
+    shape = "frontier needs matching non-empty 1-D r1/r2 arrays"
+    for r1, r2, message in (
+        ([], [], shape),
+        ([0.0, 1.0], [1.0], shape),
+        ([[0.0, 1.0]], [[1.0, 0.5]], shape),
+        ([0.0, math.inf], [1.0, 0.5], "frontier vertices must be finite"),
+        ([0.0, 1.0], [1.0, math.nan], "frontier vertices must be finite"),
+        ([0.0, 1.0], [0.5, -0.5], "frontier r2 values must be nonnegative"),
+    ):
+        with pytest.raises(ValueError) as err:
+            Frontier(np.array(r1), np.array(r2))
+        assert str(err.value) == message
 
 
 def test_frontier_interp_and_serialization():
@@ -126,6 +140,10 @@ def test_union_errors():
     with pytest.raises(ValueError) as err:
         union_frontier([])
     assert str(err.value) == "no pentagons"
+    for build in (union_frontier_arrays, corner_cloud):
+        with pytest.raises(ValueError) as err:
+            build([], [], [])
+        assert str(err.value) == "no pentagons"
     with pytest.raises(ValueError) as err:
         union_frontier([Pentagon(math.inf, 1.0, math.inf)])
     assert str(err.value) == "region unbounded in r1"
@@ -473,7 +491,7 @@ def test_witness_prefilter_keeps_the_staircase_bitwise(cloud, stride):
     # before the full staircase; that must leave the staircase unchanged.
     x, y = cloud
     staircase = region_geometry._staircase
-    keep = region_geometry._witness_test(*staircase(x[::stride], y[::stride]))(x, y)
+    keep = region_geometry._witness_filter(*staircase(x[::stride], y[::stride]))(x, y)
     got_x, got_y = staircase(x[keep], y[keep])
     want_x, want_y = staircase(x, y)
     assert np.array_equal(_bits(got_x), _bits(want_x))
@@ -566,7 +584,7 @@ def test_concavify_staircase_matches_sorted_staircase_bitwise(f):
 
 
 def _searchsorted_unbeaten(wx, wy, x, y):
-    """Reference: the one-stage witness mask, every point binary-searched."""
+    """Reference: the points no witness beats, every point binary-searched."""
     return np.append(wy, -np.inf)[np.searchsorted(wx, x, side="left")] <= y
 
 
@@ -595,7 +613,7 @@ def _witness_cases(draw):
         wx = rng.choice([-_HUGE, -1e300, 0.0, 1e300, _HUGE], m)
         wx *= rng.uniform(0.5, 1.0, m)
         wy = rng.uniform(-1e300, 1e300, m)
-    else:  # subnormal spans, whose bucket scale overflows
+    else:  # subnormal spans, whose reciprocals overflow
         wx = rng.choice([0.0, _TINY, 2 * _TINY, 1e-310, 1e-300], m)
         wy = rng.uniform(0.0, 1.0, m)
     wx, wy = region_geometry._staircase(wx, wy)
@@ -627,11 +645,27 @@ def _witness_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(_witness_cases())
-def test_witness_test_matches_searchsorted_mask(case):
+def test_witness_filter_keeps_every_unbeaten_point(case):
+    # Flat indices in order, a superset of the unbeaten points: the filter
+    # drops only points that a witness beats.
     wx, wy, x, y = case
-    got = region_geometry._witness_test(wx, wy)(x, y)
+    got = region_geometry._witness_filter(wx, wy)(x, y)
+    assert np.all(np.diff(got) > 0) and np.all((0 <= got) & (got < x.size))
     want = np.flatnonzero(_searchsorted_unbeaten(wx, wy, x.ravel(), y.ravel()))
-    assert np.array_equal(got, want)
+    assert np.isin(want, got).all()
+
+
+def test_witness_filter_drops_points_beaten_from_a_later_bucket():
+    # Witnesses spanning [0, 1024]: bucket k holds [k, k + 1).  A beater in
+    # a later bucket drops a point; one in the point's own bucket does not.
+    wx, wy = np.array([0.0, 1.7, 2.0, 1024.0]), np.array([3.0, 2.0, 1.0, 0.0])
+    x = np.array([0.5, 1.5, 1.5, 2.5, 1024.0])
+    y = np.array([1.5, 1.5, 2.5, -0.5, 0.0])
+    # (0.5, 1.5) is beaten from bucket 1, (1.5, 1.5) only from its own
+    # bucket 1 and (2.5, -0.5) from bucket 1024; (1.5, 2.5) and (1024, 0)
+    # are unbeaten.
+    keep = region_geometry._witness_filter(wx, wy)(x, y)
+    assert keep.tolist() == [1, 2, 4]
 
 
 def test_union_large_grid_memory_is_linear():
