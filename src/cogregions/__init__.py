@@ -9,10 +9,10 @@ functionality from a shell.
 
 from .channel import ChannelParams, RegimeReport, classify, gaussian_rate
 from .inner_bounds import (
+    FAMILIES,
     CapacityResult,
     beta_of_alpha,
     capacity_region,
-    scheme_e_general_pentagon,
     scheme_e_pentagon,
     scheme_e_region,
 )
@@ -25,15 +25,11 @@ from .oracles import (
 )
 from .outer_bounds import (
     CovarianceSplit,
-    bc_dms_pentagon,
     bc_dms_region,
     bc_pr_bound,
     bergmans_frontier,
-    bergmans_region,
-    cor2_bound,
     cor2_region,
     th1_bound,
-    unifying_bound,
     unifying_region,
 )
 from .region_geometry import (
@@ -58,10 +54,10 @@ __all__ = [
     "RegimeReport",
     "classify",
     "gaussian_rate",
+    "FAMILIES",
     "CapacityResult",
     "beta_of_alpha",
     "capacity_region",
-    "scheme_e_general_pentagon",
     "scheme_e_pentagon",
     "scheme_e_region",
     "degradedness_check",
@@ -70,15 +66,11 @@ __all__ = [
     "verify_condition6",
     "verify_th3_capacity",
     "CovarianceSplit",
-    "bc_dms_pentagon",
     "bc_dms_region",
     "bc_pr_bound",
     "bergmans_frontier",
-    "bergmans_region",
-    "cor2_bound",
     "cor2_region",
     "th1_bound",
-    "unifying_bound",
     "unifying_region",
     "Frontier",
     "Pentagon",

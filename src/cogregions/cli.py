@@ -29,28 +29,14 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelParams, classify, gaussian_rate
-from .inner_bounds import (
-    DEFAULT_BETA_POINTS,
-    beta_of_alpha,
-    capacity_region,
-    scheme_e_region,
-)
+from .inner_bounds import DEFAULT_BETA_POINTS, FAMILIES, beta_of_alpha, capacity_region
 from .oracles import (
     sampled_checks,
     verify_condition5,
     verify_condition6,
     verify_th3_capacity,
 )
-from .outer_bounds import (
-    DEFAULT_ALPHA_POINTS,
-    DEFAULT_SPLIT_POINTS,
-    bc_dms_region,
-    bc_pr_bound,
-    bergmans_frontier,
-    cor2_region,
-    th1_bound,
-    unifying_region,
-)
+from .outer_bounds import DEFAULT_ALPHA_POINTS, DEFAULT_SPLIT_POINTS
 from .region_geometry import (
     Frontier,
     _abscissas_up_to,
@@ -61,38 +47,12 @@ from .region_geometry import (
 
 __all__ = ["main"]
 
-# Bound selectors: ``build(params, cfg)`` returns a Frontier, or a
-# CapacityResult for ``capacity``.  The entries look the builders up by name
-# at call time.
-_SELECTORS = {
-    "unifying": lambda params, cfg: unifying_region(
-        params, alpha_grid=cfg["alpha_grid"]
-    ),
-    "cor2": lambda params, cfg: cor2_region(params, alpha_grid=cfg["alpha_grid"]),
-    "bcdms": lambda params, cfg: bc_dms_region(params, split_grid=cfg["split_grid"]),
-    "th1": lambda params, cfg: th1_bound(
-        params, split_grid=cfg["split_grid"], alpha_grid=cfg["alpha_grid"]
-    ),
-    "bcpr": lambda params, cfg: bc_pr_bound(
-        params, split_grid=cfg["split_grid"], alpha_grid=cfg["alpha_grid"]
-    ),
-    "bergmans": lambda params, cfg: bergmans_frontier(
-        params.p1, params.b, alpha_grid=cfg["alpha_grid"]
-    ),
-    "schemeE": lambda params, cfg: scheme_e_region(params, beta_grid=cfg["beta_grid"]),
-    "capacity": lambda params, cfg: capacity_region(
-        params,
-        alpha_grid=cfg["alpha_grid"],
-        beta_grid=cfg["beta_grid"],
-        split_grid=cfg["split_grid"],
-    ),
-}
+# Bound selectors: each family's name, then ``capacity``.
+BOUNDS = (*FAMILIES, "capacity")
 
-# The selectors whose pentagons meet split for split at ``a = 0`` under the
-# change of variable ``beta = beta_of_alpha(alpha)``.
-MATCHED_PAIR = {"cor2", "schemeE"}
-
-BOUNDS = tuple(_SELECTORS)
+# The two families whose pentagons meet split for split at ``a = 0`` (see
+# ``Family.matched``).
+MATCHED_PAIR = next({name, f.matched} for name, f in FAMILIES.items() if f.matched)
 
 SUITES = ("mc", "degraded", "cond5", "cond6", "th3", "all")
 
@@ -241,14 +201,11 @@ def _emit_frontier(
 
 
 def _frontier_for(selector: str, params: ChannelParams, cfg: dict):
-    """Compute the frontier for a selector; returns (frontier, meta extras)."""
-    result = _SELECTORS[selector](params, cfg)
-    if isinstance(result, Frontier):
-        return result, {}
-    extras = {"status": result.status}
-    if result.outer is not None:
-        extras["outer"] = result.outer
-    return result.frontier, extras
+    """The selector's frontier, and for ``capacity`` the result it came from."""
+    if selector in FAMILIES:
+        return FAMILIES[selector].build(params, cfg), None
+    result = capacity_region(params, **{key: cfg[key] for key in _GRIDS})
+    return result.frontier, result
 
 
 def _region_meta(cfg: dict, selector: str, params: ChannelParams) -> dict:
@@ -288,14 +245,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_region(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     params = _params(cfg)
-    frontier, extras = _frontier_for(args.bound, params, cfg)
+    frontier, result = _frontier_for(args.bound, params, cfg)
     meta = _region_meta(cfg, args.bound, params)
     extra_json = {}
-    if "status" in extras:
-        meta["status"] = extras["status"]
-        extra_json["status"] = extras["status"]
-    if "outer" in extras and cfg["format"] == "json":
-        extra_json["outer_points"] = extras["outer"].to_json()["points"]
+    if result is not None:
+        meta["status"] = extra_json["status"] = result.status
+        if result.outer is not None and cfg["format"] == "json":
+            extra_json["outer_points"] = result.outer.to_json()["points"]
     _emit_frontier(cfg["out"], cfg["format"], frontier, meta, extra_json)
     return 0
 
@@ -303,7 +259,10 @@ def cmd_region(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     params = _params(cfg)
-    matched = {args.first, args.second} == MATCHED_PAIR and params.a == 0.0
+    # At p2 = 0 scheme E has the single split beta = 1: nothing to match.
+    matched = (
+        {args.first, args.second} == MATCHED_PAIR and params.a == 0.0 and params.p2 > 0.0
+    )
     if matched:
         # Sample both families at matched power splits, else staircase
         # sampling noise (~1e-2 bits) would swamp the frontier comparison.

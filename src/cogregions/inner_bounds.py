@@ -6,6 +6,8 @@ scaled copy of the primary codeword, so receiver 2 collects its own signal
 coherently reinforced while receiver 1 decodes the private layer.  Where a
 matching outer bound is known to coincide, :func:`capacity_region` returns
 the exact frontier; elsewhere it returns the best inner/outer pair.
+This module sees every family, so it also holds :data:`FAMILIES`, the
+table of their :class:`~cogregions.outer_bounds.Family` records.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import outer_bounds
 from .channel import ChannelParams, classify, gaussian_rate
 from .outer_bounds import (
     DEFAULT_ALPHA_POINTS,
     DEFAULT_SPLIT_POINTS,
+    Family,
     _coherent_rate,
     _cooperative_rate,
     bc_pr_bound,
@@ -26,21 +30,13 @@ from .outer_bounds import (
     th1_bound,
     unifying_region,
 )
-from .region_geometry import (
-    Frontier,
-    GridAxis,
-    Pentagon,
-    concavify,
-    grid_axis,
-    grid_point,
-    union_frontier_arrays,
-)
+from .region_geometry import Frontier, GridAxis, Pentagon, concavify
 
 __all__ = [
     "DEFAULT_BETA_POINTS",
+    "FAMILIES",
     "CapacityResult",
     "scheme_e_pentagon",
-    "scheme_e_general_pentagon",
     "scheme_e_region",
     "beta_of_alpha",
     "capacity_region",
@@ -50,14 +46,8 @@ __all__ = [
 DEFAULT_BETA_POINTS = 1001
 
 
-def _check_copy_scaling(params: ChannelParams, beta) -> None:
-    """The copy scaling divides by ``p2``, so ``p2 = 0`` admits only ``beta = 1``."""
-    if params.p2 == 0.0 and bool(np.any(beta < 1.0)):
-        raise ValueError("degenerate superposition: set beta=1")
-
-
 def _scheme_e_caps(params: ChannelParams, beta):
-    """``(r1, r2, sum)`` caps of :func:`scheme_e_general_pentagon`.
+    """``(r1, r2, sum)`` caps of scheme E.
 
     Broadcasts over ``beta``.  With ``a = 0`` receiver 1 sees only the copy
     of the primary codeword as noise; otherwise the cross gain adds to the
@@ -87,50 +77,60 @@ def _scheme_e_caps(params: ChannelParams, beta):
     return r1_cap, r2_cap, _cooperative_rate(params, bbar)
 
 
-def scheme_e_pentagon(params: ChannelParams, beta: float) -> Pentagon:
-    """Superposition pentagon for the interference-free-receiver-1 channel.
+# Scheme E, the superposition inner bound: ``beta`` is the fraction of
+# cognitive power on the private layer; the rest rides on a copy of the
+# primary codeword scaled to the primary's power.  Receiver 1 decodes its
+# layer against the copy as noise, so at ``a = 0`` the r1 cap is
+# ``log2(1 + beta*p1 / (1 + (1-beta)*p1))``; with ``a > 0`` it also hears
+# the primary signal through the cross gain, which simply adds to the copy
+# coefficient, while receiver-2 statistics are unchanged.  Receiver 2 sees
+# the copy coherently, giving the amplitude-sum r2 cap.  The copy scaling
+# divides by ``p2``, so at ``p2 = 0`` the scheme has the single split
+# ``beta = 1``.  At ``a = 0`` the r1 and r2 caps meet Cor. 2's under
+# :func:`beta_of_alpha`; its pentagons and unions evaluate the same caps,
+# so the identity holds to float precision on matched grids.
+_SCHEME_E = Family(
+    "inner",
+    "inner_bounds.scheme_e_region",
+    ("beta_grid",),
+    _scheme_e_caps,
+    single_split=lambda params: params.p2 == 0.0,
+    error="degenerate superposition: set beta=1",
+    axis="beta",
+    matched="cor2",
+)
 
-    ``beta`` is the fraction of cognitive power on the private layer; the
-    rest rides on a copy of the primary codeword scaled to the primary's
-    power.  Receiver 1 decodes its layer against the copy as noise, so the
-    r1 cap is ``log2(1 + beta*p1 / (1 + (1-beta)*p1))``; receiver 2 sees
-    the copy coherently, giving the amplitude-sum r2 cap.  Requires
-    ``a = 0`` — receiver 1 must not see the primary signal.  The copy
-    scaling divides by ``p2``, so ``p2 = 0`` admits only ``beta = 1``.
-    """
+# The bound families by command-line name, in the order ``--bound`` lists them.
+FAMILIES = {
+    "unifying": outer_bounds._UNIFYING,
+    "cor2": outer_bounds._COR2,
+    "bcdms": outer_bounds._BC_DMS,
+    "th1": outer_bounds._TH1,
+    "bcpr": outer_bounds._BC_PR,
+    "bergmans": outer_bounds._BERGMANS,
+    "schemeE": _SCHEME_E,
+}
+
+
+def scheme_e_pentagon(params: ChannelParams, beta: float) -> Pentagon:
+    """Scheme E's pentagon on the Z channel, where receiver 1 does not hear
+    the primary signal: requires ``a = 0``."""
     if params.a != 0.0:
         raise ValueError("scheme E requires a = 0")
-    return scheme_e_general_pentagon(params, beta)
-
-
-def scheme_e_general_pentagon(params: ChannelParams, beta: float) -> Pentagon:
-    """Superposition pentagon with receiver-1 cross-talk treated as noise.
-
-    Same encoder as :func:`scheme_e_pentagon`.  Receiver 1 additionally
-    hears the primary signal through the cross gain ``a``, which simply
-    adds to the copy coefficient; receiver-2 statistics are unchanged.
-    With ``a = 0`` the two agree exactly, field for field.
-    """
-    beta = grid_point(beta, "beta")
-    _check_copy_scaling(params, beta)
-    return Pentagon(*_scheme_e_caps(params, beta))
+    return _SCHEME_E.pentagon(params, beta)
 
 
 def scheme_e_region(
     params: ChannelParams, beta_grid: GridAxis = DEFAULT_BETA_POINTS
 ) -> Frontier:
-    """Union of the superposition family over a ``beta`` grid.
+    """Union of scheme E over a ``beta`` grid (see :meth:`Family.union`).
 
-    Evaluates the caps of :func:`scheme_e_general_pentagon` on the whole
-    grid at once (the same arithmetic, so matched-grid identities hold to
-    float precision).  The raw union's corners are achievable and time
-    sharing achieves the chords between them; apply
+    The raw union's corners are achievable and time sharing achieves the
+    chords between them; apply
     :func:`~cogregions.region_geometry.concavify` for the time-sharing
     inner bound.
     """
-    beta = grid_axis(beta_grid, "beta grid")
-    _check_copy_scaling(params, beta)
-    return union_frontier_arrays(*_scheme_e_caps(params, beta))
+    return _SCHEME_E.union(params, beta_grid)
 
 
 def beta_of_alpha(alpha, p1: float):
@@ -211,9 +211,7 @@ def capacity_region(
         exact = cor2_region(params, alpha_grid=alpha_grid)
         return CapacityResult(regime, concavify(exact))
 
-    # Open regime: with p2 = 0 the scheme admits only the beta = 1 point.
-    inner_axis = np.array([1.0]) if params.p2 == 0.0 else beta_grid
-    inner = concavify(scheme_e_region(params, beta_grid=inner_axis))
+    inner = concavify(scheme_e_region(params, beta_grid=beta_grid))
     bound = th1_bound if regime == "open_strong" else bc_pr_bound
     outer = bound(params, split_grid=split_grid, alpha_grid=alpha_grid)
     return CapacityResult(regime, inner, outer)

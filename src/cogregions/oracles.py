@@ -310,9 +310,9 @@ def _degradedness_report(
 def _z_bound_caps(p1: float, p2: float, b: float, alpha: np.ndarray):
     """Closed-form (r1, r2, sum) caps of the Z outer bound, vectorized.
 
-    Written out independently of :func:`~cogregions.outer_bounds.cor2_bound`
-    so the condition sweeps do not inherit a bug from the module they help
-    validate.
+    Written out independently of the ``cor2`` family's caps kernel in
+    :mod:`~cogregions.outer_bounds` so the condition sweeps do not inherit a
+    bug from the module they help validate.
     """
     b2 = b * b
     abar = 1.0 - alpha

@@ -1,21 +1,25 @@
-"""Outer bounds on the cognitive-channel rate region.
+"""Outer bounds on the cognitive-channel rate region, and the bound-family record.
 
-Each bound family is exposed at two granularities: a closed-form
-:class:`~cogregions.region_geometry.Pentagon` at a single value of the
-family's auxiliary parameter, and a
-:class:`~cogregions.region_geometry.Frontier` collapsing the whole family
-to its upper envelope.  Frontier builders accept either integer grid
-resolutions or explicit parameter arrays, so two families can be evaluated
-on matched grids and compared corner by corner.  Both granularities
-evaluate one vectorized caps function per family, ``(params, t) -> (r1,
-r2, sum)``, so each rate formula is written once.
+Each bound family is one :class:`Family` record, and
+:data:`~cogregions.inner_bounds.FAMILIES` keys the seven by their
+command-line names.  A one-parameter family's one vectorized caps function,
+``(params, t) -> (r1, r2, sum)``, gives both its closed-form
+:class:`~cogregions.region_geometry.Pentagon` at one split
+(:meth:`Family.pentagon`) and the
+:class:`~cogregions.region_geometry.Frontier` of its union over a grid
+(:meth:`Family.union`), so each rate formula is written once.  Frontier
+builders accept either integer grid resolutions or explicit parameter
+arrays, so two families can be evaluated on matched grids and compared
+corner by corner.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import astuple, dataclass
-from typing import Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,13 +42,10 @@ __all__ = [
     "DEFAULT_ALPHA_POINTS",
     "DEFAULT_SPLIT_POINTS",
     "CovarianceSplit",
-    "unifying_bound",
+    "Family",
     "unifying_region",
-    "bergmans_region",
     "bergmans_frontier",
-    "cor2_bound",
     "cor2_region",
-    "bc_dms_pentagon",
     "bc_dms_region",
     "th1_bound",
     "bc_pr_bound",
@@ -55,6 +56,74 @@ DEFAULT_ALPHA_POINTS = 1001
 
 # Default points per axis of the four-parameter covariance-split grid.
 DEFAULT_SPLIT_POINTS = 21
+
+
+class Family(NamedTuple):
+    """One bound family, as its builder, its pentagons and the command line read it.
+
+    The builder is looked up by name at each :meth:`build`, so a wrapper
+    installed over that name sees the call.  ``caps`` broadcasts over the
+    split: one power split ``t`` in [0, 1], named ``axis``, or the four
+    parameters of a :class:`CovarianceSplit`.  A split family may give
+    ``corners``, the points :func:`_split_hull` takes, in its place, and
+    then has no :meth:`pentagon`.  Where ``single_split`` holds the
+    family's one split is ``t = 1``: an integer grid is cut to it and any
+    other ``t`` is refused.
+    """
+
+    role: str  # "outer", "inner", or "reference" (a containment reference)
+    builder: str  # "module.function", taking channel(params) and the grids
+    grids: Tuple[str, ...]  # the grid flags the builder takes by keyword
+    caps: Optional[Callable] = None  # (*channel(params), *split) -> (r1, r2, sum)
+    corners: Optional[Callable] = None  # (params, *split) -> _split_hull's points
+    invalid: Callable = lambda *channel: False  # where the family does not apply
+    single_split: Callable = lambda *channel: False
+    error: str = ""  # the ValueError message where it does not apply
+    axis: str = "alpha"
+    channel: Callable = lambda params: (params,)  # the builder's channel arguments
+    # The family whose pentagons this one's meet split for split at a = 0
+    # under beta_of_alpha.
+    matched: Optional[str] = None
+
+    def build(self, params: ChannelParams, grids: dict) -> Frontier:
+        """The family's frontier from its builder, with its grid flags from ``grids``."""
+        module, name = self.builder.split(".")
+        builder = getattr(sys.modules[f"{__package__}.{module}"], name)
+        return builder(*self.channel(params), **{key: grids[key] for key in self.grids})
+
+    def _check(self, channel, split=1.0) -> None:
+        refused = self.single_split(*channel) and np.any(np.less(split, 1.0))
+        if self.invalid(*channel) or refused:
+            raise ValueError(self.error)
+
+    def pentagon(self, *args) -> Pentagon:
+        """The pentagon at one split: ``args`` are ``channel(params)``, then
+        ``t`` or a :class:`CovarianceSplit`."""
+        *channel, t = args
+        split = astuple(t) if isinstance(t, CovarianceSplit) else (grid_point(t, self.axis),)
+        self._check(channel, split)
+        return Pentagon(*self.caps(*channel, *split))
+
+    def union(self, *args) -> Frontier:
+        """Union of the pentagons over a power-split grid: ``args`` are
+        ``channel(params)``, then the grid.
+
+        The union is exact at the corners of the family and follows their
+        chords in between (see
+        :func:`~cogregions.region_geometry.union_frontier_arrays`).
+        """
+        *channel, grid = args
+        t = grid_axis(grid, f"{self.axis} grid")
+        if isinstance(grid, (int, np.integer)) and self.single_split(*channel):
+            t = t[-1:]
+        self._check(channel, t)
+        return union_frontier_arrays(*self.caps(*channel, t))
+
+    def hull(self, params: ChannelParams, split_grid) -> Frontier:
+        """:func:`hull_frontier` of a split family's points over a split grid."""
+        self._check((params,))
+        points = self.corners or (lambda p, *split: _corner_kinds(*self.caps(p, *split)))
+        return _split_hull(params, split_grid, functools.partial(points, params))
 
 
 def _cooperative_rate(params: ChannelParams, share):
@@ -75,7 +144,7 @@ def _coherent_rate(p2: float, copy_power):
 
 
 def _unifying_caps(params: ChannelParams, alpha):
-    """``(r1, r2, sum)`` caps of :func:`unifying_bound`; broadcasts over ``alpha``."""
+    """``(r1, r2, sum)`` caps of the unifying family; broadcasts over ``alpha``."""
     b2 = params.b * params.b
     r1_cap = gaussian_rate(alpha * params.p1)
     r2_cap = _cooperative_rate(params, 1.0 - alpha)
@@ -83,79 +152,64 @@ def _unifying_caps(params: ChannelParams, alpha):
     return r1_cap, r2_cap, r2_cap + excess
 
 
-def unifying_bound(params: ChannelParams, alpha: float) -> Pentagon:
-    """One-parameter outer bound valid in every interference regime.
-
-    ``alpha`` is the fraction of cognitive power assigned to the cognitive
-    message.  The sum cap equals the r2 cap plus the portion of the r1 cap
-    that receiver 2 cannot resolve by itself, ``[log2(1+alpha*p1) -
-    log2(1+b^2*alpha*p1)]^+``; the excess vanishes for ``|b| >= 1``, which
-    merges the weak- and strong-interference forms into one expression.
-    This convention is pinned by two closed-form requirements: at ``p2 = 0``,
-    ``|b| > 1`` the union over ``alpha`` must collapse exactly to the
-    pentagon ``r1 <= log2(1+p1)``, ``r1+r2 <= log2(1+b^2*p1)``, and for
-    ``|b| >= 1`` the sum cap must coincide with the one of
-    :func:`cor2_bound` at every ``alpha``.
-    """
-    return Pentagon(*_unifying_caps(params, grid_point(alpha, "alpha")))
+# The unifying family: a one-parameter outer bound valid in every
+# interference regime.  ``alpha`` is the fraction of cognitive power
+# assigned to the cognitive message.  The sum cap equals the r2 cap plus
+# the portion of the r1 cap that receiver 2 cannot resolve by itself,
+# ``[log2(1+alpha*p1) - log2(1+b^2*alpha*p1)]^+``; the excess vanishes for
+# ``|b| >= 1``, which merges the weak- and strong-interference forms into
+# one expression.  This convention is pinned by two closed-form
+# requirements: at ``p2 = 0``, ``|b| > 1`` the union over ``alpha`` must
+# collapse exactly to the pentagon ``r1 <= log2(1+p1)``, ``r1+r2 <=
+# log2(1+b^2*p1)``, and for ``|b| >= 1`` the sum cap must coincide with
+# Cor. 2's at every ``alpha``.
+_UNIFYING = Family(
+    "outer", "outer_bounds.unifying_region", ("alpha_grid",), _unifying_caps
+)
 
 
 def unifying_region(
     params: ChannelParams, alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS
 ) -> Frontier:
-    """Union of :func:`unifying_bound` over a power-split grid.
-
-    The union is exact at the corners of the family and follows their
-    chords in between (see
-    :func:`~cogregions.region_geometry.union_frontier_arrays`).
-    """
-    alpha = grid_axis(alpha_grid, "alpha grid")
-    return union_frontier_arrays(*_unifying_caps(params, alpha))
-
-
-def _check_p1(p1: float) -> None:
-    if p1 < 0.0:
-        raise ValueError("power p1 must be nonnegative")
+    """Union of the unifying family over a power-split grid; see :meth:`Family.union`."""
+    return _UNIFYING.union(params, alpha_grid)
 
 
 def _bergmans_caps(p1: float, b: float, alpha):
-    """``(r1, r2, sum)`` caps of :func:`bergmans_region`; the sum cap is absent."""
+    """``(r1, r2, sum)`` caps of the Bergmans reference; the sum cap is absent."""
     abar = 1.0 - alpha
     r1_cap = gaussian_rate(alpha * p1 / (abar * p1 + 1.0))
     r2_cap = gaussian_rate(b * b * abar * p1)
     return r1_cap, r2_cap, np.full(np.shape(alpha), math.inf)
 
 
-def bergmans_region(p1: float, b: float, alpha: float) -> Pentagon:
-    """Reference rectangle obtained by splitting only the cognitive power.
-
-    A degraded-broadcast allocation of ``p1``: fraction ``alpha`` carries
-    the r1 message with the remainder treated as noise, and the remainder
-    reaches receiver 2 through the cross gain.  No sum constraint.  This is
-    a containment reference — its union is strictly inside the
-    :func:`unifying_bound` union — not an outer bound in its own right.
-    """
-    alpha = grid_point(alpha, "alpha")
-    _check_p1(p1)
-    return Pentagon(*_bergmans_caps(p1, b, alpha))
+# The Bergmans reference: rectangles obtained by splitting only the
+# cognitive power.  A degraded-broadcast allocation of ``p1``: fraction
+# ``alpha`` carries the r1 message with the remainder treated as noise, and
+# the remainder reaches receiver 2 through the cross gain.  No sum
+# constraint.  This is a containment reference, its union strictly inside
+# the unifying family's, not an outer bound in its own right.  It depends on
+# ``p1`` and ``b`` alone, and its builder and caps take just those.
+_BERGMANS = Family(
+    "reference",
+    "outer_bounds.bergmans_frontier",
+    ("alpha_grid",),
+    _bergmans_caps,
+    invalid=lambda p1, b: p1 < 0.0,
+    error="power p1 must be nonnegative",
+    channel=lambda params: (params.p1, params.b),
+)
 
 
 def bergmans_frontier(
     p1: float, b: float, alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS
 ) -> Frontier:
-    """Union of :func:`bergmans_region` over a power-split grid."""
-    _check_p1(p1)
-    alpha = grid_axis(alpha_grid, "alpha grid")
-    return union_frontier_arrays(*_bergmans_caps(p1, b, alpha))
-
-
-def _check_z_strong(params: ChannelParams) -> None:
-    if params.a != 0.0 or params.b < 1.0:
-        raise ValueError("Cor.2 requires Z strong interference")
+    """Union of the Bergmans reference rectangles over a power-split grid."""
+    return _BERGMANS.union(p1, b, alpha_grid)
 
 
 def _cor2_caps(params: ChannelParams, alpha):
-    """``(r1, r2, sum)`` caps of :func:`cor2_bound`; broadcasts over ``alpha``."""
+    """``(r1, r2, sum)`` caps of Cor. 2's family; broadcasts over ``alpha``."""
     p1 = params.p1
     copy_power = params.b * params.b * p1 * (1.0 - alpha) / (1.0 + alpha * p1)
     return (
@@ -165,26 +219,27 @@ def _cor2_caps(params: ChannelParams, alpha):
     )
 
 
-def cor2_bound(params: ChannelParams, alpha: float) -> Pentagon:
-    """Closed-form outer bound for the strong-interference Z configuration.
-
-    Valid only when receiver 1 sees no interference (``a = 0``) and
-    receiver 2 sees strong interference (``|b| >= 1``).  The r1 cap and the
-    sum cap coincide with those of :func:`unifying_bound`; the r2 cap is
-    tighter for every ``alpha > 0`` and equals the sum cap identically at
-    ``alpha = 0``.
-    """
-    _check_z_strong(params)
-    return Pentagon(*_cor2_caps(params, grid_point(alpha, "alpha")))
+# Cor. 2: the closed-form outer bound for the strong-interference Z
+# configuration.  Valid only when receiver 1 sees no interference
+# (``a = 0``) and receiver 2 sees strong interference (``|b| >= 1``).  The
+# r1 cap and the sum cap coincide with the unifying family's; the r2 cap is
+# tighter for every ``alpha > 0`` and equals the sum cap identically at
+# ``alpha = 0``.
+_COR2 = Family(
+    "outer",
+    "outer_bounds.cor2_region",
+    ("alpha_grid",),
+    _cor2_caps,
+    invalid=lambda params: params.a != 0.0 or params.b < 1.0,
+    error="Cor.2 requires Z strong interference",
+)
 
 
 def cor2_region(
     params: ChannelParams, alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS
 ) -> Frontier:
-    """Union of :func:`cor2_bound` over a power-split grid."""
-    _check_z_strong(params)
-    alpha = grid_axis(alpha_grid, "alpha grid")
-    return union_frontier_arrays(*_cor2_caps(params, alpha))
+    """Union of Cor. 2's family over a power-split grid; see :meth:`Family.union`."""
+    return _COR2.union(params, alpha_grid)
 
 
 @dataclass(frozen=True)
@@ -270,22 +325,9 @@ def _layer2_last_caps(q1l1, q1l2, q2l2):
 
 
 def _split_caps(params: ChannelParams, alpha1, alpha2, rho1, rho2):
-    """``(r1, r2, sum)`` caps of :func:`bc_dms_pentagon`; broadcasts over the split."""
+    """``(r1, r2, sum)`` caps of the broadcast pentagons; broadcasts over the split."""
     q1l1, q1l2, q2l1, q2l2 = _split_forms(params, alpha1, alpha2, rho1, rho2)
     return (*_layer2_last_caps(q1l1, q1l2, q2l2), gaussian_rate(q2l1 + q2l2))
-
-
-def bc_dms_pentagon(params: ChannelParams, split: CovarianceSplit) -> Pentagon:
-    """Broadcast pentagon at one covariance split.
-
-    Models an enhanced channel where a single encoder serves both
-    receivers: layer 2 is encoded last, so receiver 2 gets it with layer 1
-    pre-canceled; receiver 1 decodes layer 1 against layer 2 as noise; the
-    sum cap is receiver 2's rate for decoding everything.  The sum cap
-    always dominates the r2 cap because layer powers are nonnegative, so
-    the pentagon never degenerates.
-    """
-    return Pentagon(*_split_caps(params, *astuple(split)))
 
 
 def _split_mesh(params: ChannelParams, split_grid):
@@ -409,8 +451,53 @@ def _conditional_r1_caps(params: ChannelParams, split):
     return gaussian_rate(np.multiply(params.p1, var, out=var))
 
 
+def _th1_corners(params: ChannelParams, *split):
+    """The corners of each split's broadcast pentagon, its r1 cap cut by its
+    own ``log2(1 + Var(X1|X2))`` (see :func:`th1_bound`)."""
+    r1_cap, r2_cap, sum_cap = _split_caps(params, *split)
+    np.minimum(r1_cap, _conditional_r1_caps(params, split), out=r1_cap)
+    return _corner_kinds(r1_cap, r2_cap, sum_cap)
+
+
+def _bc_pr_corners(params: ChannelParams, *split):
+    """The corners of each split's two private-rate rectangles: layer 2
+    encoded last (the broadcast pentagon's r1 and r2 caps), then layer 1
+    encoded last."""
+    q1l1, q1l2, q2l1, q2l2 = _split_forms(params, *split)
+    return (
+        _layer2_last_caps(q1l1, q1l2, q2l2),
+        (gaussian_rate(q1l1), gaussian_rate(q2l2 / (1.0 + q2l1))),
+    )
+
+
+# The broadcast pentagons of the enhanced channel, where a single encoder
+# serves both receivers: layer 2 is encoded last, so receiver 2 gets it
+# with layer 1 pre-canceled; receiver 1 decodes layer 1 against layer 2 as
+# noise; the sum cap is receiver 2's rate for decoding everything.  The sum
+# cap always dominates the r2 cap because layer powers are nonnegative, so
+# the pentagon never degenerates.
+_BC_DMS = Family("outer", "outer_bounds.bc_dms_region", ("split_grid",), _split_caps)
+
+# Theorem 1: the broadcast pentagons, each cut by its own r1 cap, then the
+# unifying family (see :func:`th1_bound`).
+_TH1 = Family(
+    "outer",
+    "outer_bounds.th1_bound",
+    ("split_grid", "alpha_grid"),
+    corners=_th1_corners,
+    invalid=lambda params: params.b <= 1.0,
+    error="Theorem 1 requires |b| > 1",
+)
+
+# The private-rate rectangles of both encoding orders, then the unifying
+# family (see :func:`bc_pr_bound`).
+_BC_PR = Family(
+    "outer", "outer_bounds.bc_pr_bound", ("split_grid", "alpha_grid"), corners=_bc_pr_corners
+)
+
+
 def bc_dms_region(params: ChannelParams, split_grid=DEFAULT_SPLIT_POINTS) -> Frontier:
-    """Upper concave envelope of :func:`bc_dms_pentagon` over a split grid.
+    """Upper concave envelope of the broadcast pentagons over a split grid.
 
     The underlying region is convex (time sharing between splits is
     admissible in the enhanced channel), so the sampled union is
@@ -422,9 +509,7 @@ def bc_dms_region(params: ChannelParams, split_grid=DEFAULT_SPLIT_POINTS) -> Fro
     for ``|b| >= 1``; the function computes the enhanced-channel region for
     any parameters and leaves regime policing to callers.
     """
-    return _split_hull(
-        params, split_grid, lambda *split: _corner_kinds(*_split_caps(params, *split))
-    )
+    return _BC_DMS.hull(params, split_grid)
 
 
 def th1_bound(
@@ -434,7 +519,7 @@ def th1_bound(
 ) -> Frontier:
     """Strong-interference outer bound: broadcast pentagons, each cut by its own r1 cap.
 
-    Every covariance split's :func:`bc_dms_pentagon` is cut by
+    Every covariance split's broadcast pentagon (the ``bcdms`` family) is cut by
     ``R1 <= log2(1 + Var(X1|X2))`` of that split's total input covariance
     before the hull is taken.  Both inequalities come out of one
     single-letter converse with a common input law: the broadcast pentagon
@@ -452,17 +537,8 @@ def th1_bound(
     As in :func:`bc_dms_region`, the corner cloud is streamed through the
     hull (:func:`_split_hull`) and never held whole.
     """
-    if params.b <= 1.0:
-        raise ValueError("Theorem 1 requires |b| > 1")
-
-    def cut_corners(*split):
-        r1_cap, r2_cap, sum_cap = _split_caps(params, *split)
-        np.minimum(r1_cap, _conditional_r1_caps(params, split), out=r1_cap)
-        return _corner_kinds(r1_cap, r2_cap, sum_cap)
-
     return intersect_frontiers(
-        _split_hull(params, split_grid, cut_corners),
-        unifying_region(params, alpha_grid=alpha_grid),
+        _TH1.hull(params, split_grid), unifying_region(params, alpha_grid=alpha_grid)
     )
 
 
@@ -480,17 +556,6 @@ def bc_pr_bound(
     convex), streamed through the hull like :func:`bc_dms_region`'s, and
     then cut by the unifying-family envelope.
     """
-
-    def rectangle_corners(*split):
-        q1l1, q1l2, q2l1, q2l2 = _split_forms(params, *split)
-        # Layer 2 encoded last (the broadcast pentagon's r1 and r2 caps),
-        # then layer 1 encoded last.
-        return (
-            _layer2_last_caps(q1l1, q1l2, q2l2),
-            (gaussian_rate(q1l1), gaussian_rate(q2l2 / (1.0 + q2l1))),
-        )
-
     return intersect_frontiers(
-        _split_hull(params, split_grid, rectangle_corners),
-        unifying_region(params, alpha_grid=alpha_grid),
+        _BC_PR.hull(params, split_grid), unifying_region(params, alpha_grid=alpha_grid)
     )

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from cogregions.channel import ChannelParams, gaussian_rate
-from cogregions.inner_bounds import scheme_e_region
+from cogregions.inner_bounds import FAMILIES, scheme_e_region
 from cogregions.oracles import (
     degradedness_check,
     mc_rate_check,
@@ -20,7 +20,6 @@ from cogregions.oracles import (
 )
 from cogregions.outer_bounds import (
     CovarianceSplit,
-    bc_dms_pentagon,
     bc_dms_region,
     bergmans_frontier,
     th1_bound,
@@ -244,7 +243,7 @@ def test_acceptance_5_broadcast_region_containment():
     worst_slice = 0.0
     for alpha1 in np.linspace(0.0, 1.0, 101):
         for rho2 in (-1.0, -0.3, 0.0, 0.7, 1.0):
-            pent = bc_dms_pentagon(
+            pent = FAMILIES["bcdms"].pentagon(
                 params, CovarianceSplit(float(alpha1), 0.0, 0.0, rho2)
             )
             closed = gaussian_rate(

@@ -17,6 +17,7 @@ import cogregions
 from cogregions import cli, oracles
 from cogregions.channel import ChannelParams, th3_threshold
 from cogregions.cli import main
+from cogregions.inner_bounds import FAMILIES, capacity_region, scheme_e_region
 from cogregions.oracles import (
     _psd_factor,
     degradedness_check,
@@ -24,6 +25,14 @@ from cogregions.oracles import (
     verify_condition5,
     verify_condition6,
     verify_th3_capacity,
+)
+from cogregions.outer_bounds import (
+    bc_dms_region,
+    bc_pr_bound,
+    bergmans_frontier,
+    cor2_region,
+    th1_bound,
+    unifying_region,
 )
 
 LOG2_6 = math.log2(6.0)
@@ -214,6 +223,64 @@ def test_region_rejects_wrong_regime(capsys):
     code, _, err = run(capsys, "region", "--bound", "cor2", "--a", "0.5", "--b", "3")
     assert code == 2
     assert err.strip() == "error: Cor.2 requires Z strong interference"
+
+
+# Each family's builder called directly at the grids of _GRID_FLAGS, its
+# role, and, where the command line can reach its validity check, a point
+# the check refuses with its message.
+_GRID_FLAGS = ("--alpha-grid", "51", "--beta-grid", "51", "--split-grid", "5")
+_FAMILY_CASES = {
+    "unifying": (lambda p: unifying_region(p, alpha_grid=51), "outer", None),
+    "cor2": (
+        lambda p: cor2_region(p, alpha_grid=51),
+        "outer",
+        (("--a", "0.5", "--b", "3"), "error: Cor.2 requires Z strong interference"),
+    ),
+    "bcdms": (lambda p: bc_dms_region(p, split_grid=5), "outer", None),
+    "th1": (
+        lambda p: th1_bound(p, split_grid=5, alpha_grid=51),
+        "outer",
+        (("--a", "0", "--b", "1"), "error: Theorem 1 requires |b| > 1"),
+    ),
+    "bcpr": (lambda p: bc_pr_bound(p, split_grid=5, alpha_grid=51), "outer", None),
+    "bergmans": (lambda p: bergmans_frontier(p.p1, p.b, alpha_grid=51), "reference", None),
+    "schemeE": (lambda p: scheme_e_region(p, beta_grid=51), "inner", None),
+}
+
+
+@pytest.mark.parametrize("name", list(_FAMILY_CASES))
+def test_region_reads_each_family_from_the_table(capsys, name):
+    # The selectors, in the order --help lists them.
+    assert cli.BOUNDS == (*FAMILIES, "capacity") == (*_FAMILY_CASES, "capacity")
+    build, role, refused = _FAMILY_CASES[name]
+    assert FAMILIES[name].role == role
+    point = ("--a", "0", "--b", "3", "--p1", "2", "--p2", "3", "--format", "json")
+    code, out, _ = run(capsys, "region", "--bound", name, *point, *_GRID_FLAGS)
+    assert code == 0
+    expected = build(ChannelParams(a=0.0, b=3.0, p1=2.0, p2=3.0)).to_json()
+    assert out == json.dumps(expected) + "\n"
+    if refused is not None:
+        flags, message = refused
+        code, _, err = run(capsys, "region", "--bound", name, *flags, *_GRID_FLAGS)
+        assert (code, err.strip()) == (2, message)
+
+
+def test_scheme_e_without_primary_power_runs_its_one_split(capsys):
+    # At p2 = 0 the copy scaling admits only beta = 1, and an integer grid is
+    # cut to it; the matched pairing needs p2 > 0.
+    for argv in (
+        ("region", "--bound", "schemeE", "--a", "0", "--b", "3", "--p2", "0"),
+        ("compare", "schemeE", "th1", "--a", "0.3", "--b", "3", "--p2", "0"),
+        ("compare", "schemeE", "cor2", "--a", "0", "--b", "3", "--p2", "0"),
+    ):
+        code, out, err = run(capsys, *argv, "--p1", "1")
+        assert (code, err) == (0, "")
+    assert json.loads(out)["matched_power_splits"] is False
+    point = ("--a", "0.3", "--b", "3", "--p1", "2", "--p2", "0")
+    code, out, _ = run(capsys, "region", "--bound", "schemeE", *point)
+    assert code == 0
+    inner = capacity_region(ChannelParams(a=0.3, b=3.0, p1=2.0, p2=0.0)).frontier
+    assert out == inner.to_csv()
 
 
 def test_region_output_is_deterministic(capsys, tmp_path):

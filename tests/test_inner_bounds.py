@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from cogregions.channel import ChannelParams, gaussian_rate
 from cogregions.inner_bounds import (
+    FAMILIES,
     CapacityResult,
     beta_of_alpha,
     capacity_region,
-    scheme_e_general_pentagon,
     scheme_e_pentagon,
     scheme_e_region,
 )
-from cogregions.outer_bounds import cor2_bound
 from cogregions.region_geometry import contains, sweep_grid
 
 Z_STRONG = ChannelParams(a=0.0, b=3.0, p1=1.0, p2=1.0)
@@ -99,7 +98,7 @@ def test_scheme_pentagon_guards():
 def test_general_pentagon_delegates_at_zero_cross_gain():
     for beta in (0.0, 0.37, 1.0):
         direct = scheme_e_pentagon(Z_STRONG, beta)
-        general = scheme_e_general_pentagon(Z_STRONG, beta)
+        general = FAMILIES["schemeE"].pentagon(Z_STRONG, beta)
         assert general == direct
 
 
@@ -107,16 +106,14 @@ def test_general_pentagon_cross_talk_costs_only_r1():
     noisy = ChannelParams(a=0.5, b=3.0, p1=1.0, p2=1.0)
     for beta in (0.3, 0.7, 1.0):
         clean = scheme_e_pentagon(Z_STRONG, beta)
-        heard = scheme_e_general_pentagon(noisy, beta)
+        heard = FAMILIES["schemeE"].pentagon(noisy, beta)
         assert heard.r1_max < clean.r1_max
         assert heard.r2_max == clean.r2_max
         assert heard.sum_max <= clean.sum_max + 1e-12
 
 
 def test_general_pentagon_private_only_with_cross_gain():
-    p = scheme_e_general_pentagon(
-        ChannelParams(a=0.5, b=3.0, p1=1.0, p2=1.0), beta=1.0
-    )
+    p = FAMILIES["schemeE"].pentagon(ChannelParams(a=0.5, b=3.0, p1=1.0, p2=1.0), 1.0)
     assert p.r1_max == pytest.approx(math.log2(1.0 + 1.0 / 1.25), abs=1e-12)
 
 
@@ -127,7 +124,7 @@ def test_general_pentagon_with_subnormal_primary_power():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for beta in np.linspace(0.0, 1.0, 11):
-            pentagon = scheme_e_general_pentagon(params, float(beta))
+            pentagon = FAMILIES["schemeE"].pentagon(params, float(beta))
             expected = math.log2(1.0 + beta * 2.0 / (1.0 + (1.0 - beta) * 2.0))
             assert pentagon.r1_max == pytest.approx(expected, abs=1e-12)
 
@@ -139,7 +136,7 @@ def test_scheme_matches_z_outer_bound_at_mapped_splits():
         params = ChannelParams(a=0.0, b=b, p1=1.0, p2=1.0)
         for alpha in np.linspace(0.0, 1.0, 101):
             inner = scheme_e_pentagon(params, beta_of_alpha(alpha, params.p1))
-            outer = cor2_bound(params, float(alpha))
+            outer = FAMILIES["cor2"].pentagon(params, float(alpha))
             assert inner.r1_max == pytest.approx(outer.r1_max, abs=1e-12)
             assert inner.r2_max == pytest.approx(outer.r2_max, abs=1e-12)
             assert inner.sum_max <= outer.sum_max + 1e-12
@@ -162,7 +159,7 @@ def test_scheme_region_matches_scalar_pentagons():
     beta = np.linspace(0.0, 1.0, 9)
     fr = scheme_e_region(params, beta_grid=beta)
     for value in beta:
-        p = scheme_e_general_pentagon(params, float(value))
+        p = FAMILIES["schemeE"].pentagon(params, float(value))
         corner = min(p.r2_max, p.sum_max - p.r1_max)
         assert fr.interp(p.r1_max) >= corner - 1e-12
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cogregions import cli
 from cogregions.channel import ChannelParams, th3_threshold
-from cogregions.inner_bounds import beta_of_alpha, scheme_e_pentagon
+from cogregions.inner_bounds import FAMILIES, beta_of_alpha, scheme_e_pentagon
 from cogregions.oracles import (
     _degradedness_rows,
     _psd_factor,
@@ -20,7 +20,6 @@ from cogregions.oracles import (
     verify_condition6,
     verify_th3_capacity,
 )
-from cogregions.outer_bounds import cor2_bound
 
 
 # ------------------------------------------------------- Monte Carlo checks
@@ -310,7 +309,7 @@ def test_th3_capacity_caps_match_scalar_pentagons():
         alpha = np.linspace(0.0, 1.0, 301)
         cap_identity = sum_excess = 0.0
         for al, be in zip(alpha.tolist(), beta_of_alpha(alpha, p1).tolist()):
-            outer, inner = cor2_bound(params, al), scheme_e_pentagon(params, be)
+            outer, inner = FAMILIES["cor2"].pentagon(params, al), scheme_e_pentagon(params, be)
             cap_identity = max(
                 cap_identity,
                 abs(inner.r1_max - outer.r1_max),

@@ -6,18 +6,14 @@ import numpy as np
 import pytest
 
 from cogregions.channel import ChannelParams, gaussian_rate
-from cogregions.inner_bounds import scheme_e_region
+from cogregions.inner_bounds import FAMILIES, scheme_e_region
 from cogregions.outer_bounds import (
     CovarianceSplit,
-    bc_dms_pentagon,
     bc_dms_region,
     bc_pr_bound,
     bergmans_frontier,
-    bergmans_region,
-    cor2_bound,
     cor2_region,
     th1_bound,
-    unifying_bound,
     unifying_region,
 )
 from cogregions.region_geometry import concavify, contains, sweep_grid
@@ -29,7 +25,7 @@ STRONG_Z = ChannelParams(a=0.0, b=3.0, p1=1.0, p2=1.0)
 
 
 def test_unifying_bound_full_allocation():
-    p = unifying_bound(STRONG_Z, alpha=1.0)
+    p = FAMILIES["unifying"].pentagon(STRONG_Z, 1.0)
     assert p.r1_max == pytest.approx(1.0, abs=1e-12)
     assert p.r2_max == pytest.approx(math.log2(11.0), abs=1e-12)
     assert p.sum_max == pytest.approx(math.log2(11.0), abs=1e-12)
@@ -38,7 +34,7 @@ def test_unifying_bound_full_allocation():
 def test_unifying_bound_zero_allocation_collapses_to_sum():
     # With no power on the first message the pentagon is the full-cooperation
     # segment: r1 = 0 and r2 capped by the coherent-combining sum rate.
-    p = unifying_bound(STRONG_Z, alpha=0.0)
+    p = FAMILIES["unifying"].pentagon(STRONG_Z, 0.0)
     assert p.r1_max == 0.0
     assert p.r2_max == pytest.approx(math.log2(17.0), abs=1e-12)
     assert p.sum_max == p.r2_max
@@ -48,7 +44,7 @@ def test_unifying_bound_weak_gain_keeps_positive_excess():
     # For |b| < 1 receiver 2 cannot resolve the first message by itself, so
     # the sum cap exceeds the r2 cap by the unresolved portion.
     params = ChannelParams(a=0.5, b=0.5, p1=1.0, p2=1.0)
-    p = unifying_bound(params, alpha=1.0)
+    p = FAMILIES["unifying"].pentagon(params, 1.0)
     excess = math.log2(2.0) - math.log2(1.25)
     assert p.r2_max == pytest.approx(math.log2(2.25), abs=1e-12)
     assert p.sum_max == pytest.approx(math.log2(2.25) + excess, abs=1e-12)
@@ -63,7 +59,7 @@ def test_unifying_bound_excess_vanishes_for_strong_gain():
             p1=10.0 * rng.random(),
             p2=10.0 * rng.random(),
         )
-        p = unifying_bound(params, alpha=float(rng.random()))
+        p = FAMILIES["unifying"].pentagon(params, float(rng.random()))
         assert p.sum_max <= p.r2_max + 1e-12
 
 
@@ -84,7 +80,7 @@ def test_unifying_region_interference_free_reduction():
 
 def test_unifying_rejects_bad_alpha():
     with pytest.raises(ValueError) as err:
-        unifying_bound(STRONG_Z, alpha=1.5)
+        FAMILIES["unifying"].pentagon(STRONG_Z, 1.5)
     assert str(err.value) == "alpha must lie in [0, 1], got 1.5"
     with pytest.raises(ValueError) as err:
         unifying_region(STRONG_Z, alpha_grid=np.array([0.0, 1.2]))
@@ -102,23 +98,23 @@ def test_unifying_rejects_bad_alpha():
 
 def test_cor2_requires_z_strong_interference():
     with pytest.raises(ValueError) as err:
-        cor2_bound(ChannelParams(a=0.5, b=3.0, p1=1.0, p2=1.0), alpha=0.5)
+        FAMILIES["cor2"].pentagon(ChannelParams(a=0.5, b=3.0, p1=1.0, p2=1.0), 0.5)
     assert str(err.value) == "Cor.2 requires Z strong interference"
     with pytest.raises(ValueError):
         cor2_region(ChannelParams(a=0.0, b=0.8, p1=1.0, p2=1.0))
     # Strong interference suffices; the bound does not demand the stricter
     # very-strong threshold that makes it tight.
-    cor2_bound(ChannelParams(a=0.0, b=1.2, p1=1.0, p2=1.0), alpha=0.5)
+    FAMILIES["cor2"].pentagon(ChannelParams(a=0.0, b=1.2, p1=1.0, p2=1.0), 0.5)
 
 
 def test_cor2_zero_alpha_caps_coincide():
-    p = cor2_bound(STRONG_Z, alpha=0.0)
+    p = FAMILIES["cor2"].pentagon(STRONG_Z, 0.0)
     assert p.r2_max == p.sum_max
     assert p.r2_max == pytest.approx(math.log2(17.0), abs=1e-12)
 
 
 def test_cor2_full_alpha_pentagon():
-    p = cor2_bound(STRONG_Z, alpha=1.0)
+    p = FAMILIES["cor2"].pentagon(STRONG_Z, 1.0)
     assert p.r1_max == pytest.approx(1.0, abs=1e-12)
     assert p.r2_max == pytest.approx(1.0, abs=1e-12)
     # The raw sum cap log2(11) is vacuous against r1_cap + r2_cap.
@@ -135,8 +131,8 @@ def test_cor2_tightens_unifying_r2_cap():
             p2=0.1 + 10.0 * rng.random(),
         )
         alpha = float(rng.random())
-        tight = cor2_bound(params, alpha)
-        loose = unifying_bound(params, alpha)
+        tight = FAMILIES["cor2"].pentagon(params, alpha)
+        loose = FAMILIES["unifying"].pentagon(params, alpha)
         assert tight.r1_max == pytest.approx(loose.r1_max, abs=1e-12)
         assert tight.r2_max <= loose.r2_max + 1e-12
         # The sum caps agree before pentagon normalization; compare through
@@ -160,15 +156,15 @@ def test_cor2_region_envelope_endpoints():
 
 
 def test_bergmans_rectangle_values():
-    p = bergmans_region(p1=5.0, b=10.0, alpha=0.5)
+    p = FAMILIES["bergmans"].pentagon(5.0, 10.0, 0.5)
     assert p.r1_max == pytest.approx(math.log2(12.0 / 7.0), abs=1e-12)
     assert p.r2_max == pytest.approx(math.log2(251.0), abs=1e-12)
-    assert math.isinf(bergmans_region(5.0, 10.0, 0.5).sum_max) is False
+    assert math.isinf(FAMILIES["bergmans"].pentagon(5.0, 10.0, 0.5).sum_max) is False
 
 
 def test_bergmans_rejects_negative_power():
     with pytest.raises(ValueError) as err:
-        bergmans_region(p1=-1.0, b=10.0, alpha=0.5)
+        FAMILIES["bergmans"].pentagon(-1.0, 10.0, 0.5)
     assert str(err.value) == "power p1 must be nonnegative"
     with pytest.raises(ValueError):
         bergmans_frontier(p1=-1.0, b=10.0)
@@ -228,7 +224,7 @@ def test_covariance_split_layer_matrices():
 
 
 def test_bc_dms_pentagon_uncorrelated_even_split():
-    p = bc_dms_pentagon(STRONG_Z, CovarianceSplit(0.5, 0.0, 0.0, 0.0))
+    p = FAMILIES["bcdms"].pentagon(STRONG_Z, CovarianceSplit(0.5, 0.0, 0.0, 0.0))
     assert p.r1_max == pytest.approx(math.log2(4.0 / 3.0), abs=1e-12)
     assert p.r2_max == pytest.approx(math.log2(6.5), abs=1e-12)
     # Raw sum cap log2(11) loses to the corner sum here.
@@ -236,7 +232,7 @@ def test_bc_dms_pentagon_uncorrelated_even_split():
 
 
 def test_bc_dms_pentagon_degenerate_second_layer():
-    p = bc_dms_pentagon(STRONG_Z, CovarianceSplit(1.0, 1.0, 0.3, -0.7))
+    p = FAMILIES["bcdms"].pentagon(STRONG_Z, CovarianceSplit(1.0, 1.0, 0.3, -0.7))
     assert p.r2_max == 0.0
     assert p.r1_max == pytest.approx(1.0, abs=1e-12)
     assert p.sum_max == p.r1_max
@@ -252,7 +248,7 @@ def test_bc_dms_pentagon_never_degenerates():
             p2=10.0 * rng.random(),
         )
         split = CovarianceSplit(*rng.random(2), *(2.0 * rng.random(2) - 1.0))
-        p = bc_dms_pentagon(params, split)
+        p = FAMILIES["bcdms"].pentagon(params, split)
         assert p.r2_max <= p.sum_max + 1e-12
 
 
