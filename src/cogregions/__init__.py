@@ -13,7 +13,6 @@ from .inner_bounds import (
     CapacityResult,
     beta_of_alpha,
     capacity_region,
-    scheme_e_pentagon,
     scheme_e_region,
 )
 from .oracles import (
@@ -58,7 +57,6 @@ __all__ = [
     "CapacityResult",
     "beta_of_alpha",
     "capacity_region",
-    "scheme_e_pentagon",
     "scheme_e_region",
     "degradedness_check",
     "mc_rate_check",

@@ -10,7 +10,7 @@ bits (base-2 logarithms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -95,15 +95,7 @@ class RegimeReport:
     thresholds: dict
 
     def as_dict(self) -> dict:
-        out = {
-            "interference_class": self.interference_class,
-            "z_channel": self.z_channel,
-            "pdc_capacity_known": self.pdc_capacity_known,
-            "th3_capacity": self.th3_capacity,
-            "regime": self.regime,
-            "thresholds": dict(self.thresholds),
-        }
-        return out
+        return asdict(self)
 
 
 def pdc_threshold(p1: float, p2: float) -> float:

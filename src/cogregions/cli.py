@@ -334,6 +334,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     params = _params(cfg)
     suite = args.suite
+    if suite == "th3" and params.a != 0.0:
+        raise ValueError("Theorem-3 check needs a = 0")
     mc_cases = _mc_cases(params) if suite in ("mc", "all") else None
     degraded = suite == "degraded" or (suite == "all" and params.b >= 1.0)
     reports = []

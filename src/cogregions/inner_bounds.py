@@ -30,13 +30,12 @@ from .outer_bounds import (
     th1_bound,
     unifying_region,
 )
-from .region_geometry import Frontier, GridAxis, Pentagon, concavify
+from .region_geometry import Frontier, GridAxis, concavify
 
 __all__ = [
     "DEFAULT_BETA_POINTS",
     "FAMILIES",
     "CapacityResult",
-    "scheme_e_pentagon",
     "scheme_e_region",
     "beta_of_alpha",
     "capacity_region",
@@ -110,14 +109,6 @@ FAMILIES = {
     "bergmans": outer_bounds._BERGMANS,
     "schemeE": _SCHEME_E,
 }
-
-
-def scheme_e_pentagon(params: ChannelParams, beta: float) -> Pentagon:
-    """Scheme E's pentagon on the Z channel, where receiver 1 does not hear
-    the primary signal: requires ``a = 0``."""
-    if params.a != 0.0:
-        raise ValueError("scheme E requires a = 0")
-    return _SCHEME_E.pentagon(params, beta)
 
 
 def scheme_e_region(

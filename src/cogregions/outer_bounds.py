@@ -61,6 +61,7 @@ DEFAULT_SPLIT_POINTS = 21
 class Family(NamedTuple):
     """One bound family, as its builder, its pentagons and the command line read it.
 
+    Every callable in the record takes the :class:`ChannelParams` first.
     The builder is looked up by name at each :meth:`build`, so a wrapper
     installed over that name sees the call.  ``caps`` broadcasts over the
     split: one power split ``t`` in [0, 1], named ``axis``, or the four
@@ -72,15 +73,14 @@ class Family(NamedTuple):
     """
 
     role: str  # "outer", "inner", or "reference" (a containment reference)
-    builder: str  # "module.function", taking channel(params) and the grids
+    builder: str  # "module.function", taking params and the grids
     grids: Tuple[str, ...]  # the grid flags the builder takes by keyword
-    caps: Optional[Callable] = None  # (*channel(params), *split) -> (r1, r2, sum)
+    caps: Optional[Callable] = None  # (params, *split) -> (r1, r2, sum)
     corners: Optional[Callable] = None  # (params, *split) -> _split_hull's points
-    invalid: Callable = lambda *channel: False  # where the family does not apply
-    single_split: Callable = lambda *channel: False
+    invalid: Callable = lambda params: False  # where the family does not apply
+    single_split: Callable = lambda params: False
     error: str = ""  # the ValueError message where it does not apply
     axis: str = "alpha"
-    channel: Callable = lambda params: (params,)  # the builder's channel arguments
     # The family whose pentagons this one's meet split for split at a = 0
     # under beta_of_alpha.
     matched: Optional[str] = None
@@ -89,39 +89,35 @@ class Family(NamedTuple):
         """The family's frontier from its builder, with its grid flags from ``grids``."""
         module, name = self.builder.split(".")
         builder = getattr(sys.modules[f"{__package__}.{module}"], name)
-        return builder(*self.channel(params), **{key: grids[key] for key in self.grids})
+        return builder(params, **{key: grids[key] for key in self.grids})
 
-    def _check(self, channel, split=1.0) -> None:
-        refused = self.single_split(*channel) and np.any(np.less(split, 1.0))
-        if self.invalid(*channel) or refused:
+    def _check(self, params: ChannelParams, split=1.0) -> None:
+        refused = self.single_split(params) and np.any(np.less(split, 1.0))
+        if self.invalid(params) or refused:
             raise ValueError(self.error)
 
-    def pentagon(self, *args) -> Pentagon:
-        """The pentagon at one split: ``args`` are ``channel(params)``, then
-        ``t`` or a :class:`CovarianceSplit`."""
-        *channel, t = args
+    def pentagon(self, params: ChannelParams, t) -> Pentagon:
+        """The pentagon at one split: a power split ``t`` or a :class:`CovarianceSplit`."""
         split = astuple(t) if isinstance(t, CovarianceSplit) else (grid_point(t, self.axis),)
-        self._check(channel, split)
-        return Pentagon(*self.caps(*channel, *split))
+        self._check(params, split)
+        return Pentagon(*self.caps(params, *split))
 
-    def union(self, *args) -> Frontier:
-        """Union of the pentagons over a power-split grid: ``args`` are
-        ``channel(params)``, then the grid.
+    def union(self, params: ChannelParams, grid) -> Frontier:
+        """Union of the pentagons over a power-split grid.
 
         The union is exact at the corners of the family and follows their
         chords in between (see
         :func:`~cogregions.region_geometry.union_frontier_arrays`).
         """
-        *channel, grid = args
         t = grid_axis(grid, f"{self.axis} grid")
-        if isinstance(grid, (int, np.integer)) and self.single_split(*channel):
+        if isinstance(grid, (int, np.integer)) and self.single_split(params):
             t = t[-1:]
-        self._check(channel, t)
-        return union_frontier_arrays(*self.caps(*channel, t))
+        self._check(params, t)
+        return union_frontier_arrays(*self.caps(params, t))
 
     def hull(self, params: ChannelParams, split_grid) -> Frontier:
         """:func:`hull_frontier` of a split family's points over a split grid."""
-        self._check((params,))
+        self._check(params)
         points = self.corners or (lambda p, *split: _corner_kinds(*self.caps(p, *split)))
         return _split_hull(params, split_grid, functools.partial(points, params))
 
@@ -175,11 +171,12 @@ def unifying_region(
     return _UNIFYING.union(params, alpha_grid)
 
 
-def _bergmans_caps(p1: float, b: float, alpha):
+def _bergmans_caps(params: ChannelParams, alpha):
     """``(r1, r2, sum)`` caps of the Bergmans reference; the sum cap is absent."""
+    p1 = params.p1
     abar = 1.0 - alpha
     r1_cap = gaussian_rate(alpha * p1 / (abar * p1 + 1.0))
-    r2_cap = gaussian_rate(b * b * abar * p1)
+    r2_cap = gaussian_rate(params.b * params.b * abar * p1)
     return r1_cap, r2_cap, np.full(np.shape(alpha), math.inf)
 
 
@@ -188,24 +185,18 @@ def _bergmans_caps(p1: float, b: float, alpha):
 # ``alpha`` carries the r1 message with the remainder treated as noise, and
 # the remainder reaches receiver 2 through the cross gain.  No sum
 # constraint.  This is a containment reference, its union strictly inside
-# the unifying family's, not an outer bound in its own right.  It depends on
-# ``p1`` and ``b`` alone, and its builder and caps take just those.
+# the unifying family's, not an outer bound in its own right.  It reads
+# ``p1`` and ``b`` alone.
 _BERGMANS = Family(
-    "reference",
-    "outer_bounds.bergmans_frontier",
-    ("alpha_grid",),
-    _bergmans_caps,
-    invalid=lambda p1, b: p1 < 0.0,
-    error="power p1 must be nonnegative",
-    channel=lambda params: (params.p1, params.b),
+    "reference", "outer_bounds.bergmans_frontier", ("alpha_grid",), _bergmans_caps
 )
 
 
 def bergmans_frontier(
-    p1: float, b: float, alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS
+    params: ChannelParams, alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS
 ) -> Frontier:
     """Union of the Bergmans reference rectangles over a power-split grid."""
-    return _BERGMANS.union(p1, b, alpha_grid)
+    return _BERGMANS.union(params, alpha_grid)
 
 
 def _cor2_caps(params: ChannelParams, alpha):
@@ -269,13 +260,6 @@ class CovarianceSplit:
         """Correlation coefficient of the summed layers at unit powers."""
         (_, _, c1), (_, _, c2) = _layer_entries(1.0, 1.0, *astuple(self))
         return float(c1 + c2)
-
-    def layer_covariances(self, p1: float, p2: float) -> Tuple[np.ndarray, np.ndarray]:
-        """The two 2x2 layer covariance matrices at transmit powers (p1, p2)."""
-        return tuple(
-            np.array([[v1, c], [c, v2]])
-            for v1, v2, c in _layer_entries(p1, p2, *astuple(self))
-        )
 
 
 def _layer_entries(p1: float, p2: float, alpha1, alpha2, rho1, rho2):
@@ -366,7 +350,8 @@ def _split_mesh(params: ChannelParams, split_grid):
 # alpha1 row holds more (see _split_hull).
 _BLOCK_SPLITS = 1 << 15
 
-# Stride of the split sample whose staircase prefilters the mesh in _split_hull.
+# Least stride of the split sample whose staircase prefilters the mesh in
+# _split_hull.
 _WITNESS_STRIDE = 64
 
 
@@ -379,11 +364,15 @@ def _split_hull(params: ChannelParams, split_grid, points) -> Frontier:
     parameters, splits in ``ij`` order.  The cloud is every split's first
     kind, then every split's second, and so on, as the dense builders
     concatenated it.  The result is that cloud's hull bit for bit, but
-    neither the cloud nor the caps of the whole mesh are ever built, so
-    memory is O(block + staircase) instead of O(splits):
+    neither the cloud nor the caps of the whole mesh are ever built: each
+    evaluation spans at most one slab, and memory is that slab plus the
+    survivors of step 2, not the whole mesh:
 
-    1. Witness: the points of every ``_WITNESS_STRIDE``-th split by flat
-       index, evaluated on gathered 1-D parameters, and their staircase.
+    1. Witness: the points of every ``stride``-th split by flat index,
+       evaluated on gathered 1-D parameters, and their staircase.  The
+       stride is ``_WITNESS_STRIDE``, or larger where the mesh has more
+       than ``_WITNESS_STRIDE * _BLOCK_SPLITS`` splits, so the sample is
+       never more than ``_BLOCK_SPLITS`` splits.
     2. Stream: slabs of whole ``alpha1`` rows, at most ``_BLOCK_SPLITS``
        splits unless one row alone holds more; one bucket test,
        :func:`_witness_filter`, drops most points some witness beats
@@ -406,7 +395,9 @@ def _split_hull(params: ChannelParams, split_grid, points) -> Frontier:
     """
     axes = _split_mesh(params, split_grid)
     shape = tuple(axis.size for axis in axes)
-    sample = np.unravel_index(np.arange(0, math.prod(shape), _WITNESS_STRIDE), shape)
+    splits = math.prod(shape)
+    stride = max(_WITNESS_STRIDE, -(-splits // _BLOCK_SPLITS))
+    sample = np.unravel_index(np.arange(0, splits, stride), shape)
     gathered = (axis[i] for axis, i in zip(axes, sample))
     witness = [np.broadcast_arrays(*kind) for kind in points(*gathered)]
     wx, wy = (np.concatenate([c.ravel() for c in coords]) for coords in zip(*witness))

@@ -61,16 +61,6 @@ class Pentagon:
         object.__setattr__(self, "r2_max", r2)
         object.__setattr__(self, "sum_max", min(s, r1 + r2))
 
-    @property
-    def r1_extent(self) -> float:
-        """Largest achievable r1 (at r2 = 0)."""
-        return min(self.r1_max, self.sum_max)
-
-    @property
-    def r2_extent(self) -> float:
-        """Largest achievable r2 (at r1 = 0)."""
-        return min(self.r2_max, self.sum_max)
-
 
 def pentagon_corners(p: Pentagon) -> list:
     """Pareto vertices of a normalized pentagon.

@@ -205,7 +205,9 @@ def test_acceptance_4_interference_free_reduction_and_reference_gap():
         abs(frontier.interp(top) - (total - top)),
         abs(frontier.interp(0.5 * top) - (total - 0.5 * top)),
     )
-    reference = bergmans_frontier(5.0, 10.0, alpha_grid=axis)
+    reference = bergmans_frontier(
+        ChannelParams(a=0.0, b=10.0, p1=5.0, p2=0.0), alpha_grid=axis
+    )
     containment = contains(frontier, reference, tol=1e-9)
     corner_r1 = math.log2(12.0 / 7.0)
     corner_r2 = math.log2(251.0)

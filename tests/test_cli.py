@@ -243,7 +243,7 @@ _FAMILY_CASES = {
         (("--a", "0", "--b", "1"), "error: Theorem 1 requires |b| > 1"),
     ),
     "bcpr": (lambda p: bc_pr_bound(p, split_grid=5, alpha_grid=51), "outer", None),
-    "bergmans": (lambda p: bergmans_frontier(p.p1, p.b, alpha_grid=51), "reference", None),
+    "bergmans": (lambda p: bergmans_frontier(p, alpha_grid=51), "reference", None),
     "schemeE": (lambda p: scheme_e_region(p, beta_grid=51), "inner", None),
 }
 
@@ -628,6 +628,16 @@ def test_verify_th3_without_primary_power(capsys, b):
     assert code == 2
     assert out == ""
     assert err == "error: Theorem-3 check needs p2 > 0\n"
+
+
+def test_verify_th3_refuses_a_nonzero_cross_gain(capsys):
+    # Theorem 3 is a Z-channel result and its check reads no a: with a != 0
+    # it would pass on the Z channel instead of the one asked about.
+    point = ("--a", "0.3", "--b", "5", "--p1", "1", "--p2", "1")
+    code, out, err = run(capsys, "verify", "th3", *point)
+    assert code == 2
+    assert out == ""
+    assert err == "error: Theorem-3 check needs a = 0\n"
 
 
 def test_verify_mc_reports_are_json_lines(capsys):

@@ -14,7 +14,6 @@ from cogregions.inner_bounds import (
     CapacityResult,
     beta_of_alpha,
     capacity_region,
-    scheme_e_pentagon,
     scheme_e_region,
 )
 from cogregions.region_geometry import contains, sweep_grid
@@ -65,7 +64,7 @@ def test_beta_of_alpha_validates_and_preserves_shape():
 
 
 def test_scheme_pentagon_private_only():
-    p = scheme_e_pentagon(Z_STRONG, beta=1.0)
+    p = FAMILIES["schemeE"].pentagon(Z_STRONG, 1.0)
     assert p.r1_max == pytest.approx(1.0, abs=1e-12)
     assert p.r2_max == pytest.approx(1.0, abs=1e-12)
     assert p.sum_max == pytest.approx(2.0, abs=1e-12)
@@ -74,7 +73,7 @@ def test_scheme_pentagon_private_only():
 def test_scheme_pentagon_full_relay():
     # All cognitive power spent repeating the primary codeword: nothing for
     # receiver 1, coherent combining at receiver 2.
-    p = scheme_e_pentagon(Z_STRONG, beta=0.0)
+    p = FAMILIES["schemeE"].pentagon(Z_STRONG, 0.0)
     assert p.r1_max == 0.0
     assert p.r2_max == pytest.approx(math.log2(17.0), abs=1e-12)
     assert p.r2_max == p.sum_max
@@ -82,30 +81,20 @@ def test_scheme_pentagon_full_relay():
 
 def test_scheme_pentagon_guards():
     with pytest.raises(ValueError) as err:
-        scheme_e_pentagon(ChannelParams(a=0.5, b=3.0, p1=1.0, p2=1.0), beta=0.5)
-    assert str(err.value) == "scheme E requires a = 0"
-    with pytest.raises(ValueError) as err:
-        scheme_e_pentagon(ChannelParams(a=0.0, b=3.0, p1=1.0, p2=0.0), beta=0.5)
+        FAMILIES["schemeE"].pentagon(ChannelParams(a=0.0, b=3.0, p1=1.0, p2=0.0), 0.5)
     assert str(err.value) == "degenerate superposition: set beta=1"
     with pytest.raises(ValueError) as err:
-        scheme_e_pentagon(Z_STRONG, beta=-0.1)
+        FAMILIES["schemeE"].pentagon(Z_STRONG, -0.1)
     assert str(err.value) == "beta must lie in [0, 1], got -0.1"
     # beta = 1 stays valid without any primary power to copy.
-    p = scheme_e_pentagon(ChannelParams(a=0.0, b=3.0, p1=1.0, p2=0.0), beta=1.0)
+    p = FAMILIES["schemeE"].pentagon(ChannelParams(a=0.0, b=3.0, p1=1.0, p2=0.0), 1.0)
     assert p.r1_max == pytest.approx(1.0, abs=1e-12)
-
-
-def test_general_pentagon_delegates_at_zero_cross_gain():
-    for beta in (0.0, 0.37, 1.0):
-        direct = scheme_e_pentagon(Z_STRONG, beta)
-        general = FAMILIES["schemeE"].pentagon(Z_STRONG, beta)
-        assert general == direct
 
 
 def test_general_pentagon_cross_talk_costs_only_r1():
     noisy = ChannelParams(a=0.5, b=3.0, p1=1.0, p2=1.0)
     for beta in (0.3, 0.7, 1.0):
-        clean = scheme_e_pentagon(Z_STRONG, beta)
+        clean = FAMILIES["schemeE"].pentagon(Z_STRONG, beta)
         heard = FAMILIES["schemeE"].pentagon(noisy, beta)
         assert heard.r1_max < clean.r1_max
         assert heard.r2_max == clean.r2_max
@@ -135,7 +124,7 @@ def test_scheme_matches_z_outer_bound_at_mapped_splits():
     for b in (3.0, 10.0):
         params = ChannelParams(a=0.0, b=b, p1=1.0, p2=1.0)
         for alpha in np.linspace(0.0, 1.0, 101):
-            inner = scheme_e_pentagon(params, beta_of_alpha(alpha, params.p1))
+            inner = FAMILIES["schemeE"].pentagon(params, beta_of_alpha(alpha, params.p1))
             outer = FAMILIES["cor2"].pentagon(params, float(alpha))
             assert inner.r1_max == pytest.approx(outer.r1_max, abs=1e-12)
             assert inner.r2_max == pytest.approx(outer.r2_max, abs=1e-12)

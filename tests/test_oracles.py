@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cogregions import cli
 from cogregions.channel import ChannelParams, th3_threshold
-from cogregions.inner_bounds import FAMILIES, beta_of_alpha, scheme_e_pentagon
+from cogregions.inner_bounds import FAMILIES, beta_of_alpha
 from cogregions.oracles import (
     _degradedness_rows,
     _psd_factor,
@@ -309,7 +309,8 @@ def test_th3_capacity_caps_match_scalar_pentagons():
         alpha = np.linspace(0.0, 1.0, 301)
         cap_identity = sum_excess = 0.0
         for al, be in zip(alpha.tolist(), beta_of_alpha(alpha, p1).tolist()):
-            outer, inner = FAMILIES["cor2"].pentagon(params, al), scheme_e_pentagon(params, be)
+            outer = FAMILIES["cor2"].pentagon(params, al)
+            inner = FAMILIES["schemeE"].pentagon(params, be)
             cap_identity = max(
                 cap_identity,
                 abs(inner.r1_max - outer.r1_max),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogregions.channel import ChannelParams, gaussian_rate
 from cogregions.inner_bounds import FAMILIES, scheme_e_region
@@ -16,7 +18,7 @@ from cogregions.outer_bounds import (
     th1_bound,
     unifying_region,
 )
-from cogregions.region_geometry import concavify, contains, sweep_grid
+from cogregions.region_geometry import Pentagon, concavify, contains, sweep_grid
 
 STRONG_Z = ChannelParams(a=0.0, b=3.0, p1=1.0, p2=1.0)
 
@@ -155,28 +157,21 @@ def test_cor2_region_envelope_endpoints():
 # ------------------------------------------------------- Bergmans reference
 
 
+BERGMANS_POINT = ChannelParams(a=0.0, b=10.0, p1=5.0, p2=0.0)
+
+
 def test_bergmans_rectangle_values():
-    p = FAMILIES["bergmans"].pentagon(5.0, 10.0, 0.5)
+    p = FAMILIES["bergmans"].pentagon(BERGMANS_POINT, 0.5)
     assert p.r1_max == pytest.approx(math.log2(12.0 / 7.0), abs=1e-12)
     assert p.r2_max == pytest.approx(math.log2(251.0), abs=1e-12)
-    assert math.isinf(FAMILIES["bergmans"].pentagon(5.0, 10.0, 0.5).sum_max) is False
-
-
-def test_bergmans_rejects_negative_power():
-    with pytest.raises(ValueError) as err:
-        FAMILIES["bergmans"].pentagon(-1.0, 10.0, 0.5)
-    assert str(err.value) == "power p1 must be nonnegative"
-    with pytest.raises(ValueError):
-        bergmans_frontier(p1=-1.0, b=10.0)
+    assert math.isinf(p.sum_max) is False
 
 
 def test_bergmans_frontier_endpoints_and_containment():
-    fr = bergmans_frontier(5.0, 10.0, alpha_grid=sweep_grid(1001))
+    fr = bergmans_frontier(BERGMANS_POINT, alpha_grid=sweep_grid(1001))
     assert fr.interp(0.0) == pytest.approx(math.log2(501.0), abs=1e-9)
     assert fr.max_r1 == pytest.approx(math.log2(6.0), abs=1e-9)
-    outer = unifying_region(
-        ChannelParams(a=0.0, b=10.0, p1=5.0, p2=0.0), alpha_grid=sweep_grid(1001)
-    )
+    outer = unifying_region(BERGMANS_POINT, alpha_grid=sweep_grid(1001))
     report = contains(outer, fr, tol=1e-9)
     assert report.passed, report.worst_case
 
@@ -203,21 +198,6 @@ def test_covariance_split_total_correlation():
             *rng.random(2), *(2.0 * rng.random(2) - 1.0)
         )
         assert abs(split.rho) <= 1.0 + 1e-12
-
-
-def test_covariance_split_layer_matrices():
-    split = CovarianceSplit(alpha1=0.5, alpha2=0.25, rho1=1.0, rho2=-0.5)
-    b1, b2 = split.layer_covariances(2.0, 8.0)
-    np.testing.assert_allclose(
-        b1, [[1.0, math.sqrt(2.0)], [math.sqrt(2.0), 2.0]], atol=1e-12
-    )
-    np.testing.assert_allclose(
-        b2,
-        [[1.0, -0.5 * math.sqrt(6.0)], [-0.5 * math.sqrt(6.0), 6.0]],
-        atol=1e-12,
-    )
-    total = b1 + b2
-    assert total[0, 0] == pytest.approx(2.0) and total[1, 1] == pytest.approx(8.0)
 
 
 # ------------------------------------------------------ broadcast pentagons
@@ -376,3 +356,42 @@ def test_bc_pr_defined_for_weak_gain():
     # The unifying cut limits r1 to the single-user cap even though the
     # cooperative rectangles reach further.
     assert fr.max_r1 == pytest.approx(1.0, abs=1e-9)
+
+
+# ------------------------------------------------------------ family table
+
+
+def _bits(pentagon):
+    fields = (pentagon.r1_max, pentagon.r2_max, pentagon.sum_max)
+    return np.array(fields).view(np.int64).tolist()
+
+
+_POWER = st.one_of(st.just(0.0), st.floats(0.0, 1e4))
+_CHANNELS = st.builds(ChannelParams, st.floats(0.0, 5.0), st.floats(0.0, 10.0), _POWER, _POWER)
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CHANNELS, st.data())
+def test_family_pentagon_is_its_caps_at_one_split(params, data):
+    # Every family reads one ChannelParams: its pentagon at split t is, bit
+    # for bit, the t entry of its caps over a grid holding t.
+    for name, family in FAMILIES.items():
+        if family.caps is None or family.invalid(params):
+            continue
+        size = data.draw(st.integers(1, 8), label="grid size")
+        if "split_grid" in family.grids:
+            grid = [
+                np.array(data.draw(st.lists(axis, min_size=size, max_size=size)))
+                for axis in (_UNIT, _UNIT, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+            ]
+        elif family.single_split(params):
+            grid = [np.ones(size)]
+        else:
+            grid = [np.array(data.draw(st.lists(_UNIT, min_size=size, max_size=size)))]
+        caps = [np.broadcast_to(cap, (size,)) for cap in family.caps(params, *grid)]
+        i = data.draw(st.integers(0, size - 1), label="split")
+        t = [float(axis[i]) for axis in grid]
+        t = CovarianceSplit(*t) if len(t) == 4 else t[0]
+        want = Pentagon(*(cap[i] for cap in caps))
+        assert _bits(family.pentagon(params, t)) == _bits(want), name

@@ -32,8 +32,6 @@ from cogregions.region_geometry import (
 def test_pentagon_normalizes_vacuous_sum():
     p = Pentagon(1.0, 1.0, 3.0)
     assert p.sum_max == 2.0
-    assert p.r1_extent == 1.0
-    assert p.r2_extent == 1.0
 
 
 def test_pentagon_rejects_bad_inputs():

@@ -212,6 +212,27 @@ def test_split_hull_rejects_non_finite_corners():
 # ------------------------------------------------------------------ memory
 
 
+def test_split_hull_evaluates_at_most_one_slab_per_call():
+    # Neither the witness sample nor a slab spans more than _BLOCK_SPLITS
+    # splits unless one alpha1 row alone holds more, however many splits
+    # the mesh has: the witness stride grows with the mesh.
+    params = ChannelParams(0.3, 3.0, 2.0, 3.0)
+    split_grid = (200, 3, 3, 3)
+    block, row = 32, 3 * 3 * 3
+    spans = []
+
+    def points(*split):
+        spans.append(math.prod(np.broadcast_shapes(*(np.shape(v) for v in split))))
+        return outer_bounds._th1_corners(params, *split)
+
+    with mock.patch.object(outer_bounds, "_BLOCK_SPLITS", block):
+        got = outer_bounds._split_hull(params, split_grid, points)
+    assert max(spans) <= max(block, row)
+    want = th1_bound(params, split_grid, alpha_grid=51)
+    assert _bits(intersect_frontiers(got, unifying_region(params, 51))) == _bits(want)
+
+
+
 def test_th1_fig3_mesh_memory_is_bounded():
     # The dense path held the caps and the 2.0M-point cloud: a 94 MB peak.
     split = (sweep_grid(401), 21, 5, 21)
