@@ -198,21 +198,33 @@ def _envelope(
     sorted and free of NaN.
 
     The result equals, bit for bit, the dense evaluation of every pentagon
-    at every grid point, in O((M + G) log G) time and O(M + G) memory.  It
-    rests on three monotone facts about floating point on a sorted grid:
+    at every grid point, in O((M + G) log(M + G)) time and O(M + G)
+    memory.  It rests on three monotone facts about floating point on a
+    sorted grid:
 
     - Pentagon j is admissible on a grid prefix ``[0, e_j)``, found by
       ``searchsorted``.
     - ``fl(sum_cap[j] - g)`` is non-increasing in ``g``, so the predicate
-      ``r2cap[j] <= fl(sum_cap[j] - g)`` holds on a prefix ``[0, k_j)``;
-      a vectorized bisection that evaluates this very predicate finds
-      ``k_j``.  On ``[0, min(k_j, e_j))`` the pentagon contributes
-      ``r2cap[j]``, and on ``[k_j, e_j)`` it contributes
-      ``fl(sum_cap[j] - g)``.
+      ``r2cap[j] <= fl(sum_cap[j] - g)`` holds on a prefix ``[0, k_j)``.
+      On ``[0, min(k_j, e_j))`` the pentagon contributes ``r2cap[j]``, and
+      on ``[k_j, e_j)`` it contributes ``fl(sum_cap[j] - g)``.
     - ``fl(x - g)`` is non-decreasing in ``x``, so the largest rounded
       difference over a set of pentagons is the rounded difference of their
       largest sum cap; only the maximum sum cap over the intervals covering
-      each grid point is needed.
+      each grid point is needed (:func:`_stabbing_max`).
+
+    The prefix boundary ``k_j`` is bracketed, not searched over the whole
+    grid.  Write ``s, r`` for the two caps and ``r⁻`` for the double below
+    ``r``.  Rounding is monotone, so ``fl(s - g) >= r`` wherever the exact
+    ``s - g >= r``, and ``fl(s - g) <= r⁻ < r`` wherever ``s - g <= r⁻``.
+    The predicate therefore holds at every grid point up to the double
+    below ``fl(s - r)`` (the exact ``s - r`` lies above it) and fails at
+    every grid point from the double above ``fl(s - r⁻)`` on (the exact
+    ``s - r⁻`` lies below it).  Two ``searchsorted`` calls bound ``k_j``
+    between those indices, capped at ``e_j``; the two values lie about one
+    ulp of ``r`` apart.  A bisection that evaluates the predicate itself then
+    settles ``min(k_j, e_j)`` inside the bracket: a bracket of ``w`` grid
+    points takes ``w.bit_length()`` rounds, whatever the grid size.
 
     Maxima involve no rounding, so splitting the maximum over pentagons into
     these two terms changes no bit, save the sign of a zero result when the
@@ -223,9 +235,10 @@ def _envelope(
     ext_end = np.searchsorted(grid, r1_ext, side="right")
     # Bisection for knee_end = min(k_j, e_j): the first grid index where the
     # r2 cap exceeds the sum-cap line, capped at the admissible end.
-    lo = np.zeros(r1_ext.size, dtype=np.intp)
-    hi = ext_end
-    for _ in range(n.bit_length()):
+    lo = np.searchsorted(grid, sum_cap - r2cap, side="left")
+    hi = np.searchsorted(grid, sum_cap - np.nextafter(r2cap, -np.inf), side="right")
+    lo, hi = np.minimum(lo, ext_end), np.minimum(hi, ext_end)
+    for _ in range(int((hi - lo).max()).bit_length()):
         mid = (lo + hi) >> 1
         flat = r2cap <= sum_cap - grid[np.minimum(mid, n - 1)]
         active = lo < hi
@@ -247,30 +260,43 @@ def _stabbing_max(
 ) -> np.ndarray:
     """``out[i] = max(val[j] for j with lo[j] <= i < hi[j])``, ``-inf`` if none.
 
-    A segment tree over ``n`` leaves, filled and pushed down level by level
-    with vectorized scatters.
+    A sparse table of power-of-two blocks (Bender and Farach-Colton, 2000),
+    held two rows at a time.  An interval of length ``L >= 1`` is covered
+    by two blocks of length ``2^k``, ``k = floor(log2 L)``: one starting at
+    ``lo`` and one ending at ``hi``.  They overlap unless ``L = 2^k``,
+    which changes nothing, because ``max`` is idempotent and involves no
+    rounding.  Row ``k`` holds, at each start ``i``, the largest value of
+    the blocks ``[i, i + 2^k)`` (``-inf`` past the last start ``n - 2^k``).
+    From the top row down, each row is pushed into both halves of its
+    blocks, ``below[i] = max(row[i], row[i - 2^(k-1)])``, which keeps
+    ``-inf`` past the new last start, and the blocks of the new length are
+    scattered into it.  Row 0 is the answer.
     """
-    size = 1 << max(n - 1, 0).bit_length()
-    tree = np.full(2 * size, -np.inf)
     live = lo < hi
-    left, right, val = lo[live] + size, hi[live] + size, val[live]
-    while left.size:
-        odd = (left & 1).astype(bool)
-        np.maximum.at(tree, left[odd], val[odd])
-        left = left + odd
-        odd = (right & 1).astype(bool)
-        right = right - odd
-        np.maximum.at(tree, right[odd], val[odd])
-        left >>= 1
-        right >>= 1
-        live = left < right
-        left, right, val = left[live], right[live], val[live]
-    level = 1
-    while level < size:
-        children = tree[2 * level : 4 * level]
-        np.maximum(children, np.repeat(tree[level : 2 * level], 2), out=children)
-        level *= 2
-    return tree[size : size + n]
+    lo, hi, val = lo[live], hi[live], val[live]
+    # frexp's exponent of a length in [2^k, 2^(k+1)) is k + 1, exactly.
+    level = np.frexp(hi - lo)[1] - 1
+    # Both blocks of every interval, grouped by level: group k is
+    # start[bounds[k]:bounds[k + 1]].
+    bounds = np.concatenate([[0], np.cumsum(2 * np.bincount(level))])
+    order = np.argsort(np.concatenate([level, level]), kind="stable")
+    hi -= np.left_shift(1, level, dtype=np.intp)
+    # Each copy is dropped before the next is made, to keep the peak low.
+    start = np.concatenate([lo, hi])[order]
+    del lo, hi, level
+    val = np.concatenate([val, val])[order]
+    del order
+    row, below = np.full(n, -np.inf), np.empty(n)
+    top = bounds.size - 2
+    for k in range(top, -1, -1):
+        if k < top:
+            width = 1 << k
+            below[:width] = row[:width]
+            np.maximum(row[width:], row[:-width], out=below[width:])
+            row, below = below, row
+        j = slice(bounds[k], bounds[k + 1])
+        np.maximum.at(row, start[j], val[j])
+    return row
 
 
 def union_frontier(pentagons: Sequence[Pentagon]) -> Frontier:
@@ -516,8 +542,13 @@ def _concave_chain(x: np.ndarray, y: np.ndarray):
        ``[h_{t-1}, h_t, h_{t+1}]``, so the stack holds ``h_0 .. h_{t+1}``
        right after ``h_{t+1}`` is pushed.  One vectorized pass decides
        this for every segment.  If all are simple, by induction over ``t``
-       the chain ends on exactly ``h``; otherwise the whole sequence runs
-       through :func:`_monotone_chain` instead.
+       the chain ends on exactly ``h``.
+    3. Resume.  Otherwise let segment ``t`` be the first that is not
+       simple.  Segments ``0 .. t - 1`` are, so by the same induction the
+       loop's stack is exactly ``h_0 .. h_t`` right after ``h_t`` is
+       pushed, and the loop's run from there on depends on nothing else:
+       :func:`_monotone_chain` resumes from that certified stack over the
+       points past ``h_t``.
 
     The vectorized test and the loop evaluate ``T`` with the same
     operations in the same order, so no decision and no output bit differs
@@ -535,7 +566,7 @@ def _concave_chain(x: np.ndarray, y: np.ndarray):
             keep = np.concatenate(([True], ~drop, [True]))
             h, hx, hy = h[keep], hx[keep], hy[keep]
         else:
-            return _whole_chain(x, y)
+            return _chain_arrays(x[1:], y[1:], x[:1], y[:1])
 
         # Position p of the masks is point k = p + 1, in the segment that
         # b = h_t starts; the points past h_1 also have a = h_{t-1}.
@@ -546,13 +577,17 @@ def _concave_chain(x: np.ndarray, y: np.ndarray):
         ax, ay = np.repeat(hx[:-2], counts[1:]), np.repeat(hy[:-2], counts[1:])
         c = h[1]
         bad[c:] |= _pops(ax, ay, bx[c:], by[c:], x[c + 1 :], y[c + 1 :])
-    return _whole_chain(x, y) if bad.any() else (hx, hy)
+    if not bad.any():
+        return hx, hy
+    # The first failing position p is point p + 1, in segment t: h_t <= p.
+    t = np.searchsorted(h, np.argmax(bad), side="right") - 1
+    return _chain_arrays(x[h[t] + 1 :], y[h[t] + 1 :], hx[: t + 1], hy[: t + 1])
 
 
-def _whole_chain(x: np.ndarray, y: np.ndarray):
-    """:func:`_monotone_chain` from the first point over all the others, as arrays."""
+def _chain_arrays(x, y, hull_x, hull_y):
+    """:func:`_monotone_chain` of arrays: push ``x, y`` onto the stack ``hull``."""
     hull_x, hull_y = _monotone_chain(
-        x[1:].tolist(), y[1:].tolist(), x[:1].tolist(), y[:1].tolist()
+        x.tolist(), y.tolist(), hull_x.tolist(), hull_y.tolist()
     )
     return np.array(hull_x), np.array(hull_y)
 

@@ -377,9 +377,26 @@ def _families(draw):
     )
 
 
+def _double_run(anchor, below, above):
+    """The ``below`` doubles under ``anchor``, ``anchor`` and the ``above`` over it."""
+    run = [anchor]
+    for steps, way in ((below, -math.inf), (above, math.inf)):
+        x = anchor
+        for _ in range(steps):
+            x = float(np.nextafter(x, way))
+            run.append(x)
+    return run
+
+
 @st.composite
 def _grids(draw, a, b, s):
-    """An integer grid, or explicit abscissas at and next to the extents."""
+    """An integer grid, or explicit abscissas at and next to the extents.
+
+    Runs of consecutive doubles around the knees ``fl(sum_cap - r2cap)``
+    and the extents put many grid points inside the bracket that holds a
+    knee's prefix boundary, so the envelope's bisection takes several
+    rounds there.
+    """
     if draw(st.booleans()):
         return draw(st.integers(2, 40))
     sum_cap = np.minimum(s, a + b)
@@ -392,6 +409,9 @@ def _grids(draw, a, b, s):
     points = [p + d for p, d in pairs]
     points += draw(st.lists(st.floats(0.0, 3.5), max_size=12))
     points += [np.nextafter(p, math.inf) for p in draw(st.lists(anchor, max_size=3))]
+    run = st.tuples(anchor, st.integers(0, 40), st.integers(0, 40))
+    for p, below, above in draw(st.lists(run, max_size=3)):
+        points += _double_run(p, below, above)
     return np.array(points)
 
 
@@ -410,6 +430,41 @@ def test_envelope_matches_dense_reference_bitwise(data):
     grid = np.unique(grid)
     got = region_geometry._envelope(r1_ext, r2cap, sum_cap, grid)
     want = _dense_envelope(r1_ext, r2cap, sum_cap, grid)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@st.composite
+def _stabbing_cases(draw):
+    """Intervals on ``n`` cells: any bounds, single cells, whole ranges and
+    power-of-two lengths, with tied values and no negative zeros."""
+    n = draw(st.one_of(st.just(1), st.sampled_from([2, 4, 8, 64]), st.integers(1, 70)))
+    power = st.integers(0, n.bit_length() - 1).flatmap(
+        lambda k: st.integers(0, n - 2**k).map(lambda lo: (lo, lo + 2**k))
+    )
+    interval = st.one_of(
+        st.tuples(st.integers(0, n), st.integers(0, n)),  # empty when lo >= hi
+        st.integers(0, n - 1).map(lambda i: (i, i + 1)),
+        st.just((0, n)),
+        power,
+    )
+    value = st.one_of(
+        st.sampled_from([-1.0, 0.0, 0.5, 2.0, math.inf]), st.floats(-1e3, 1e3)
+    ).map(lambda v: v + 0.0)
+    cases = draw(st.lists(st.tuples(interval, value), max_size=30))
+    lo = np.array([c[0][0] for c in cases], dtype=np.intp)
+    hi = np.array([c[0][1] for c in cases], dtype=np.intp)
+    return lo, hi, np.array([c[1] for c in cases], dtype=float), n
+
+
+@settings(max_examples=400, deadline=None)
+@given(_stabbing_cases())
+def test_stabbing_max_matches_brute_force_bitwise(case):
+    lo, hi, val, n = case
+    want = np.full(n, -np.inf)
+    for l, h, v in zip(lo.tolist(), hi.tolist(), val.tolist()):
+        for i in range(l, h):
+            want[i] = max(want[i], v)
+    got = region_geometry._stabbing_max(lo, hi, val, n)
     assert np.array_equal(_bits(got), _bits(want))
 
 
@@ -501,15 +556,19 @@ def test_witness_prefilter_keeps_the_staircase_bitwise(cloud, stride):
 # near-collinear, the loop over that segment would pop the vertex it starts
 # from.  In the third, also near-collinear, each point of every segment pops
 # its predecessor, but one point would pop the vertex that starts its
-# segment: only that test fails the segment.  Each time the chain kernel
-# runs the whole sequence through the sequential loop.
+# segment: only that test fails the segment.  In the fourth, the first
+# segment that is not simple lies between simple ones.  Each time the chain
+# kernel resumes the sequential loop from the certified stack h_0 .. h_t,
+# over the points past h_t.  The fifth has a dent of ten points, which the
+# candidate step peels one per round: it runs out of rounds, and the loop
+# runs from the first point over all the others.
 _ONE_SEGMENT = (
     [0.0, 0.06555800041283832, 0.46148527862338673, 0.8345174520624182,
      2.7092224775834413],
     [2.458388151696552, 2.458388151696552, 2.1437331325260245,
      1.4978614159576138, 1.4501568340033038],
 )
-_WHOLE_LOOP = (
+_NEAR_COLLINEAR = (
     [0.0, 0.929081878694771, 1.3614342168382845, 1.8796396857866275,
      1.95883510475865],
     [1.070918121305229, 1.070918121305229, 0.6385657831617155,
@@ -521,15 +580,27 @@ _POPS_ITS_VERTEX = (
     [1.6117810016179093, 1.6117810016179093, 0.583092596468231,
      0.5391166510965845, 0.20249972186071263, 0.18639549403556574],
 )
+# Candidate hull vertices h = [0, 1, 4, 5]; segment (1, 4] is not simple.
+_INTERIOR_SEGMENT = (
+    [0.0, 0.311, 0.546, 0.673, 2.573, 2.581],
+    [2.22, 2.22, 2.104, 1.985, 1.444, 1.316],
+)
+_LONG_DENT = (
+    [i / 20 for i in range(11)] + [3.0],
+    [1.0 - (i / 20) ** 2 for i in range(11)] + [0.74],
+)
 
 
 @pytest.mark.parametrize(
     "cloud, loops",
     [
+        # (stack held, points pushed): the loop resumes from h_0 .. h_t.
+        (_ONE_SEGMENT, [(2, 3)]),
+        (_NEAR_COLLINEAR, [(2, 3)]),
+        (_POPS_ITS_VERTEX, [(3, 2)]),
+        (_INTERIOR_SEGMENT, [(2, 4)]),
         # One loop from the first point over all the others.
-        (_ONE_SEGMENT, [(1, 4)]),
-        (_WHOLE_LOOP, [(1, 4)]),
-        (_POPS_ITS_VERTEX, [(1, 5)]),
+        (_LONG_DENT, [(1, 11)]),
     ],
 )
 def test_chain_kernel_replay_and_whole_loop_paths(cloud, loops):
