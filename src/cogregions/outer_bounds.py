@@ -67,7 +67,10 @@ class Family(NamedTuple):
     split: one power split ``t`` in [0, 1], named ``axis``, or the four
     parameters of a :class:`CovarianceSplit`.  A split family may give
     ``corners``, the points :func:`_split_hull` takes, in its place, and
-    then has no :meth:`pentagon`.  Where ``single_split`` holds the
+    then has no :meth:`pentagon`.  A split family's ``line`` gives groups
+    of caps, each monotone in ``rho2``, that bound its points (see
+    :func:`_line_corners`), so :func:`_split_hull` can skip the rho2 lines
+    the sampled hull already beats.  Where ``single_split`` holds the
     family's one split is ``t = 1``: an integer grid is cut to it and any
     other ``t`` is refused.
     """
@@ -77,6 +80,7 @@ class Family(NamedTuple):
     grids: Tuple[str, ...]  # the grid flags the builder takes by keyword
     caps: Optional[Callable] = None  # (params, *split) -> (r1, r2, sum)
     corners: Optional[Callable] = None  # (params, *split) -> _split_hull's points
+    line: Optional[Callable] = None  # (params, *split) -> caps monotone in rho2
     invalid: Callable = lambda params: False  # where the family does not apply
     single_split: Callable = lambda params: False
     error: str = ""  # the ValueError message where it does not apply
@@ -119,7 +123,12 @@ class Family(NamedTuple):
         """:func:`hull_frontier` of a split family's points over a split grid."""
         self._check(params)
         points = self.corners or (lambda p, *split: _corner_kinds(*self.caps(p, *split)))
-        return _split_hull(params, split_grid, functools.partial(points, params))
+        return _split_hull(
+            params,
+            split_grid,
+            functools.partial(points, params),
+            functools.partial(self.line, params),
+        )
 
 
 def _cooperative_rate(params: ChannelParams, share):
@@ -346,16 +355,42 @@ def _split_mesh(params: ChannelParams, split_grid):
     return [axis if need else axis[:1] for axis, need in zip(axes, needed)]
 
 
-# Most splits one slab of the streamed split mesh holds, unless a single
-# alpha1 row holds more (see _split_hull).
+# Most splits one evaluation of the streamed split mesh spans, unless a
+# single rho2 line holds more (see _split_hull).
 _BLOCK_SPLITS = 1 << 15
 
 # Least stride of the split sample whose staircase prefilters the mesh in
-# _split_hull.
-_WITNESS_STRIDE = 64
+# _split_hull; odd, so that the sample reaches both rho2 ends.
+_WITNESS_STRIDE = 17
+
+# _split_hull raises each line's bound corner by this times one plus the
+# line's largest cap: the corners' own rounding is a few eps times that cap,
+# and libm's log1p is within a few ulps but not proven monotone.
+_LINE_MARGIN = 16.0 * np.finfo(float).eps
 
 
-def _split_hull(params: ChannelParams, split_grid, points) -> Frontier:
+def _line_corners(groups, lines: int):
+    """Each line's raised bound corner per group, from the group's caps at both ends.
+
+    ``groups`` is what a :class:`Family`'s ``line`` returns on splits whose
+    leading axis holds the two rho2 ends of ``lines`` lines.  A group
+    ``(x, y)`` bounds points by its caps' largest values ``(X, Y)``; a
+    group ``(r1, r2, sum)`` bounds a pentagon's corners by
+    ``(min(R1, S), min(R2, S))``.  Each coordinate is raised by
+    ``_LINE_MARGIN * (1 + largest cap)``.
+    """
+    for caps in groups:
+        top = [np.broadcast_to(cap, (2, lines)).max(axis=0) for cap in caps]
+        x, y, *sum_cap = top
+        if sum_cap:
+            x, y = np.minimum(x, sum_cap[0]), np.minimum(y, sum_cap[0])
+        margin = _LINE_MARGIN * (1.0 + np.maximum.reduce(top))
+        # A cap that is not finite makes a corner that is not finite; at the
+        # largest float it keeps the line, whose evaluation then refuses it.
+        yield tuple(np.nan_to_num(v + margin, nan=np.finfo(float).max) for v in (x, y))
+
+
+def _split_hull(params: ChannelParams, split_grid, points, line) -> Frontier:
     """:func:`hull_frontier` of a point cloud spanning every split of a split grid.
 
     ``points(alpha1, alpha2, rho1, rho2)`` broadcasts over split parameters
@@ -363,59 +398,102 @@ def _split_hull(params: ChannelParams, split_grid, points) -> Frontier:
     pentagon, say); each pair broadcasts to the shape of the split
     parameters, splits in ``ij`` order.  The cloud is every split's first
     kind, then every split's second, and so on, as the dense builders
-    concatenated it.  The result is that cloud's hull bit for bit, but
-    neither the cloud nor the caps of the whole mesh are ever built: each
-    evaluation spans at most one slab, and memory is that slab plus the
-    survivors of step 2, not the whole mesh:
+    concatenated it.  ``line`` broadcasts the same way and returns groups
+    of caps, each monotone in ``rho2``, that bound the points (see
+    :func:`_line_corners`).  The result is the cloud's hull bit for bit,
+    but neither the cloud nor the caps of the whole mesh are ever built:
+    each evaluation spans at most ``_BLOCK_SPLITS`` splits, or one line,
+    and memory is that block plus a flag and an index per line and the
+    survivors of step 3, not the whole mesh:
 
-    1. Witness: the points of every ``stride``-th split by flat index,
-       evaluated on gathered 1-D parameters, and their staircase.  The
-       stride is ``_WITNESS_STRIDE``, or larger where the mesh has more
-       than ``_WITNESS_STRIDE * _BLOCK_SPLITS`` splits, so the sample is
-       never more than ``_BLOCK_SPLITS`` splits.
-    2. Stream: slabs of whole ``alpha1`` rows, at most ``_BLOCK_SPLITS``
-       splits unless one row alone holds more; one bucket test,
-       :func:`_witness_filter`, drops most points some witness beats
-       (``x_w >= x`` and ``y_w > y``) and only those.
-       A kind's x and y are broadcast against each other as views, not
-       copied to the slab's shape; the survivors are gathered from them.
-    3. Hull: one :func:`hull_frontier` call on the survivors, in the
+    1. Witness: the points of every ``stride``-th split by flat index of
+       the mesh with its rho2 axis cut to its two ends (where it has more
+       than two points), evaluated on gathered 1-D parameters, and their
+       staircase.  The hull's vertices cluster at those rank-one layers
+       (``|rho2| = 1`` on the default axis), so a sample there beats more.
+       The stride is odd, so it reaches both ends; it is
+       ``_WITNESS_STRIDE``, or larger where that mesh has more than
+       ``_WITNESS_STRIDE * _BLOCK_SPLITS`` splits, so the sample is never
+       more than ``_BLOCK_SPLITS`` splits.  The staircase gives one bucket
+       test, :func:`_witness_filter`, that drops most points some witness
+       beats (``x_w >= x`` and ``y_w > y``) and only those.
+    2. Lines: where the rho2 axis has more than two points, ``line`` at
+       its two ends for every ``(alpha1, alpha2, rho1)`` line, in chunks
+       of at most ``_BLOCK_SPLITS`` splits, and the raised corners of
+       :func:`_line_corners` through the bucket test.  A line none of
+       whose corners survives is never evaluated.  With at most two rho2
+       points, or a witness span of zero, every line is kept.
+    3. Stream: the other lines, gathered in blocks of whole lines in flat
+       ``ij`` order, and the bucket test on their points.  A kind's x and
+       y are broadcast against each other as views, not copied to the
+       block's shape; the survivors are gathered from them.
+    4. Hull: one :func:`hull_frontier` call on the survivors, in the
        cloud's order.
 
     Why no bit changes.  The caps are elementwise, so a split's points have
-    the same bits whichever slab or gather computes them, and every witness
-    is a point of the cloud.  The Pareto staircase is a function of the
-    point set, save which of several equal copies (``0.0`` and ``-0.0``) it
-    keeps, and it keeps the first.  Every dropped point is beaten by a real
-    cloud point, so the staircase drops it too.  No copy of a staircase
-    point is ever beaten (its beater would beat the staircase point), so
-    every copy survives and the first one stays first.  So the survivors
-    have the cloud's staircase, and the monotone chain over it gives the
-    same hull.
+    the same bits whichever block or gather computes them, and every
+    witness is a point of the cloud.  The Pareto staircase is a function of
+    the point set, save which of several equal copies (``0.0`` and
+    ``-0.0``) it keeps, and it keeps the first.  Every dropped point is
+    beaten by a real cloud point, so the staircase drops it too.  No copy
+    of a staircase point is ever beaten (its beater would beat the
+    staircase point), so every copy survives and the first one stays
+    first.  So the survivors have the cloud's staircase, and the monotone
+    chain over it gives the same hull.
+
+    Why a skipped line holds only beaten points.  Each line cap's argument
+    to ``log1p`` is monotone in rho2 in floats: the quadratic forms are
+    linear in rho2 with nonnegative gains, and every rounded step
+    (products by a nonnegative factor, sums, the clamp at zero, a quotient
+    by a rising denominator) is monotone.  So each cap's largest value on a
+    line sits at an end, up to log1p's few ulps.  A pentagon corner is a
+    ``min`` of caps or a difference such as ``fl(sum - r2)``, which exceeds
+    the cap it stands for by a few eps times the largest cap.  The margin
+    covers both, so every point of the line lies at or below its group's
+    raised corner ``(X, Y)``.  The bucket test drops that corner only if a
+    witness has ``x_w >= X`` and ``y_w > Y``, and then the witness strictly
+    beats every point of the group on that line.
     """
     axes = _split_mesh(params, split_grid)
     shape = tuple(axis.size for axis in axes)
-    splits = math.prod(shape)
-    stride = max(_WITNESS_STRIDE, -(-splits // _BLOCK_SPLITS))
-    sample = np.unravel_index(np.arange(0, splits, stride), shape)
-    gathered = (axis[i] for axis, i in zip(axes, sample))
+    rho2 = axes[3]
+    ends = rho2[[0, -1]] if rho2.size > 2 else rho2
+    sampled = (*shape[:3], ends.size)
+    splits = math.prod(sampled)
+    stride = max(_WITNESS_STRIDE, -(-splits // _BLOCK_SPLITS)) | 1
+    sample = np.unravel_index(np.arange(0, splits, stride), sampled)
+    gathered = (axis[i] for axis, i in zip((*axes[:3], ends), sample))
     witness = [np.broadcast_arrays(*kind) for kind in points(*gathered)]
     wx, wy = (np.concatenate([c.ravel() for c in coords]) for coords in zip(*witness))
     prefilter = _witness_filter(*_staircase(wx, wy))
 
-    rest = np.meshgrid(*axes[1:], indexing="ij", sparse=True)
-    rows = max(_BLOCK_SPLITS // math.prod(shape[1:]), 1)
+    def lines_of(index):
+        """``(alpha1, alpha2, rho1)`` of the given flat line indices."""
+        return [axis[i] for axis, i in zip(axes, np.unravel_index(index, shape[:3]))]
+
+    lines = np.arange(math.prod(shape[:3]))
+    if rho2.size > 2:
+        keep = np.zeros(lines.size, dtype=bool)
+        step = max(_BLOCK_SPLITS // 2, 1)
+        for start in range(0, lines.size, step):
+            index = lines[start : start + step]
+            groups = line(*lines_of(index), ends[:, None])
+            for x, y in _line_corners(groups, index.size):
+                keep[index[prefilter(x, y)]] = True
+        lines = np.flatnonzero(keep)
+
+    step = max(_BLOCK_SPLITS // rho2.size, 1)
     kept = []
-    for start in range(0, shape[0], rows):
-        alpha1 = axes[0][start : start + rows, None, None, None]
-        for kind, (x, y) in enumerate(points(alpha1, *rest)):
+    for start in range(0, lines.size, step):
+        split = [v[:, None] for v in lines_of(lines[start : start + step])]
+        for kind, (x, y) in enumerate(points(*split, rho2)):
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
                 raise ValueError("corner coordinates must be finite")
             x, y = np.broadcast_arrays(x, y)
             keep = prefilter(x, y)
             kept.append((kind, x.take(keep), y.take(keep)))
     # A stable sort restores the cloud's order: kinds, then splits.  The
-    # slab pieces go before the hull, which copies the survivors again.
+    # block pieces go before the hull, which copies the survivors again.
     kept.sort(key=lambda item: item[0])
     x = np.concatenate([x for _, x, _ in kept])
     y = np.concatenate([y for _, _, y in kept])
@@ -450,6 +528,11 @@ def _th1_corners(params: ChannelParams, *split):
     return _corner_kinds(r1_cap, r2_cap, sum_cap)
 
 
+def _pentagon_line(params: ChannelParams, *split):
+    """The broadcast pentagon's caps as one group of :func:`_line_corners`."""
+    return [_split_caps(params, *split)]
+
+
 def _bc_pr_corners(params: ChannelParams, *split):
     """The corners of each split's two private-rate rectangles: layer 2
     encoded last (the broadcast pentagon's r1 and r2 caps), then layer 1
@@ -467,7 +550,15 @@ def _bc_pr_corners(params: ChannelParams, *split):
 # noise; the sum cap is receiver 2's rate for decoding everything.  The sum
 # cap always dominates the r2 cap because layer powers are nonnegative, so
 # the pentagon never degenerates.
-_BC_DMS = Family("outer", "outer_bounds.bc_dms_region", ("split_grid",), _split_caps)
+_BC_DMS = Family(
+    "outer",
+    "outer_bounds.bc_dms_region",
+    ("split_grid",),
+    _split_caps,
+    # r1 falls, r2 and the sum rise with rho2: q1l2 and q2l2 are linear in
+    # rho2 with nonnegative gains, and the layer-1 forms do not read it.
+    line=_pentagon_line,
+)
 
 # Theorem 1: the broadcast pentagons, each cut by its own r1 cap, then the
 # unifying family (see :func:`th1_bound`).
@@ -476,6 +567,8 @@ _TH1 = Family(
     "outer_bounds.th1_bound",
     ("split_grid", "alpha_grid"),
     corners=_th1_corners,
+    # The uncut broadcast caps, as for bcdms: the cut only lowers r1.
+    line=_pentagon_line,
     invalid=lambda params: params.b <= 1.0,
     error="Theorem 1 requires |b| > 1",
 )
@@ -483,7 +576,13 @@ _TH1 = Family(
 # The private-rate rectangles of both encoding orders, then the unifying
 # family (see :func:`bc_pr_bound`).
 _BC_PR = Family(
-    "outer", "outer_bounds.bc_pr_bound", ("split_grid", "alpha_grid"), corners=_bc_pr_corners
+    "outer",
+    "outer_bounds.bc_pr_bound",
+    ("split_grid", "alpha_grid"),
+    corners=_bc_pr_corners,
+    # Each rectangle is its own caps: its r1 falls with rho2 or does not
+    # read it, and its r2 rises, as q2l2 does over a q2l1 free of rho2.
+    line=_bc_pr_corners,
 )
 
 
@@ -495,7 +594,7 @@ def bc_dms_region(params: ChannelParams, split_grid=DEFAULT_SPLIT_POINTS) -> Fro
     concavified.  The hull is assembled exactly from the pentagon corner
     cloud — no r1 sampling is involved, which keeps the steep edges of the
     envelope sharp at any grid size — and the cloud is streamed through it
-    slab by slab (:func:`_split_hull`), so memory does not grow with the
+    block by block (:func:`_split_hull`), so memory does not grow with the
     number of splits.  The result outer-bounds the cognitive region only
     for ``|b| >= 1``; the function computes the enhanced-channel region for
     any parameters and leaves regime policing to callers.

@@ -112,12 +112,12 @@ class Frontier:
             raise ValueError("frontier vertices must be finite")
         if x[0] != 0.0:
             raise ValueError("frontier must start at r1 = 0")
-        if np.any(np.diff(x) <= 0):
+        if np.any(x[1:] <= x[:-1]):
             raise ValueError("frontier r1 values must be strictly increasing")
         if np.any(y < 0):
             raise ValueError("frontier r2 values must be nonnegative")
         # Tolerate float-level wiggles from envelope evaluation, nothing more.
-        if np.any(np.diff(y) > 1e-9):
+        if np.any(y[1:] - y[:-1] > 1e-9):
             raise ValueError("frontier r2 values must be non-increasing")
         y = np.minimum.accumulate(y)
         x.setflags(write=False)

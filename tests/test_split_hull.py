@@ -1,10 +1,13 @@
 """The streamed covariance-split hull against the dense path it replaced.
 
-``_split_hull`` never builds the whole corner cloud of a split mesh.  These
-tests pin that it returns that cloud's hull bit for bit, with the slab size
-and the witness stride shrunk so that many slabs and witnesses take part,
-that the three split builders match a copy of the dense builders on random
-instances in every regime, and that memory stays bounded at the fig3 mesh.
+``_split_hull`` never builds the whole corner cloud of a split mesh, and it
+skips the rho2 lines whose bound corners the witness staircase beats.
+These tests pin that it returns that cloud's hull bit for bit, with the
+block size and the witness stride shrunk so that many blocks and witnesses
+take part, that the three split builders match a copy of the dense
+builders on random instances in every regime, that the lines it skips are
+really skipped and their caps really monotone, and that memory stays
+bounded at the fig3 mesh.
 """
 
 import math
@@ -13,12 +16,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cogregions import outer_bounds
 from cogregions.channel import ChannelParams, gaussian_rate
 from cogregions.cli import FIG3
+from cogregions.inner_bounds import FAMILIES
 from cogregions.outer_bounds import (
     _conditional_r1_caps,
     _split_caps,
@@ -29,6 +33,7 @@ from cogregions.outer_bounds import (
     unifying_region,
 )
 from cogregions.region_geometry import (
+    _corner_kinds,
     corner_cloud,
     grid_axis,
     hull_frontier,
@@ -72,14 +77,24 @@ def test_streamed_hull_matches_whole_cloud_bitwise(table, block, stride):
     x, y = table
     axes = [np.arange(n) / _SCALE for n in x.shape[1:]]
 
+    def index(*split):
+        return tuple(np.rint(np.asarray(v) * _SCALE).astype(int) for v in split)
+
     def points(*split):
-        index = tuple(np.rint(np.asarray(v) * _SCALE).astype(int) for v in split)
-        return [(xk[index].ravel(), yk[index].ravel()) for xk, yk in zip(x, y)]
+        return [(xk[index(*split)], yk[index(*split)]) for xk, yk in zip(x, y)]
+
+    # Each kind's largest x and y on a rho2 line bound its points there,
+    # at either end of the line.
+    line_max = [(xk.max(axis=-1), yk.max(axis=-1)) for xk, yk in zip(x, y)]
+
+    def line(*split):
+        return [(xm[index(*split[:3])], ym[index(*split[:3])]) for xm, ym in line_max]
 
     with mock.patch.object(outer_bounds, "_BLOCK_SPLITS", block), mock.patch.object(
         outer_bounds, "_WITNESS_STRIDE", stride
     ):
-        got = outer_bounds._split_hull(ChannelParams(0.5, 2.0, 1.0, 1.0), axes, points)
+        params = ChannelParams(0.5, 2.0, 1.0, 1.0)
+        got = outer_bounds._split_hull(params, axes, points, line)
     want = hull_frontier(
         np.concatenate([xk.ravel() for xk in x]),
         np.concatenate([yk.ravel() for yk in y]),
@@ -176,13 +191,122 @@ def test_th1_matches_dense_path_at_fig3_mesh():
     assert _bits(th1_bound(FIG3, split, 201)) == _bits(_dense_th1(FIG3, split, 201))
 
 
-def test_bc_pr_evaluates_forms_once_per_slab():
+def test_bc_pr_evaluates_forms_once_per_block():
     params = ChannelParams(0.3, 0.6, 2.0, 3.0)
     forms = mock.Mock(wraps=_split_forms)
     with mock.patch.object(outer_bounds, "_split_forms", forms):
         bc_pr_bound(params, 21, 51)
-    # The witness sample, then seven slabs of three alpha1 rows.
-    assert forms.call_count == 1 + 7
+    # The witness sample, both rho2 ends of all 9261 lines, then the 2482
+    # lines kept, in two blocks of at most 1560 whole lines.
+    assert forms.call_count == 1 + 1 + 2
+
+
+def _evaluated_splits(build, params, split_grid):
+    """How many splits ``build`` evaluates, witness and line ends included."""
+    sizes = []
+
+    def forms(params, *split):
+        sizes.append(math.prod(np.broadcast_shapes(*(np.shape(v) for v in split))))
+        return _split_forms(params, *split)
+
+    with mock.patch.object(outer_bounds, "_split_forms", forms):
+        build(params, split_grid)
+    return sum(sizes)
+
+
+@pytest.mark.parametrize(
+    "build", [th1_bound, bc_dms_region, bc_pr_bound], ids=["th1", "bcdms", "bcpr"]
+)
+def test_split_hull_skips_lines_the_witness_beats(build):
+    # At the fig3 point the line step leaves unevaluated more splits than
+    # the witness and the line ends cost, on the default and tuned meshes.
+    for split_grid in (21, (sweep_grid(401), 21, 5, 21)):
+        mesh = math.prod(a.size for a in outer_bounds._split_mesh(FIG3, split_grid))
+        assert _evaluated_splits(build, FIG3, split_grid) < mesh
+
+
+def _powers():
+    special = [0.0, 5e-324, 1e-310, 1e-300, 1e15, 1e150, 1e300]
+    return st.sampled_from(special) | st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _channels(draw):
+    a = draw(st.just(0.0) | st.floats(0.0, 2.0))
+    b = draw(st.just(1.0) | st.floats(0.0, 6.0))
+    try:
+        return ChannelParams(a, b, draw(_powers()), draw(_powers()))
+    except ValueError:  # past the ChannelParams limit
+        assume(False)
+
+
+_LINE_FAMILIES = ("bcdms", "th1", "bcpr")
+
+
+def _points(family, params, *split):
+    if family.corners:
+        return family.corners(params, *split)
+    return _corner_kinds(*family.caps(params, *split))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_channels(), st.sampled_from(_LINE_FAMILIES), st.integers(0, 2**32 - 1))
+def test_line_caps_are_monotone_and_bound_the_line(params, name, seed):
+    # Each declared cap is monotone along every rho2 line within the
+    # margin, and each point of the line lies under a raised corner that
+    # _line_corners builds from the caps at the line's two ends.
+    family = FAMILIES[name]
+    rng = np.random.default_rng(seed)
+    lines = 16
+    alpha1, alpha2 = (rng.choice([0.0, 1.0, *rng.uniform(0, 1, 6)], lines) for _ in "12")
+    rho1 = rng.choice([-1.0, 0.0, 1.0, *rng.uniform(-1, 1, 6)], lines)
+    lo, hi = np.sort(rng.choice([-1.0, 1.0, *rng.uniform(-1, 1, 4)], 2))
+    rho2 = np.unique(np.concatenate([[lo, hi], rng.uniform(lo, hi, 60)]))
+    split = (alpha1[:, None], alpha2[:, None], rho1[:, None])
+    groups = family.line(params, *split, rho2)
+    corners = list(
+        outer_bounds._line_corners(
+            family.line(params, *(v[:, 0] for v in split), rho2[[0, -1], None]), lines
+        )
+    )
+    for caps in groups:
+        caps = np.broadcast_arrays(*caps, rho2)[:-1]
+        margin = outer_bounds._LINE_MARGIN * (1.0 + np.max(caps, axis=(0, 2)))
+        for cap in caps:
+            step = np.diff(cap, axis=1)
+            rising = np.all(step >= -margin[:, None], axis=1)
+            falling = np.all(step <= margin[:, None], axis=1)
+            assert np.all(rising | falling)
+    for x, y in _points(family, params, *split, rho2):
+        x, y = np.broadcast_arrays(x, y, rho2)[:2]
+        under = [(x <= cx[:, None]) & (y <= cy[:, None]) for cx, cy in corners]
+        assert np.logical_or.reduce(under).all()
+
+
+@st.composite
+def _split_grids(draw):
+    """Small split grids: integers, or explicit axes, with rho2 axes that
+    stop short of +-1 or hold only one to three points."""
+    power = st.integers(2, 6) | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5)
+    rho = st.integers(2, 9) | st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5)
+    short = st.lists(st.floats(-0.95, 0.95), min_size=3, max_size=8)
+    return (draw(power), draw(power), draw(rho), draw(rho | short))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_channels(), _split_grids(), st.integers(1, 200), st.integers(1, 20))
+def test_split_builders_match_dense_path_on_random_meshes(params, grid, block, stride):
+    with mock.patch.object(outer_bounds, "_BLOCK_SPLITS", block), mock.patch.object(
+        outer_bounds, "_WITNESS_STRIDE", stride
+    ):
+        assert _bits(bc_dms_region(params, grid)) == _bits(_dense_bc_dms(params, grid))
+        assert _bits(bc_pr_bound(params, grid, 21)) == _bits(
+            _dense_bc_pr(params, grid, 21)
+        )
+        if params.b > 1.0:
+            assert _bits(th1_bound(params, grid, 21)) == _bits(
+                _dense_th1(params, grid, 21)
+            )
 
 
 def test_zero_power_meshes_collapse_to_one_axis():
@@ -213,20 +337,28 @@ def test_split_hull_rejects_non_finite_corners():
 
 
 def test_split_hull_evaluates_at_most_one_slab_per_call():
-    # Neither the witness sample nor a slab spans more than _BLOCK_SPLITS
-    # splits unless one alpha1 row alone holds more, however many splits
-    # the mesh has: the witness stride grows with the mesh.
+    # Neither the witness sample, the line ends nor a block spans more than
+    # _BLOCK_SPLITS splits unless one alpha1 row alone holds more, however
+    # many splits the mesh has: the witness stride grows with the mesh.
     params = ChannelParams(0.3, 3.0, 2.0, 3.0)
     split_grid = (200, 3, 3, 3)
     block, row = 32, 3 * 3 * 3
     spans = []
 
-    def points(*split):
-        spans.append(math.prod(np.broadcast_shapes(*(np.shape(v) for v in split))))
-        return outer_bounds._th1_corners(params, *split)
+    def spanned(evaluate):
+        def wrapped(*split):
+            spans.append(math.prod(np.broadcast_shapes(*(np.shape(v) for v in split))))
+            return evaluate(params, *split)
+
+        return wrapped
 
     with mock.patch.object(outer_bounds, "_BLOCK_SPLITS", block):
-        got = outer_bounds._split_hull(params, split_grid, points)
+        got = outer_bounds._split_hull(
+            params,
+            split_grid,
+            spanned(outer_bounds._th1_corners),
+            spanned(outer_bounds._pentagon_line),
+        )
     assert max(spans) <= max(block, row)
     want = th1_bound(params, split_grid, alpha_grid=51)
     assert _bits(intersect_frontiers(got, unifying_region(params, 51))) == _bits(want)
