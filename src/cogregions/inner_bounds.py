@@ -62,9 +62,7 @@ def _scheme_e_caps(params: ChannelParams, beta):
         # form of the same noise power takes over.  It rounds differently,
         # so it is used only where the quotient form is not finite.
         with np.errstate(over="ignore"):
-            copy_gain = np.where(
-                bbar == 0.0, params.a, np.sqrt(bbar * p1 / safe_p2) + params.a
-            )
+            copy_gain = np.sqrt(bbar * p1 / safe_p2) + params.a
             copy_noise = copy_gain * copy_gain * p2
         copy_noise = np.where(
             np.isfinite(copy_noise),

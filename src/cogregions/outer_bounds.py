@@ -407,22 +407,22 @@ def _split_hull(params: ChannelParams, split_grid, points, line) -> Frontier:
     survivors of step 3, not the whole mesh:
 
     1. Witness: the points of every ``stride``-th split by flat index of
-       the mesh with its rho2 axis cut to its two ends (where it has more
-       than two points), evaluated on gathered 1-D parameters, and their
-       staircase.  The hull's vertices cluster at those rank-one layers
-       (``|rho2| = 1`` on the default axis), so a sample there beats more.
-       The stride is odd, so it reaches both ends; it is
-       ``_WITNESS_STRIDE``, or larger where that mesh has more than
-       ``_WITNESS_STRIDE * _BLOCK_SPLITS`` splits, so the sample is never
-       more than ``_BLOCK_SPLITS`` splits.  The staircase gives one bucket
-       test, :func:`_witness_filter`, that drops most points some witness
-       beats (``x_w >= x`` and ``y_w > y``) and only those.
-    2. Lines: where the rho2 axis has more than two points, ``line`` at
-       its two ends for every ``(alpha1, alpha2, rho1)`` line, in chunks
-       of at most ``_BLOCK_SPLITS`` splits, and the raised corners of
+       the mesh with its rho2 axis cut to its two ends, evaluated on
+       gathered 1-D parameters, and their staircase.  The hull's vertices
+       cluster at those rank-one layers (``|rho2| = 1`` on the default
+       axis), so a sample there beats more.  The stride is odd, so it
+       reaches both ends; it is ``_WITNESS_STRIDE``, or larger where that
+       mesh has more than ``_WITNESS_STRIDE * _BLOCK_SPLITS`` splits, so
+       the sample is never more than ``_BLOCK_SPLITS`` splits.  The
+       staircase gives one bucket test, :func:`_witness_filter`, that
+       drops most points some witness beats (``x_w >= x`` and
+       ``y_w > y``) and only those.
+    2. Lines: ``line`` at the rho2 axis's two ends for every
+       ``(alpha1, alpha2, rho1)`` line, in chunks of at most
+       ``_BLOCK_SPLITS`` splits, and the raised corners of
        :func:`_line_corners` through the bucket test.  A line none of
-       whose corners survives is never evaluated.  With at most two rho2
-       points, or a witness span of zero, every line is kept.
+       whose corners survives is never evaluated.  With a witness span of
+       zero every line is kept.
     3. Stream: the other lines, gathered in blocks of whole lines in flat
        ``ij`` order, and the bucket test on their points.  A kind's x and
        y are broadcast against each other as views, not copied to the
@@ -446,7 +446,8 @@ def _split_hull(params: ChannelParams, split_grid, points, line) -> Frontier:
     linear in rho2 with nonnegative gains, and every rounded step
     (products by a nonnegative factor, sums, the clamp at zero, a quotient
     by a rising denominator) is monotone.  So each cap's largest value on a
-    line sits at an end, up to log1p's few ulps.  A pentagon corner is a
+    line sits at an end, up to log1p's few ulps; with one or two rho2
+    points the two ends are the whole line.  A pentagon corner is a
     ``min`` of caps or a difference such as ``fl(sum - r2)``, which exceeds
     the cap it stands for by a few eps times the largest cap.  The margin
     covers both, so every point of the line lies at or below its group's
@@ -457,7 +458,7 @@ def _split_hull(params: ChannelParams, split_grid, points, line) -> Frontier:
     axes = _split_mesh(params, split_grid)
     shape = tuple(axis.size for axis in axes)
     rho2 = axes[3]
-    ends = rho2[[0, -1]] if rho2.size > 2 else rho2
+    ends = rho2[[0, -1]]
     sampled = (*shape[:3], ends.size)
     splits = math.prod(sampled)
     stride = max(_WITNESS_STRIDE, -(-splits // _BLOCK_SPLITS)) | 1
@@ -472,15 +473,14 @@ def _split_hull(params: ChannelParams, split_grid, points, line) -> Frontier:
         return [axis[i] for axis, i in zip(axes, np.unravel_index(index, shape[:3]))]
 
     lines = np.arange(math.prod(shape[:3]))
-    if rho2.size > 2:
-        keep = np.zeros(lines.size, dtype=bool)
-        step = max(_BLOCK_SPLITS // 2, 1)
-        for start in range(0, lines.size, step):
-            index = lines[start : start + step]
-            groups = line(*lines_of(index), ends[:, None])
-            for x, y in _line_corners(groups, index.size):
-                keep[index[prefilter(x, y)]] = True
-        lines = np.flatnonzero(keep)
+    keep = np.zeros(lines.size, dtype=bool)
+    step = max(_BLOCK_SPLITS // 2, 1)
+    for start in range(0, lines.size, step):
+        index = lines[start : start + step]
+        groups = line(*lines_of(index), ends[:, None])
+        for x, y in _line_corners(groups, index.size):
+            keep[index[prefilter(x, y)]] = True
+    lines = np.flatnonzero(keep)
 
     step = max(_BLOCK_SPLITS // rho2.size, 1)
     kept = []

@@ -195,7 +195,7 @@ def _envelope(
 
     Pentagon j is admissible at grid point r1 when ``r1_ext[j] >= r1``.
     Returns ``-inf`` where no pentagon is admissible.  ``grid`` must be
-    sorted and free of NaN.
+    sorted, distinct and free of NaN.
 
     The result equals, bit for bit, the dense evaluation of every pentagon
     at every grid point, in O((M + G) log(M + G)) time and O(M + G)
@@ -204,27 +204,31 @@ def _envelope(
 
     - Pentagon j is admissible on a grid prefix ``[0, e_j)``, found by
       ``searchsorted``.
-    - ``fl(sum_cap[j] - g)`` is non-increasing in ``g``, so the predicate
-      ``r2cap[j] <= fl(sum_cap[j] - g)`` holds on a prefix ``[0, k_j)``.
-      On ``[0, min(k_j, e_j))`` the pentagon contributes ``r2cap[j]``, and
-      on ``[k_j, e_j)`` it contributes ``fl(sum_cap[j] - g)``.
+    - Pentagon j contributes ``min(r2cap[j], fl(sum_cap[j] - g))``: that is
+      ``r2cap[j]`` on a prefix ``[0, min(k_j, e_j))`` and
+      ``fl(sum_cap[j] - g)`` on ``[k_j, e_j)``, with ``k_j`` from one
+      ``searchsorted`` (below).
     - ``fl(x - g)`` is non-decreasing in ``x``, so the largest rounded
       difference over a set of pentagons is the rounded difference of their
       largest sum cap; only the maximum sum cap over the intervals covering
       each grid point is needed (:func:`_stabbing_max`).
 
-    The prefix boundary ``k_j`` is bracketed, not searched over the whole
-    grid.  Write ``s, r`` for the two caps and ``r⁻`` for the double below
-    ``r``.  Rounding is monotone, so ``fl(s - g) >= r`` wherever the exact
-    ``s - g >= r``, and ``fl(s - g) <= r⁻ < r`` wherever ``s - g <= r⁻``.
-    The predicate therefore holds at every grid point up to the double
-    below ``fl(s - r)`` (the exact ``s - r`` lies above it) and fails at
-    every grid point from the double above ``fl(s - r⁻)`` on (the exact
-    ``s - r⁻`` lies below it).  Two ``searchsorted`` calls bound ``k_j``
-    between those indices, capped at ``e_j``; the two values lie about one
-    ulp of ``r`` apart.  A bisection that evaluates the predicate itself then
-    settles ``min(k_j, e_j)`` inside the bracket: a bracket of ``w`` grid
-    points takes ``w.bit_length()`` rounds, whatever the grid size.
+    The knee ``k_j``.  Write ``s, r`` for the two caps and
+    ``d = fl(s - r)``.  The exact ``s - r`` rounds to ``d``, so it lies
+    strictly between the doubles ``d⁻`` and ``d⁺`` next to ``d``, and
+    rounding is monotone:
+
+    - Below ``d``, ``g <= d⁻``, so the exact ``s - g`` exceeds ``r`` and
+      ``fl(s - g) >= r``: the value is ``r``.
+    - Above ``d``, ``g >= d⁺``, so the exact ``s - g`` is below ``r`` and
+      ``fl(s - g) <= r``: the value is ``fl(s - g)``, read as flat or as
+      sloped.
+    - At ``d`` the predicate ``r <= fl(s - d)`` is evaluated: the value is
+      ``r`` where it holds and ``fl(s - d)`` where it fails.
+
+    So ``k_j`` is ``searchsorted(grid, d, "left")``, plus one where that
+    grid point is ``d`` and the predicate holds; a distinct grid has at
+    most one point at ``d``.
 
     Maxima involve no rounding, so splitting the maximum over pentagons into
     these two terms changes no bit, save the sign of a zero result when the
@@ -233,18 +237,13 @@ def _envelope(
     """
     n = grid.size
     ext_end = np.searchsorted(grid, r1_ext, side="right")
-    # Bisection for knee_end = min(k_j, e_j): the first grid index where the
-    # r2 cap exceeds the sum-cap line, capped at the admissible end.
-    lo = np.searchsorted(grid, sum_cap - r2cap, side="left")
-    hi = np.searchsorted(grid, sum_cap - np.nextafter(r2cap, -np.inf), side="right")
-    lo, hi = np.minimum(lo, ext_end), np.minimum(hi, ext_end)
-    for _ in range(int((hi - lo).max()).bit_length()):
-        mid = (lo + hi) >> 1
-        flat = r2cap <= sum_cap - grid[np.minimum(mid, n - 1)]
-        active = lo < hi
-        lo = np.where(active & flat, mid + 1, lo)
-        hi = np.where(active & ~flat, mid, hi)
-    knee_end = lo
+    # knee_end = min(k_j, e_j): past d, or at d where the r2 cap exceeds
+    # the sum-cap line, capped at the admissible end.
+    knee = sum_cap - r2cap
+    knee_end = np.searchsorted(grid, knee, side="left")
+    at = grid[np.minimum(knee_end, n - 1)]
+    knee_end += (at == knee) & (r2cap <= sum_cap - at)
+    np.minimum(knee_end, ext_end, out=knee_end)
 
     # Flat parts: pentagon j holds r2cap[j] on the prefix [0, knee_end[j]).
     flat_max = np.full(n + 1, -np.inf)
@@ -508,8 +507,8 @@ def _monotone_chain(x, y, hull_x, hull_y):
 # Vectorized rounds of _concave_chain's candidate step.  Most frontiers
 # settle in 2 to 6 rounds.  A round peels only one point off a dent (a
 # concave run that a later point pops one by one), so a dent of m points
-# would cost m rounds over the whole sequence; and the staircases that still
-# change after a few rounds mostly fail the certificate anyway.
+# would cost m rounds; past the last round the certificate stops at the
+# dent and the loop resumes there.
 _CANDIDATE_ROUNDS = 8
 
 
@@ -523,11 +522,9 @@ def _concave_chain(x: np.ndarray, y: np.ndarray):
 
     1. Candidate.  Drop every interior point ``j`` of the sequence with
        ``T(prev, j, next)`` true, all at once, and repeat on what is left
-       until nothing is dropped.  This leaves indices
-       ``h_0 = 0 < h_1 < ... < h_m = n - 1``; what follows holds for any
-       such indices.  A sequence that still changes after
-       ``_CANDIDATE_ROUNDS`` rounds runs through :func:`_monotone_chain`
-       whole.
+       until nothing is dropped or ``_CANDIDATE_ROUNDS`` rounds have run.
+       This leaves indices ``h_0 = 0 < h_1 < ... < h_m = n - 1``; what
+       follows holds for any such indices.
     2. Certify.  A point the chain pops never returns, so if the chain ends
        on ``h``, it never pops an ``h_t``.  Suppose the stack holds
        ``h_0 .. h_t`` right after ``h_t`` is pushed.  Until ``h_t`` is
@@ -565,8 +562,6 @@ def _concave_chain(x: np.ndarray, y: np.ndarray):
                 break
             keep = np.concatenate(([True], ~drop, [True]))
             h, hx, hy = h[keep], hx[keep], hy[keep]
-        else:
-            return _chain_arrays(x[1:], y[1:], x[:1], y[:1])
 
         # Position p of the masks is point k = p + 1, in the segment that
         # b = h_t starts; the points past h_1 also have a = h_{t-1}.

@@ -104,6 +104,12 @@ def test_general_pentagon_cross_talk_costs_only_r1():
 def test_general_pentagon_private_only_with_cross_gain():
     p = FAMILIES["schemeE"].pentagon(ChannelParams(a=0.5, b=3.0, p1=1.0, p2=1.0), 1.0)
     assert p.r1_max == pytest.approx(math.log2(1.0 + 1.0 / 1.25), abs=1e-12)
+    # At beta = 1 the copy has no private share: its gain is the cross gain
+    # a, bit for bit, also at a subnormal and a zero p2.
+    a, p1 = 0.5, 3.0
+    for p2 in (1.0, 1e-309, 0.0):
+        p = FAMILIES["schemeE"].pentagon(ChannelParams(a=a, b=3.0, p1=p1, p2=p2), 1.0)
+        assert p.r1_max == float(gaussian_rate(p1 / (1.0 + a * a * p2)))
 
 
 def test_general_pentagon_with_subnormal_primary_power():

@@ -393,9 +393,8 @@ def _grids(draw, a, b, s):
     """An integer grid, or explicit abscissas at and next to the extents.
 
     Runs of consecutive doubles around the knees ``fl(sum_cap - r2cap)``
-    and the extents put many grid points inside the bracket that holds a
-    knee's prefix boundary, so the envelope's bisection takes several
-    rounds there.
+    and the extents put grid points at and next to a knee, where the
+    envelope evaluates the pentagon's predicate at the knee itself.
     """
     if draw(st.booleans()):
         return draw(st.integers(2, 40))
@@ -557,11 +556,11 @@ def test_witness_prefilter_keeps_the_staircase_bitwise(cloud, stride):
 # from.  In the third, also near-collinear, each point of every segment pops
 # its predecessor, but one point would pop the vertex that starts its
 # segment: only that test fails the segment.  In the fourth, the first
-# segment that is not simple lies between simple ones.  Each time the chain
-# kernel resumes the sequential loop from the certified stack h_0 .. h_t,
-# over the points past h_t.  The fifth has a dent of ten points, which the
-# candidate step peels one per round: it runs out of rounds, and the loop
-# runs from the first point over all the others.
+# segment that is not simple lies between simple ones.  The fifth has a
+# dent of ten points, which the candidate step peels one per round: it runs
+# out of rounds with part of the dent left, and the certificate stops there.
+# Each time the chain kernel resumes the sequential loop from the certified
+# stack h_0 .. h_t, over the points past h_t.
 _ONE_SEGMENT = (
     [0.0, 0.06555800041283832, 0.46148527862338673, 0.8345174520624182,
      2.7092224775834413],
@@ -599,11 +598,10 @@ _LONG_DENT = (
         (_NEAR_COLLINEAR, [(2, 3)]),
         (_POPS_ITS_VERTEX, [(3, 2)]),
         (_INTERIOR_SEGMENT, [(2, 4)]),
-        # One loop from the first point over all the others.
-        (_LONG_DENT, [(1, 11)]),
+        (_LONG_DENT, [(3, 9)]),
     ],
 )
-def test_chain_kernel_replay_and_whole_loop_paths(cloud, loops):
+def test_chain_kernel_resumes_from_certified_stack(cloud, loops):
     x, y = (np.array(v) for v in cloud)
     calls = []
     loop = region_geometry._monotone_chain

@@ -173,15 +173,19 @@ def test_split_builders_match_dense_path_bitwise():
     # 21^4 runs seven slabs; the tailed grid runs one row per slab.
     grids = (21, (sweep_grid(11), 7, 3, 7))
     for i, params in enumerate(_instances()):
-        grid = grids[i % 2]
-        assert _bits(bc_dms_region(params, grid)) == _bits(_dense_bc_dms(params, grid))
-        assert _bits(bc_pr_bound(params, grid, alpha)) == _bits(
-            _dense_bc_pr(params, grid, alpha)
-        )
-        if params.b > 1.0:
-            assert _bits(th1_bound(params, grid, alpha)) == _bits(
-                _dense_th1(params, grid, alpha)
+        # With two rho2 points the line step's two ends are the whole line;
+        # a line bound from one end alone skips lines that hold hull vertices.
+        for grid in (grids[i % 2], (11, 11, 11, 2)):
+            assert _bits(bc_dms_region(params, grid)) == _bits(
+                _dense_bc_dms(params, grid)
             )
+            assert _bits(bc_pr_bound(params, grid, alpha)) == _bits(
+                _dense_bc_pr(params, grid, alpha)
+            )
+            if params.b > 1.0:
+                assert _bits(th1_bound(params, grid, alpha)) == _bits(
+                    _dense_th1(params, grid, alpha)
+                )
 
 
 def test_th1_matches_dense_path_at_fig3_mesh():
