@@ -42,7 +42,6 @@ from .region_geometry import (
     intersect_frontiers,
     pentagon_corners,
     sweep_grid,
-    union_frontier,
     union_frontier_arrays,
 )
 
@@ -80,7 +79,6 @@ __all__ = [
     "intersect_frontiers",
     "pentagon_corners",
     "sweep_grid",
-    "union_frontier",
     "union_frontier_arrays",
     "__version__",
 ]

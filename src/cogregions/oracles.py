@@ -37,7 +37,7 @@ import numpy as np
 from .channel import ChannelParams, gaussian_rate, th3_threshold
 from .inner_bounds import _scheme_e_caps, beta_of_alpha, scheme_e_region
 from .outer_bounds import _cor2_caps, cor2_region
-from .region_geometry import GridAxis, VerificationReport, concavify, grid_axis
+from .region_geometry import GridAxis, VerificationReport, grid_axis
 
 __all__ = [
     "VerificationReport",
@@ -467,7 +467,7 @@ def verify_th3_capacity(
     sum_excess = float(np.max(corner_sum - np.minimum(inner_sum, corner_sum)))
 
     outer = cor2_region(params, alpha_grid=alpha)
-    inner = concavify(scheme_e_region(params, beta_grid=beta))
+    inner = scheme_e_region(params, beta_grid=beta)
     corners = gaussian_rate(alpha * p1)
     gap = float(np.max(np.abs(outer.interp(corners) - inner.interp(corners))))
 

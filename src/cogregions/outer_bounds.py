@@ -107,10 +107,8 @@ class Family(NamedTuple):
         return Pentagon(*self.caps(params, *split))
 
     def union(self, params: ChannelParams, grid) -> Frontier:
-        """Union of the pentagons over a power-split grid.
-
-        The union is exact at the corners of the family and follows their
-        chords in between (see
+        """Union of the pentagons over a power-split grid, as the concave hull
+        of their corners (see
         :func:`~cogregions.region_geometry.union_frontier_arrays`).
         """
         t = grid_axis(grid, f"{self.axis} grid")
@@ -176,7 +174,7 @@ _UNIFYING = Family(
 def unifying_region(
     params: ChannelParams, alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS
 ) -> Frontier:
-    """Union of the unifying family over a power-split grid; see :meth:`Family.union`."""
+    """Corner hull of the unifying family over a power-split grid; see :meth:`Family.union`."""
     return _UNIFYING.union(params, alpha_grid)
 
 
@@ -204,7 +202,7 @@ _BERGMANS = Family(
 def bergmans_frontier(
     params: ChannelParams, alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS
 ) -> Frontier:
-    """Union of the Bergmans reference rectangles over a power-split grid."""
+    """Corner hull of the Bergmans reference rectangles over a power-split grid."""
     return _BERGMANS.union(params, alpha_grid)
 
 
@@ -238,7 +236,7 @@ _COR2 = Family(
 def cor2_region(
     params: ChannelParams, alpha_grid: GridAxis = DEFAULT_ALPHA_POINTS
 ) -> Frontier:
-    """Union of Cor. 2's family over a power-split grid; see :meth:`Family.union`."""
+    """Corner hull of Cor. 2's family over a power-split grid; see :meth:`Family.union`."""
     return _COR2.union(params, alpha_grid)
 
 
@@ -364,8 +362,8 @@ _BLOCK_SPLITS = 1 << 15
 _WITNESS_STRIDE = 17
 
 # _split_hull raises each line's bound corner by this times one plus the
-# line's largest cap: the corners' own rounding is a few eps times that cap,
-# and libm's log1p is within a few ulps but not proven monotone.
+# line's largest cap: libm's log1p is within a few ulps but not proven
+# monotone.
 _LINE_MARGIN = 16.0 * np.finfo(float).eps
 
 
@@ -448,10 +446,10 @@ def _split_hull(params: ChannelParams, split_grid, points, line) -> Frontier:
     by a rising denominator) is monotone.  So each cap's largest value on a
     line sits at an end, up to log1p's few ulps; with one or two rho2
     points the two ends are the whole line.  A pentagon corner is a
-    ``min`` of caps or a difference such as ``fl(sum - r2)``, which exceeds
-    the cap it stands for by a few eps times the largest cap.  The margin
-    covers both, so every point of the line lies at or below its group's
-    raised corner ``(X, Y)``.  The bucket test drops that corner only if a
+    ``min`` of caps, or a difference such as ``fl(sum - r2)`` clamped to
+    the cap it stands for, so it never exceeds its caps.  The margin covers
+    log1p, so every point of the line lies at or below its group's raised
+    corner ``(X, Y)``.  The bucket test drops that corner only if a
     witness has ``x_w >= X`` and ``y_w > Y``, and then the witness strictly
     beats every point of the group on that line.
     """
@@ -622,7 +620,7 @@ def th1_bound(
     so the concave hull of the cut pentagons is an outer bound.  Cutting the
     whole broadcast envelope by the r1 cap of another covariance instead
     would pair rates that no single input law produces.  The hull is then
-    intersected with the unifying-family envelope, so the result is
+    intersected with the unifying family's hull, so the result is
     pointwise below both :func:`bc_dms_region` and :func:`unifying_region`.
     As in :func:`bc_dms_region`, the corner cloud is streamed through the
     hull (:func:`_split_hull`) and never held whole.
@@ -644,7 +642,7 @@ def bc_pr_bound(
     yields a rectangle with no sum constraint.  The rectangle union is
     concavified exactly from its corner cloud (the underlying region is
     convex), streamed through the hull like :func:`bc_dms_region`'s, and
-    then cut by the unifying-family envelope.
+    then cut by the unifying family's hull.
     """
     return intersect_frontiers(
         _BC_PR.hull(params, split_grid), unifying_region(params, alpha_grid=alpha_grid)

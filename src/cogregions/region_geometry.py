@@ -3,11 +3,10 @@
 Regions are exchanged as Pareto frontiers: monotone polylines of
 ``(r1, r2)`` points with ``r1`` strictly increasing and ``r2``
 non-increasing.  Rate constraints at a fixed auxiliary-parameter value form
-a :class:`Pentagon` (``R1 <= A``, ``R2 <= B``, ``R1 + R2 <= C``); parametric
-families of pentagons are collapsed to one frontier by
-:func:`union_frontier`, which evaluates the union of the family at the
-pentagons' own corner abscissas and joins them by chords.  All rates are in
-bits.
+a :class:`Pentagon` (``R1 <= A``, ``R2 <= B``, ``R1 + R2 <= C``); a family
+of pentagons is collapsed to one frontier, the concave hull of the
+pentagons' corners (the corner hull, :func:`union_frontier_arrays`): time
+sharing makes every region here convex.  All rates are in bits.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "Frontier",
     "VerificationReport",
     "pentagon_corners",
-    "union_frontier",
     "union_frontier_arrays",
     "corner_cloud",
     "hull_frontier",
@@ -116,7 +114,7 @@ class Frontier:
             raise ValueError("frontier r1 values must be strictly increasing")
         if np.any(y < 0):
             raise ValueError("frontier r2 values must be nonnegative")
-        # Tolerate float-level wiggles from envelope evaluation, nothing more.
+        # Tolerate float-level wiggles from interpolation, nothing more.
         if np.any(y[1:] - y[:-1] > 1e-9):
             raise ValueError("frontier r2 values must be non-increasing")
         y = np.minimum.accumulate(y)
@@ -185,158 +183,26 @@ class VerificationReport:
         )
 
 
-def _envelope(
-    r1_ext: np.ndarray,
-    r2cap: np.ndarray,
-    sum_cap: np.ndarray,
-    grid: np.ndarray,
-) -> np.ndarray:
-    """Upper envelope of ``min(r2cap, sum_cap - r1)`` over admissible pentagons.
-
-    Pentagon j is admissible at grid point r1 when ``r1_ext[j] >= r1``.
-    Returns ``-inf`` where no pentagon is admissible.  ``grid`` must be
-    sorted, distinct and free of NaN.
-
-    The result equals, bit for bit, the dense evaluation of every pentagon
-    at every grid point, in O((M + G) log(M + G)) time and O(M + G)
-    memory.  It rests on three monotone facts about floating point on a
-    sorted grid:
-
-    - Pentagon j is admissible on a grid prefix ``[0, e_j)``, found by
-      ``searchsorted``.
-    - Pentagon j contributes ``min(r2cap[j], fl(sum_cap[j] - g))``: that is
-      ``r2cap[j]`` on a prefix ``[0, min(k_j, e_j))`` and
-      ``fl(sum_cap[j] - g)`` on ``[k_j, e_j)``, with ``k_j`` from one
-      ``searchsorted`` (below).
-    - ``fl(x - g)`` is non-decreasing in ``x``, so the largest rounded
-      difference over a set of pentagons is the rounded difference of their
-      largest sum cap; only the maximum sum cap over the intervals covering
-      each grid point is needed (:func:`_stabbing_max`).
-
-    The knee ``k_j``.  Write ``s, r`` for the two caps and
-    ``d = fl(s - r)``.  The exact ``s - r`` rounds to ``d``, so it lies
-    strictly between the doubles ``d⁻`` and ``d⁺`` next to ``d``, and
-    rounding is monotone:
-
-    - Below ``d``, ``g <= d⁻``, so the exact ``s - g`` exceeds ``r`` and
-      ``fl(s - g) >= r``: the value is ``r``.
-    - Above ``d``, ``g >= d⁺``, so the exact ``s - g`` is below ``r`` and
-      ``fl(s - g) <= r``: the value is ``fl(s - g)``, read as flat or as
-      sloped.
-    - At ``d`` the predicate ``r <= fl(s - d)`` is evaluated: the value is
-      ``r`` where it holds and ``fl(s - d)`` where it fails.
-
-    So ``k_j`` is ``searchsorted(grid, d, "left")``, plus one where that
-    grid point is ``d`` and the predicate holds; a distinct grid has at
-    most one point at ``d``.
-
-    Maxima involve no rounding, so splitting the maximum over pentagons into
-    these two terms changes no bit, save the sign of a zero result when the
-    inputs hold negative zeros; :func:`union_frontier_arrays` makes its
-    zeros positive first.
-    """
-    n = grid.size
-    ext_end = np.searchsorted(grid, r1_ext, side="right")
-    # knee_end = min(k_j, e_j): past d, or at d where the r2 cap exceeds
-    # the sum-cap line, capped at the admissible end.
-    knee = sum_cap - r2cap
-    knee_end = np.searchsorted(grid, knee, side="left")
-    at = grid[np.minimum(knee_end, n - 1)]
-    knee_end += (at == knee) & (r2cap <= sum_cap - at)
-    np.minimum(knee_end, ext_end, out=knee_end)
-
-    # Flat parts: pentagon j holds r2cap[j] on the prefix [0, knee_end[j]).
-    flat_max = np.full(n + 1, -np.inf)
-    np.maximum.at(flat_max, knee_end, r2cap)
-    flat_max = np.maximum.accumulate(flat_max[::-1])[::-1][1:]
-    # Sloped parts: sum_cap[j] - r1 on [knee_end[j], ext_end[j]).
-    sloped = _stabbing_max(knee_end, ext_end, sum_cap, n) - grid
-    return np.maximum(flat_max, sloped)
-
-
-def _stabbing_max(
-    lo: np.ndarray, hi: np.ndarray, val: np.ndarray, n: int
-) -> np.ndarray:
-    """``out[i] = max(val[j] for j with lo[j] <= i < hi[j])``, ``-inf`` if none.
-
-    A sparse table of power-of-two blocks (Bender and Farach-Colton, 2000),
-    held two rows at a time.  An interval of length ``L >= 1`` is covered
-    by two blocks of length ``2^k``, ``k = floor(log2 L)``: one starting at
-    ``lo`` and one ending at ``hi``.  They overlap unless ``L = 2^k``,
-    which changes nothing, because ``max`` is idempotent and involves no
-    rounding.  Row ``k`` holds, at each start ``i``, the largest value of
-    the blocks ``[i, i + 2^k)`` (``-inf`` past the last start ``n - 2^k``).
-    From the top row down, each row is pushed into both halves of its
-    blocks, ``below[i] = max(row[i], row[i - 2^(k-1)])``, which keeps
-    ``-inf`` past the new last start, and the blocks of the new length are
-    scattered into it.  Row 0 is the answer.
-    """
-    live = lo < hi
-    lo, hi, val = lo[live], hi[live], val[live]
-    # frexp's exponent of a length in [2^k, 2^(k+1)) is k + 1, exactly.
-    level = np.frexp(hi - lo)[1] - 1
-    # Both blocks of every interval, grouped by level: group k is
-    # start[bounds[k]:bounds[k + 1]].
-    bounds = np.concatenate([[0], np.cumsum(2 * np.bincount(level))])
-    order = np.argsort(np.concatenate([level, level]), kind="stable")
-    hi -= np.left_shift(1, level, dtype=np.intp)
-    # Each copy is dropped before the next is made, to keep the peak low.
-    start = np.concatenate([lo, hi])[order]
-    del lo, hi, level
-    val = np.concatenate([val, val])[order]
-    del order
-    row, below = np.full(n, -np.inf), np.empty(n)
-    top = bounds.size - 2
-    for k in range(top, -1, -1):
-        if k < top:
-            width = 1 << k
-            below[:width] = row[:width]
-            np.maximum(row[width:], row[:-width], out=below[width:])
-            row, below = below, row
-        j = slice(bounds[k], bounds[k + 1])
-        np.maximum.at(row, start[j], val[j])
-    return row
-
-
-def union_frontier(pentagons: Sequence[Pentagon]) -> Frontier:
-    """Union of a pentagon family as a :class:`Frontier`.
-
-    See :func:`union_frontier_arrays`.  No convexification is applied.
-    """
-    pentagons = list(pentagons)
-    if not pentagons:
-        raise ValueError("no pentagons")
-    return union_frontier_arrays(
-        np.array([p.r1_max for p in pentagons]),
-        np.array([p.r2_max for p in pentagons]),
-        np.array([p.sum_max for p in pentagons]),
-    )
-
-
 def union_frontier_arrays(
     r1_max: np.ndarray, r2_max: np.ndarray, sum_max: np.ndarray
 ) -> Frontier:
     """Union of a pentagon family, given as parallel constraint arrays.
 
-    The frontier's vertices are the family's corner abscissas, sorted and
-    distinct: 0, every pentagon's r1 extent and every pentagon's knee,
-    where its sum cap meets its r2 cap (clamped to its extent).  At each
-    vertex the r2 value is that of the union, the largest
-    ``min(r2 cap, sum cap - r1)`` over the pentagons whose extent reaches
-    it.  Between two adjacent vertices the frontier is their chord.  Time
-    sharing achieves the chord of two achievable corners, so an inner bound
-    stays achievable.  No pentagon has a knee or an extent strictly between
-    two adjacent vertices, so there the union is a maximum of flat and
-    slope -1 pieces, a convex function, which lies on or under the chord:
-    an outer bound stays an outer bound.  For a family sampled from one
-    continuous parameter the frontier is the linear interpolation of the
-    family's corner curve.
+    The frontier is the concave hull of the family's corners,
+    :func:`hull_frontier` of its :func:`corner_cloud`, extended flat to
+    r1 = 0.  Time sharing is allowed, so every region here is convex, and
+    the hull keeps each bound what it is.  Each pentagon is the convex hull
+    of its corners and their projections on the axes, so the hull of an
+    outer family's corners contains its union: an outer bound stays an
+    outer bound.  Every vertex past r1 = 0 is a corner of one pentagon
+    (:func:`pentagon_corners`), and time sharing achieves the chords
+    between achievable corners: an inner bound stays achievable.
 
     Arrays, not :class:`Pentagon` objects, so that callers sweeping
     thousands of auxiliary parameters never materialize the family.  The
     sum cap is normalized and NaN and negative constraints are rejected,
-    as by :class:`Pentagon`; negative zeros count as zeros, so the
-    frontier starts at ``+0.0``.
+    as by :class:`Pentagon`, and so is a family whose union is unbounded;
+    negative zeros count as zeros, so the frontier starts at ``+0.0``.
     """
     # Adding 0.0 turns negative zeros positive and leaves every other value.
     a, b, s = (
@@ -354,35 +220,35 @@ def union_frontier_arrays(
             "pentagon constraints must be nonnegative, "
             f"got ({float(a[j])}, {float(b[j])}, {float(s[j])})"
         )
-    sum_cap = np.minimum(s, a + b)
-    r1_ext = np.minimum(a, sum_cap)
-    r2cap = np.minimum(b, sum_cap)
-    if not math.isfinite(float(r1_ext.max())):
+    # A rate is unbounded only where its own cap and the sum cap are absent.
+    no_sum = np.isinf(s)
+    if np.isinf(a[no_sum]).any():
         raise ValueError("region unbounded in r1")
-    if not math.isfinite(float(r2cap.max())):
+    if np.isinf(b[no_sum]).any():
         raise ValueError("region unbounded in r2")
-    knees = np.minimum(sum_cap - r2cap, r1_ext)
-    r1 = _sorted_unique(np.concatenate([[0.0], r1_ext, knees]))
-    return Frontier(r1, _envelope(r1_ext, r2cap, sum_cap, r1))
+    return hull_frontier(*corner_cloud(a, b, s))
 
 
 def _corner_kinds(r1_max, r2_max, sum_max):
     """Both Pareto corners of each pentagon, as two ``(x, y)`` kinds.
 
     The first kind hugs the r2 cap, the second the r1 cap (they coincide
-    for rectangles); degenerate shapes clamp at the axes exactly as
-    :func:`pentagon_corners` does.  Elementwise, so the caps may be any
-    broadcast-compatible arrays and each coordinate has their broadcast
-    shape.
+    for rectangles); each coordinate is clamped to its cap and at the axes
+    exactly as :func:`pentagon_corners` does, so every corner lies in its
+    pentagon even where the normalized sum cap ``fl(r1 + r2)`` rounds up.
+    Elementwise, so the caps may be any broadcast-compatible arrays and
+    each coordinate has their broadcast shape.
     """
     r1_max, r2_max, sum_max = np.broadcast_arrays(r1_max, r2_max, sum_max)
     sum_cap = r1_max + r2_max
     np.minimum(sum_max, sum_cap, out=sum_cap)
     y1 = np.minimum(r2_max, sum_cap)
     x1 = np.subtract(sum_cap, r2_max)
+    np.minimum(x1, r1_max, out=x1)
     np.maximum(x1, 0.0, out=x1)
     x2 = np.minimum(r1_max, sum_cap)
     y2 = np.subtract(sum_cap, x2, out=sum_cap)
+    np.minimum(y2, r2_max, out=y2)
     np.maximum(y2, 0.0, out=y2)
     return (x1, y1), (x2, y2)
 
@@ -688,18 +554,10 @@ def concavify(f: Frontier) -> Frontier:
     """Upper concave envelope (time-sharing hull) of a frontier.
 
     The output dominates the input pointwise and is idempotent: applying it
-    to an already concave frontier returns a pointwise-equal polyline.
-
-    A frontier is sorted with strictly increasing r1 and non-increasing r2,
-    so its Pareto staircase is the points with ``r2[i] > r2[i + 1]``, and
-    the last point: the result is :func:`hull_frontier` of the frontier's
-    vertices, bit for bit.
+    to an already concave frontier returns a pointwise-equal polyline.  It
+    is :func:`hull_frontier` of the frontier's vertices.
     """
-    x, y = f.r1, f.r2
-    keep = np.empty(x.size, dtype=bool)
-    keep[:-1] = y[:-1] > y[1:]
-    keep[-1] = True
-    return _staircase_hull(x[keep], y[keep])
+    return hull_frontier(f.r1, f.r2)
 
 
 def intersect_frontiers(f: Frontier, g: Frontier) -> Frontier:

@@ -65,63 +65,63 @@ SPLIT_APPLIES = {
 }
 
 REGION_DIGESTS = {
-    "unifying/b_zero": "f64733e9e60b1b0e",
+    "unifying/b_zero": "9e8cf2775ff4e7ec",
     "unifying/pdc_exact": "cb4ae3ddfcfdf2b5",
     "unifying/th3_exact": "a259747db0efebdf",
-    "unifying/open_weak": "b8ab1603c14f744f",
+    "unifying/open_weak": "d3096b10447da695",
     "unifying/open_strong": "1cc1fa5eebe37c29",
-    "cor2/pdc_exact": "0cc4539bfb00b7e2",
-    "cor2/th3_exact": "b983b5cc1b6dc929",
+    "cor2/pdc_exact": "0d9b57c4a7932111",
+    "cor2/th3_exact": "3ed3a9944cf74f30",
     "bcdms/b_zero": "c51815803a7cfbf6",
-    "bcdms/pdc_exact": "d517e940288d25b6",
-    "bcdms/th3_exact": "da3d932c08ad2c67",
-    "bcdms/open_weak": "5dc00c267545dbda",
-    "bcdms/open_strong": "683b5f5a57717e86",
+    "bcdms/pdc_exact": "3f7fc87f9606396e",
+    "bcdms/th3_exact": "2c2b635beefbcac1",
+    "bcdms/open_weak": "a76b8321daa21a7d",
+    "bcdms/open_strong": "991a091cb01f4ecc",
     "th1/pdc_exact": "89382aa900520220",
-    "th1/th3_exact": "0cf74383658b517c",
-    "th1/open_strong": "e43479377d6a09ab",
-    "bcpr/b_zero": "c6317f2a304d8c6b",
+    "th1/th3_exact": "5e1001502ddf28b0",
+    "th1/open_strong": "0b344af83748d97b",
+    "bcpr/b_zero": "26cad71a0ed6978b",
     "bcpr/pdc_exact": "7ef0423a359dd392",
     "bcpr/th3_exact": "6e80aca2e48f3ad5",
-    "bcpr/open_weak": "b8d7aebc6a99854b",
+    "bcpr/open_weak": "ff1a3b987228b340",
     "bcpr/open_strong": "e608d4fef7580f0b",
-    "bergmans/b_zero": "abbb934096015eba",
-    "bergmans/pdc_exact": "336f0621b0b81be2",
-    "bergmans/th3_exact": "5ea5ac3f4710cc6b",
-    "bergmans/open_weak": "5e88ae427c780434",
-    "bergmans/open_strong": "376e97bb57d360d0",
-    "schemeE/b_zero": "c2c349de8324ff68",
-    "schemeE/pdc_exact": "db6bb3aa0855c5f2",
-    "schemeE/th3_exact": "4cbdb1f67cebf3f5",
-    "schemeE/open_weak": "cc49fd71c347b553",
-    "schemeE/open_strong": "18d1942d0892edf8",
+    "bergmans/b_zero": "eb29c670728226ca",
+    "bergmans/pdc_exact": "7848904c50f64fed",
+    "bergmans/th3_exact": "b03a4eb3b18f04d9",
+    "bergmans/open_weak": "258db7e278b5094f",
+    "bergmans/open_strong": "5a9aa10f0c831ed0",
+    "schemeE/b_zero": "c05b96a6b93b0c2e",
+    "schemeE/pdc_exact": "bdafeb37b584b55c",
+    "schemeE/th3_exact": "c4c0cbf091e569a7",
+    "schemeE/open_weak": "a81652c706d6f049",
+    "schemeE/open_strong": "da6587f33381da5c",
     "capacity/b_zero": "500ca7173bd6be7d",
     "capacity/pdc_exact": "898096345ff56b44",
     "capacity/th3_exact": "aba9bb646d4460bd",
-    "capacity/open_weak": "08230c66762e4643",
-    "capacity/open_strong": "8505438806d56543",
+    "capacity/open_weak": "cbaf6dbe0ed0aaea",
+    "capacity/open_strong": "f4ee8bc814efefe9",
 }
 
 SPLIT_DIGESTS = {
-    "bcdms/open_weak": "5bdcf2318f4b8492",
-    "bcdms/open_strong": "16737764a07a045c",
-    "bcdms/p1_zero": "ad2a370e6a6f836e",
-    "bcdms/p2_zero": "7b6b2dcc67037636",
-    "th1/open_strong": "b3e2262312fef067",
+    "bcdms/open_weak": "f018db949072f417",
+    "bcdms/open_strong": "1286eab1130326bc",
+    "bcdms/p1_zero": "8f9f3ea3be07d9f4",
+    "bcdms/p2_zero": "709b932032dc4296",
+    "th1/open_strong": "5f0d4e2ac07ca98b",
     "th1/p1_zero": "8cfc7f0c861d85a9",
-    "th1/p2_zero": "941ec971bc1ad181",
-    "bcpr/open_weak": "36eca31a987d03a2",
+    "th1/p2_zero": "0194440eab2a7e09",
+    "bcpr/open_weak": "c2a96277e19ccab0",
     "bcpr/open_strong": "675cf490aa57a83b",
     "bcpr/p1_zero": "e7c585e365c27b42",
-    "bcpr/p2_zero": "d0716f96b100c4f6",
-    "capacity/open_weak": "3648ce198bce570a",
-    "capacity/open_strong": "776e1f4eb767af41",
+    "bcpr/p2_zero": "2d73f668b099cf10",
+    "capacity/open_weak": "da1af24aee41a048",
+    "capacity/open_strong": "ca6e195ddfd46146",
     "capacity/p1_zero": "d66f9b763dee394a",
-    "capacity/p2_zero": "f902b79d36f96e9a",
+    "capacity/p2_zero": "ea85844d2ca9d04e",
 }
 
 COMPARE_DIGESTS = {
-    "schemeE/cor2": "31c756bf1b15b6c1",
+    "schemeE/cor2": "8a4909ee4e5640f8",
     "th1/unifying": "86a12f796e85e9bc",
 }
 

@@ -3,12 +3,14 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogregions.channel import ChannelParams, classify, pdc_threshold, th3_threshold
 from cogregions.inner_bounds import capacity_region
-from cogregions.outer_bounds import bc_pr_bound, th1_bound
+from cogregions.outer_bounds import bc_pr_bound, cor2_region, th1_bound
+from cogregions.region_geometry import contains
 
 # Tiny grids: the dispatch is under test, not the frontiers' accuracy.
 GRIDS = {"alpha_grid": 11, "beta_grid": 11, "split_grid": 3}
@@ -40,12 +42,19 @@ _powers = st.one_of(
 
 @st.composite
 def instances(draw):
-    """Random instances, and instances exactly on a regime boundary."""
+    """Random instances, Z-channel instances between the two thresholds, and
+    instances exactly on a regime boundary."""
     a = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
     p1, p2 = draw(_powers), draw(_powers)
-    kind = draw(st.sampled_from(["random", "b=0", "b=1", "b=pdc", "b=th3", "tie"]))
+    kinds = ["random", "z window", "b=0", "b=1", "b=pdc", "b=th3", "tie"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "random":
         b = draw(st.floats(0.0, 12.0))
+    elif kind == "z window":
+        # Powers for which the window between the thresholds is open.
+        p1, p2 = draw(st.floats(0.01, 10.0)), draw(st.floats(0.01, 10.0))
+        a, lo, hi = 0.0, pdc_threshold(p1, p2), th3_threshold(p1, p2)
+        b = lo + (hi - lo) * draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     elif kind == "b=0":
         b = 0.0
     elif kind == "b=1":
@@ -79,8 +88,31 @@ def test_capacity_region_follows_the_classify_label(params):
     assert result.status == ("exact" if regime in EXACT else "open")
     if regime in EXACT:
         assert result.outer is None
-    elif regime == "open_strong":
-        assert _same_bits(result.outer, th1_bound(params, split_grid=3, alpha_grid=11))
-    else:
+    elif regime == "open_weak":
         assert _same_bits(result.outer, bc_pr_bound(params, split_grid=3, alpha_grid=11))
+    elif params.a == 0.0:
+        # The Z channel between the two thresholds: Cor. 2 is the outer bound.
+        assert _same_bits(result.outer, cor2_region(params, alpha_grid=11))
+    else:
+        assert _same_bits(result.outer, th1_bound(params, split_grid=3, alpha_grid=11))
+
+
+# Largest amount (bits) by which the exact frontier on one side of a Z-channel
+# threshold may leave the outer frontier on the other side, at the default
+# grids.  Measured at most 5.2e-9 with Cor. 2 as the open side's outer
+# bound; Theorem 1 on the 21^4 split mesh leaves it by 1.4e-3 to 0.63.
+SEAM_TOL = 1e-6
+
+
+@pytest.mark.parametrize("p1, p2", [(2.0, 3.0), (1.0, 1.0), (5.0, 0.5), (0.3, 4.0)])
+@pytest.mark.parametrize("threshold, exact_side", [(pdc_threshold, -1.0), (th3_threshold, 1.0)])
+def test_z_channel_frontiers_nest_across_a_threshold(p1, p2, threshold, exact_side):
+    # Capacity is continuous in b, so the exact frontier just inside an exact
+    # regime lies inside the open regime's outer frontier just outside it.
+    thr = threshold(p1, p2)
+    exact = capacity_region(ChannelParams(a=0.0, b=thr * (1.0 + exact_side * 1e-9), p1=p1, p2=p2))
+    open_ = capacity_region(ChannelParams(a=0.0, b=thr * (1.0 - exact_side * 1e-9), p1=p1, p2=p2))
+    assert exact.status == "exact" and open_.regime == "open_strong"
+    report = contains(open_.outer, exact.frontier, tol=SEAM_TOL)
+    assert report.passed, report.worst_case
 
