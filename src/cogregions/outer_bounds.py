@@ -70,7 +70,15 @@ class Family(NamedTuple):
     then has no :meth:`pentagon`.  A split family's ``line`` gives groups
     of caps, each monotone in ``rho2``, that bound its points (see
     :func:`_line_corners`), so :func:`_split_hull` can skip the rho2 lines
-    the sampled hull already beats.  Where ``single_split`` holds the
+    the sampled hull already beats.  A split family's ``pins`` names, per
+    kind of point, the split axis (``"rho1"`` or ``"rho2"``) at whose
+    largest value the kind's point is at least its point at any other value
+    of that axis in both coordinates, the rest of the split fixed, or
+    ``None``; :func:`_split_hull` runs each pinned kind on the mesh with
+    that axis cut to its last point.  Every point so dropped is beaten or
+    an exact copy, so the hull keeps its bits: each rounded step up to
+    ``log1p`` is monotone, and ``log1p``, within a few ulps, would move a
+    vertex by no more where it is not.  Where ``single_split`` holds the
     family's one split is ``t = 1``: an integer grid is cut to it and any
     other ``t`` is refused.
     """
@@ -81,6 +89,7 @@ class Family(NamedTuple):
     caps: Optional[Callable] = None  # (params, *split) -> (r1, r2, sum)
     corners: Optional[Callable] = None  # (params, *split) -> _split_hull's points
     line: Optional[Callable] = None  # (params, *split) -> caps monotone in rho2
+    pins: Tuple[Optional[str], ...] = ()  # per kind of point: its pinned axis
     invalid: Callable = lambda params: False  # where the family does not apply
     single_split: Callable = lambda params: False
     error: str = ""  # the ValueError message where it does not apply
@@ -126,6 +135,7 @@ class Family(NamedTuple):
             split_grid,
             functools.partial(points, params),
             functools.partial(self.line, params),
+            self.pins,
         )
 
 
@@ -388,7 +398,11 @@ def _line_corners(groups, lines: int):
         yield tuple(np.nan_to_num(v + margin, nan=np.finfo(float).max) for v in (x, y))
 
 
-def _split_hull(params: ChannelParams, split_grid, points, line) -> Frontier:
+# The split parameters in the order every split function takes them.
+_SPLIT_AXES = ("alpha1", "alpha2", "rho1", "rho2")
+
+
+def _split_hull(params: ChannelParams, split_grid, points, line, pins=()) -> Frontier:
     """:func:`hull_frontier` of a point cloud spanning every split of a split grid.
 
     ``points(alpha1, alpha2, rho1, rho2)`` broadcasts over split parameters
@@ -398,29 +412,39 @@ def _split_hull(params: ChannelParams, split_grid, points, line) -> Frontier:
     kind, then every split's second, and so on, as the dense builders
     concatenated it.  ``line`` broadcasts the same way and returns groups
     of caps, each monotone in ``rho2``, that bound the points (see
-    :func:`_line_corners`).  The result is the cloud's hull bit for bit,
-    but neither the cloud nor the caps of the whole mesh are ever built:
-    each evaluation spans at most ``_BLOCK_SPLITS`` splits, or one line,
-    and memory is that block plus a flag and an index per line and the
-    survivors of step 3, not the whole mesh:
+    :func:`_line_corners`).
 
-    1. Witness: the points of every ``stride``-th split by flat index of
-       the mesh with its rho2 axis cut to its two ends, evaluated on
-       gathered 1-D parameters, and their staircase.  The hull's vertices
-       cluster at those rank-one layers (``|rho2| = 1`` on the default
-       axis), so a sample there beats more.  The stride is odd, so it
-       reaches both ends; it is ``_WITNESS_STRIDE``, or larger where that
-       mesh has more than ``_WITNESS_STRIDE * _BLOCK_SPLITS`` splits, so
-       the sample is never more than ``_BLOCK_SPLITS`` splits.  The
+    ``pins`` names, per kind, the split axis whose largest value dominates
+    the rest of it for that kind (see :class:`Family`), or ``None``; empty,
+    no kind is pinned.  Each kind runs only on its own mesh, the split grid
+    with its pinned axis cut to its last point.  Kinds that share a pin
+    share a mesh; where the kinds fall on more than one mesh, ``points``
+    and ``line`` take ``kinds``, the indices of the kinds to return or to
+    bound.  The cloud is then every kind on its own mesh, kinds in order.
+
+    The result is the cloud's hull bit for bit, but neither the cloud nor
+    the caps of a whole mesh are ever built: each evaluation spans at most
+    ``_BLOCK_SPLITS`` splits, or one line, and memory is that block plus a
+    flag and an index per line and the survivors of step 3:
+
+    1. Witness: on each mesh, the points of every ``stride``-th split by
+       flat index with the rho2 axis cut to its two ends, evaluated on
+       gathered 1-D parameters, and the staircase of all of them.  The
+       hull's vertices cluster at those rank-one layers (``|rho2| = 1`` on
+       the default axis), so a sample there beats more.  The stride is
+       odd, so it reaches both ends; it is ``_WITNESS_STRIDE``, or larger
+       where that mesh has more than ``_WITNESS_STRIDE * _BLOCK_SPLITS``
+       splits, so no sample is more than ``_BLOCK_SPLITS`` splits.  The
        staircase gives one bucket test, :func:`_witness_filter`, that
-       drops most points some witness beats (``x_w >= x`` and
-       ``y_w > y``) and only those.
-    2. Lines: ``line`` at the rho2 axis's two ends for every
-       ``(alpha1, alpha2, rho1)`` line, in chunks of at most
-       ``_BLOCK_SPLITS`` splits, and the raised corners of
+       drops most points some witness beats (``x_w >= x`` and ``y_w > y``)
+       and only those.
+    2. Lines: on a mesh with two rho2 points or more, ``line`` at the rho2
+       axis's two ends for every ``(alpha1, alpha2, rho1)`` line, in chunks
+       of at most ``_BLOCK_SPLITS`` splits, and the raised corners of
        :func:`_line_corners` through the bucket test.  A line none of
        whose corners survives is never evaluated.  With a witness span of
-       zero every line is kept.
+       zero every line is kept.  A line of one split is kept unread: its
+       bound would cost what its points do.
     3. Stream: the other lines, gathered in blocks of whole lines in flat
        ``ij`` order, and the bucket test on their points.  A kind's x and
        y are broadcast against each other as views, not copied to the
@@ -444,52 +468,77 @@ def _split_hull(params: ChannelParams, split_grid, points, line) -> Frontier:
     linear in rho2 with nonnegative gains, and every rounded step
     (products by a nonnegative factor, sums, the clamp at zero, a quotient
     by a rising denominator) is monotone.  So each cap's largest value on a
-    line sits at an end, up to log1p's few ulps; with one or two rho2
-    points the two ends are the whole line.  A pentagon corner is a
-    ``min`` of caps, or a difference such as ``fl(sum - r2)`` clamped to
-    the cap it stands for, so it never exceeds its caps.  The margin covers
-    log1p, so every point of the line lies at or below its group's raised
-    corner ``(X, Y)``.  The bucket test drops that corner only if a
-    witness has ``x_w >= X`` and ``y_w > Y``, and then the witness strictly
-    beats every point of the group on that line.
+    line sits at an end, up to log1p's few ulps; with two rho2 points the
+    two ends are the whole line.  A pentagon corner is a ``min`` of caps,
+    or a difference such as ``fl(sum - r2)`` clamped to the cap it stands
+    for, so it never exceeds its caps.  The margin covers log1p, so every
+    point of the line lies at or below its group's raised corner
+    ``(X, Y)``.  The bucket test drops that corner only if a witness has
+    ``x_w >= X`` and ``y_w > Y``, and then the witness strictly beats
+    every point of the group on that line.
     """
     axes = _split_mesh(params, split_grid)
-    shape = tuple(axis.size for axis in axes)
-    rho2 = axes[3]
-    ends = rho2[[0, -1]]
-    sampled = (*shape[:3], ends.size)
-    splits = math.prod(sampled)
-    stride = max(_WITNESS_STRIDE, -(-splits // _BLOCK_SPLITS)) | 1
-    sample = np.unravel_index(np.arange(0, splits, stride), sampled)
-    gathered = (axis[i] for axis, i in zip((*axes[:3], ends), sample))
-    witness = [np.broadcast_arrays(*kind) for kind in points(*gathered)]
+    groups = {}
+    for kind, pin in enumerate(pins):
+        groups.setdefault(pin, []).append(kind)
+    if len(groups) < 2:
+        # One mesh: every kind points returns, in order.
+        groups = {next(iter(groups), None): None}
+    meshes = []
+    for pin, kinds in groups.items():
+        mesh = list(axes)
+        if pin is not None:
+            i = _SPLIT_AXES.index(pin)
+            mesh[i] = mesh[i][-1:]
+        select = {} if kinds is None else {"kinds": tuple(kinds)}
+        meshes.append(
+            (mesh, kinds, functools.partial(points, **select), functools.partial(line, **select))
+        )
+
+    witness = []
+    for mesh, _, evaluate, _ in meshes:
+        rho2 = mesh[3]
+        ends = rho2[[0, -1]] if rho2.size > 1 else rho2
+        sampled = (*(axis.size for axis in mesh[:3]), ends.size)
+        splits = math.prod(sampled)
+        stride = max(_WITNESS_STRIDE, -(-splits // _BLOCK_SPLITS)) | 1
+        sample = np.unravel_index(np.arange(0, splits, stride), sampled)
+        gathered = (axis[i] for axis, i in zip((*mesh[:3], ends), sample))
+        witness += [np.broadcast_arrays(*kind) for kind in evaluate(*gathered)]
     wx, wy = (np.concatenate([c.ravel() for c in coords]) for coords in zip(*witness))
+    if not (np.all(np.isfinite(wx)) and np.all(np.isfinite(wy))):
+        raise ValueError("corner coordinates must be finite")
     prefilter = _witness_filter(*_staircase(wx, wy))
 
-    def lines_of(index):
-        """``(alpha1, alpha2, rho1)`` of the given flat line indices."""
-        return [axis[i] for axis, i in zip(axes, np.unravel_index(index, shape[:3]))]
-
-    lines = np.arange(math.prod(shape[:3]))
-    keep = np.zeros(lines.size, dtype=bool)
-    step = max(_BLOCK_SPLITS // 2, 1)
-    for start in range(0, lines.size, step):
-        index = lines[start : start + step]
-        groups = line(*lines_of(index), ends[:, None])
-        for x, y in _line_corners(groups, index.size):
-            keep[index[prefilter(x, y)]] = True
-    lines = np.flatnonzero(keep)
-
-    step = max(_BLOCK_SPLITS // rho2.size, 1)
     kept = []
-    for start in range(0, lines.size, step):
-        split = [v[:, None] for v in lines_of(lines[start : start + step])]
-        for kind, (x, y) in enumerate(points(*split, rho2)):
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise ValueError("corner coordinates must be finite")
-            x, y = np.broadcast_arrays(x, y)
-            keep = prefilter(x, y)
-            kept.append((kind, x.take(keep), y.take(keep)))
+    for mesh, kinds, evaluate, bound in meshes:
+        shape = tuple(axis.size for axis in mesh)
+        rho2 = mesh[3]
+
+        def lines_of(index):
+            """``(alpha1, alpha2, rho1)`` of the given flat line indices."""
+            return [axis[i] for axis, i in zip(mesh, np.unravel_index(index, shape[:3]))]
+
+        lines = np.arange(math.prod(shape[:3]))
+        if rho2.size > 1:
+            keep = np.zeros(lines.size, dtype=bool)
+            step = max(_BLOCK_SPLITS // 2, 1)
+            ends = rho2[[0, -1]]
+            for start in range(0, lines.size, step):
+                index = lines[start : start + step]
+                for x, y in _line_corners(bound(*lines_of(index), ends[:, None]), index.size):
+                    keep[index[prefilter(x, y)]] = True
+            lines = np.flatnonzero(keep)
+
+        step = max(_BLOCK_SPLITS // rho2.size, 1)
+        for start in range(0, lines.size, step):
+            split = [v[:, None] for v in lines_of(lines[start : start + step])]
+            for j, (x, y) in enumerate(evaluate(*split, rho2)):
+                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+                    raise ValueError("corner coordinates must be finite")
+                x, y = np.broadcast_arrays(x, y)
+                keep = prefilter(x, y)
+                kept.append((j if kinds is None else kinds[j], x.take(keep), y.take(keep)))
     # A stable sort restores the cloud's order: kinds, then splits.  The
     # block pieces go before the hull, which copies the survivors again.
     kept.sort(key=lambda item: item[0])
@@ -531,15 +580,17 @@ def _pentagon_line(params: ChannelParams, *split):
     return [_split_caps(params, *split)]
 
 
-def _bc_pr_corners(params: ChannelParams, *split):
-    """The corners of each split's two private-rate rectangles: layer 2
-    encoded last (the broadcast pentagon's r1 and r2 caps), then layer 1
-    encoded last."""
+def _bc_pr_corners(params: ChannelParams, *split, kinds=(0, 1)):
+    """The corners of each split's two private-rate rectangles, of the given
+    kinds: 0, layer 2 encoded last (the broadcast pentagon's r1 and r2
+    caps), and 1, layer 1 encoded last."""
     q1l1, q1l2, q2l1, q2l2 = _split_forms(params, *split)
-    return (
-        _layer2_last_caps(q1l1, q1l2, q2l2),
-        (gaussian_rate(q1l1), gaussian_rate(q2l2 / (1.0 + q2l1))),
-    )
+    rectangles = []
+    if 0 in kinds:
+        rectangles.append(_layer2_last_caps(q1l1, q1l2, q2l2))
+    if 1 in kinds:
+        rectangles.append((gaussian_rate(q1l1), gaussian_rate(q2l2 / (1.0 + q2l1))))
+    return rectangles
 
 
 # The broadcast pentagons of the enhanced channel, where a single encoder
@@ -556,6 +607,11 @@ _BC_DMS = Family(
     # r1 falls, r2 and the sum rise with rho2: q1l2 and q2l2 are linear in
     # rho2 with nonnegative gains, and the layer-1 forms do not read it.
     line=_pentagon_line,
+    # No pins.  The pentagon at the largest rho1 holds the others on its
+    # line (the r1 and sum caps rise with rho1, the r2 cap does not read
+    # it), but the corner on the r1 cap slides along the sum face as r1
+    # rises: where the sum cap is flat in rho1 (b = 0), the dense hull
+    # keeps such face points by the rounding of its pop test.
 )
 
 # Theorem 1: the broadcast pentagons, each cut by its own r1 cap, then the
@@ -567,6 +623,7 @@ _TH1 = Family(
     corners=_th1_corners,
     # The uncut broadcast caps, as for bcdms: the cut only lowers r1.
     line=_pentagon_line,
+    # No pins: the cut log2(1 + p1 (1 - rho^2)) is not monotone in rho1.
     invalid=lambda params: params.b <= 1.0,
     error="Theorem 1 requires |b| > 1",
 )
@@ -581,6 +638,10 @@ _BC_PR = Family(
     # Each rectangle is its own caps: its r1 falls with rho2 or does not
     # read it, and its r2 rises, as q2l2 does over a q2l1 free of rho2.
     line=_bc_pr_corners,
+    # Layer 2 last at the largest rho1: its r1 rises with it and its r2 does
+    # not read it.  Layer 1 last at the largest rho2: its r1 does not read
+    # it and its r2 rises with it.
+    pins=("rho1", "rho2"),
 )
 
 
@@ -593,9 +654,12 @@ def bc_dms_region(params: ChannelParams, split_grid=DEFAULT_SPLIT_POINTS) -> Fro
     cloud — no r1 sampling is involved, which keeps the steep edges of the
     envelope sharp at any grid size — and the cloud is streamed through it
     block by block (:func:`_split_hull`), so memory does not grow with the
-    number of splits.  The result outer-bounds the cognitive region only
-    for ``|b| >= 1``; the function computes the enhanced-channel region for
-    any parameters and leaves regime policing to callers.
+    number of splits.  Both corners run on the whole split mesh: the
+    pentagon at the largest rho1 holds the others on its line, but its
+    corner on the r1 cap does not bound theirs (see the ``pins`` comment
+    of the record).  The result outer-bounds the cognitive region only for
+    ``|b| >= 1``; the function computes the enhanced-channel region for any
+    parameters and leaves regime policing to callers.
     """
     return _BC_DMS.hull(params, split_grid)
 
@@ -621,9 +685,12 @@ def th1_bound(
     whole broadcast envelope by the r1 cap of another covariance instead
     would pair rates that no single input law produces.  The hull is then
     intersected with the unifying family's hull, so the result is
-    pointwise below both :func:`bc_dms_region` and :func:`unifying_region`.
-    As in :func:`bc_dms_region`, the corner cloud is streamed through the
-    hull (:func:`_split_hull`) and never held whole.
+    pointwise below both :func:`bc_dms_region` and :func:`unifying_region`;
+    it keeps only the breakpoints of that minimum
+    (:func:`~cogregions.region_geometry.intersect_frontiers`).  As in
+    :func:`bc_dms_region`, the corner cloud is streamed through the hull
+    (:func:`_split_hull`) over the whole split mesh, and never held whole:
+    the cut is not monotone in rho1, so no axis is pinned.
     """
     return intersect_frontiers(
         _TH1.hull(params, split_grid), unifying_region(params, alpha_grid=alpha_grid)
@@ -642,7 +709,13 @@ def bc_pr_bound(
     yields a rectangle with no sum constraint.  The rectangle union is
     concavified exactly from its corner cloud (the underlying region is
     convex), streamed through the hull like :func:`bc_dms_region`'s, and
-    then cut by the unifying family's hull.
+    then cut by the unifying family's hull, keeping only the breakpoints of
+    that minimum.  Each rectangle runs on its own 3-D mesh: with layer 2
+    encoded last, the one at the largest rho1 is at least every other on
+    its rho1 axis in both rates, and with layer 1 encoded last the one at
+    the largest rho2 is; the other rectangles are beaten or exact copies,
+    so the hull keeps its bits from ``2 n^3`` splits where the whole mesh
+    has ``2 n^4``.
     """
     return intersect_frontiers(
         _BC_PR.hull(params, split_grid), unifying_region(params, alpha_grid=alpha_grid)

@@ -890,7 +890,7 @@ def test_fig3_reference_pair(capsys, tmp_path):
     }
     digests["stdout"] = digest(out.encode())
     assert digests == {
-        "_outer.csv": "caec71d7315fc6ed",
+        "_outer.csv": "230f5838ccade7ce",
         "_inner.csv": "616e57e99e68135c",
         "_outer.meta.json": "25710cc7669f5363",
         "_inner.meta.json": "52ec9e9097b4d63c",

@@ -77,14 +77,14 @@ REGION_DIGESTS = {
     "bcdms/th3_exact": "2c2b635beefbcac1",
     "bcdms/open_weak": "a76b8321daa21a7d",
     "bcdms/open_strong": "991a091cb01f4ecc",
-    "th1/pdc_exact": "89382aa900520220",
-    "th1/th3_exact": "5e1001502ddf28b0",
-    "th1/open_strong": "0b344af83748d97b",
+    "th1/pdc_exact": "60456ce2671ed665",
+    "th1/th3_exact": "7382ac76131c0449",
+    "th1/open_strong": "323f351cc8acce20",
     "bcpr/b_zero": "26cad71a0ed6978b",
-    "bcpr/pdc_exact": "7ef0423a359dd392",
-    "bcpr/th3_exact": "6e80aca2e48f3ad5",
-    "bcpr/open_weak": "ff1a3b987228b340",
-    "bcpr/open_strong": "e608d4fef7580f0b",
+    "bcpr/pdc_exact": "404616e7a77c7740",
+    "bcpr/th3_exact": "3d9bfd87dd7bc1d8",
+    "bcpr/open_weak": "58046e8dced7400f",
+    "bcpr/open_strong": "7a5b47ca0cc90389",
     "bergmans/b_zero": "eb29c670728226ca",
     "bergmans/pdc_exact": "7848904c50f64fed",
     "bergmans/th3_exact": "b03a4eb3b18f04d9",
@@ -98,8 +98,8 @@ REGION_DIGESTS = {
     "capacity/b_zero": "500ca7173bd6be7d",
     "capacity/pdc_exact": "898096345ff56b44",
     "capacity/th3_exact": "aba9bb646d4460bd",
-    "capacity/open_weak": "cbaf6dbe0ed0aaea",
-    "capacity/open_strong": "f4ee8bc814efefe9",
+    "capacity/open_weak": "7b976216d933ce85",
+    "capacity/open_strong": "64bb8d65dbc72c10",
 }
 
 SPLIT_DIGESTS = {
@@ -107,17 +107,17 @@ SPLIT_DIGESTS = {
     "bcdms/open_strong": "1286eab1130326bc",
     "bcdms/p1_zero": "8f9f3ea3be07d9f4",
     "bcdms/p2_zero": "709b932032dc4296",
-    "th1/open_strong": "5f0d4e2ac07ca98b",
+    "th1/open_strong": "6a3001d0fe95f88d",
     "th1/p1_zero": "8cfc7f0c861d85a9",
-    "th1/p2_zero": "0194440eab2a7e09",
-    "bcpr/open_weak": "c2a96277e19ccab0",
-    "bcpr/open_strong": "675cf490aa57a83b",
+    "th1/p2_zero": "e1eb4f7b8f5a4be1",
+    "bcpr/open_weak": "3d9edf73ce10ab19",
+    "bcpr/open_strong": "318ee8107e76dd58",
     "bcpr/p1_zero": "e7c585e365c27b42",
-    "bcpr/p2_zero": "2d73f668b099cf10",
-    "capacity/open_weak": "da1af24aee41a048",
-    "capacity/open_strong": "ca6e195ddfd46146",
+    "bcpr/p2_zero": "667eded792babeca",
+    "capacity/open_weak": "45a2ff19ddfdd054",
+    "capacity/open_strong": "7eac7ffa9fef19f9",
     "capacity/p1_zero": "d66f9b763dee394a",
-    "capacity/p2_zero": "ea85844d2ca9d04e",
+    "capacity/p2_zero": "31e97f01b5c0f51d",
 }
 
 COMPARE_DIGESTS = {

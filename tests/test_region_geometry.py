@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogregions import region_geometry
+from cogregions import outer_bounds, region_geometry
+from cogregions.channel import ChannelParams
 from cogregions.region_geometry import (
     Frontier,
     Pentagon,
@@ -262,6 +263,54 @@ def test_intersect_is_the_pointwise_minimum(data):
     xs = np.linspace(0.0, h.max_r1, 257)
     want = np.minimum(f.interp(xs), g.interp(xs))
     np.testing.assert_allclose(h.interp(xs), want, rtol=0.0, atol=1e-12)
+
+
+# Bits by which an operand vertex that the intersection drops may sit off
+# its polyline: the vertex lies on the other operand's edge, which the
+# interpolation between the kept breakpoints rounds (at most 1.7e-12 over
+# 20,000 random pairs of these frontiers, 1.3e-12 over the open-regime
+# outer frontiers of three seeds of the benchmark's regime sweep, both on
+# steep edges).
+_DROPPED_VERTEX_BITS = 1e-11
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_intersect_keeps_only_the_minimums_breakpoints(data):
+    f, g = data.draw(_frontiers()), data.draw(_frontiers())
+    h = intersect_frontiers(f, g)
+    fx, gx = f.interp(h.r1), g.interp(h.r1)
+    # Every value is the minimum at its abscissa, bit for bit.
+    assert np.array_equal(_bits(h.r2), _bits(np.minimum(fx, gx)))
+    # Every vertex is a vertex of an operand that attains the minimum there,
+    # a crossing of the two, or the right end.
+    xs = np.union1d(f.r1, g.r1)
+    xs = xs[xs <= h.max_r1]
+    d = f.interp(xs) - g.interp(xs)
+    for x, fv, gv in zip(h.r1.tolist(), fx.tolist(), gx.tolist()):
+        if x == h.max_r1 or (x in f.r1 and fv <= gv) or (x in g.r1 and gv <= fv):
+            continue
+        assert x not in xs
+        i = np.searchsorted(xs, x) - 1
+        assert d[i] * d[i + 1] < 0.0
+    # Every operand vertex in range lies on the polyline.
+    for op in (f, g):
+        v = op.r1[op.r1 <= h.max_r1]
+        want = np.minimum(f.interp(v), g.interp(v))
+        assert np.max(np.abs(h.interp(v) - want)) <= _DROPPED_VERTEX_BITS
+
+
+def test_intersect_drops_the_vertices_above_the_minimum():
+    # g's vertex at 0.5 lies above f, and f's vertex at 1.5 above g: only
+    # f's start, the crossing at 1 / 0.7 and g's end remain.
+    f = Frontier(np.array([0.0, 1.5, 2.0]), np.array([1.0, 0.25, 0.0]))
+    g = Frontier(np.array([0.0, 0.5, 1.8]), np.array([2.0, 1.0, 0.0]))
+    h = intersect_frontiers(f, g)
+    assert h.r1.size == 3
+    assert h.r1[[0, 2]].tolist() == [0.0, 1.8]
+    assert h.r1[1] == pytest.approx(1.0 / 0.7, abs=1e-15)
+    assert h.r2[[0, 2]].tolist() == [1.0, 0.0]
+    assert h.r2[1] == pytest.approx(1.0 - 0.5 / 0.7, abs=1e-15)
 
 
 def test_contains_checks_outer_vertices_too():
@@ -549,6 +598,74 @@ def test_chain_kernel_resumes_from_certified_stack(cloud, loops):
     want_x, want_y = _unfiltered_hull(x, y)
     assert np.array_equal(_bits(got.r1), _bits(want_x))
     assert np.array_equal(_bits(got.r2), _bits(want_y))
+
+
+def _lexsort_staircase(x, y):
+    """Reference: the staircase as one lexsort by x, then by y descending."""
+    order = np.lexsort((-y, x))
+    x, y = x[order], y[order]
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = x[1:] > x[:-1]
+    x, y = x[first], y[first]
+    suffix = np.maximum.accumulate(y[::-1])[::-1]
+    keep = np.empty(y.size, dtype=bool)
+    keep[:-1] = y[:-1] > suffix[1:]
+    keep[-1] = True
+    return x[keep], y[keep]
+
+
+# Zeros of both signs, subnormals and a few shared values, so that runs of
+# equal x hold exact copies and copies that differ only in a zero's sign.
+_TIES = [-0.0, 0.0, 5e-324, 1e-310, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def _tied_clouds(draw):
+    """Clouds with runs of equal x, or two x-sorted runs as a union's corners."""
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mode = draw(st.sampled_from(["ties", "mixed", "two_runs", "sorted"]))
+    x = rng.choice(_TIES, n) if mode == "ties" else rng.uniform(0.0, 3.0, n)
+    y = rng.choice(_TIES, n)
+    if mode == "mixed":
+        x = np.where(rng.random(n) < 0.5, rng.choice(_TIES, n), x)
+        y = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 3.0, n), y)
+    elif mode in ("two_runs", "sorted"):
+        # Sorted kinds whose abscissas and ordinates tie across the kinds.
+        x = np.round(x, draw(st.integers(0, 3)))
+        y = np.round(3.0 - x + rng.normal(0.0, 0.3, n), 1)
+        cut = n // 2 if mode == "two_runs" else n
+        x[:cut], x[cut:] = np.sort(x[:cut]), np.sort(x[cut:])
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_clouds())
+def test_staircase_matches_lexsort_reference_bitwise(cloud):
+    x, y = cloud
+    got_x, got_y = region_geometry._staircase(x, y)
+    want_x, want_y = _lexsort_staircase(x, y)
+    assert np.array_equal(_bits(got_x), _bits(want_x))
+    assert np.array_equal(_bits(got_y), _bits(want_y))
+
+
+def test_staircase_matches_lexsort_on_a_split_hull_survivor_cloud():
+    # The 48k unsorted survivors that th1_bound hands to hull_frontier at a
+    # 41^4 split mesh, where the default sort runs.
+    seen = []
+
+    def spy(x, y):
+        seen.append((x, y))
+        return hull_frontier(x, y)
+
+    with mock.patch.object(outer_bounds, "hull_frontier", spy):
+        outer_bounds.th1_bound(ChannelParams(0.3, 3.0, 2.0, 3.0), 41)
+    (x, y), = seen
+    assert x.size > 40_000
+    got_x, got_y = region_geometry._staircase(x, y)
+    want_x, want_y = _lexsort_staircase(x, y)
+    assert np.array_equal(_bits(got_x), _bits(want_x))
+    assert np.array_equal(_bits(got_y), _bits(want_y))
 
 
 @st.composite

@@ -6,8 +6,9 @@ These tests pin that it returns that cloud's hull bit for bit, with the
 block size and the witness stride shrunk so that many blocks and witnesses
 take part, that the three split builders match a copy of the dense
 builders on random instances in every regime, that the lines it skips are
-really skipped and their caps really monotone, and that memory stays
-bounded at the fig3 mesh.
+really skipped and their caps really monotone, that each kind pinned to
+the largest value of an axis is dominated there, and that memory stays
+bounded at the fig3 mesh and at 81 points per axis.
 """
 
 import math
@@ -44,6 +45,10 @@ from cogregions.region_geometry import (
 
 def _bits(frontier):
     return frontier.r1.view(np.int64).tolist(), frontier.r2.view(np.int64).tolist()
+
+
+def _bits_of(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
 
 
 # ------------------------------------------------------ streamed vs whole
@@ -188,6 +193,21 @@ def test_split_builders_match_dense_path_bitwise():
                 )
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        ChannelParams(0.3, 0.7, 2.0, 3.0),
+        ChannelParams(0.0, 5.0, 1.0, 2.0),
+        ChannelParams(0.4, 0.0, 3.0, 1.5),
+    ],
+    ids=["open_weak", "a_zero", "b_zero"],
+)
+def test_split_builders_match_dense_path_at_41_points_per_axis(params):
+    # 2.8M splits: bcpr's rectangles each on their own 41^3 mesh.
+    assert _bits(bc_pr_bound(params, 41, 51)) == _bits(_dense_bc_pr(params, 41, 51))
+    assert _bits(bc_dms_region(params, 41)) == _bits(_dense_bc_dms(params, 41))
+
+
 def test_th1_matches_dense_path_at_fig3_mesh():
     # 457 alpha1 rows, 33 slabs of 14 rows: the slab edges, the witness
     # staircase and the bucket table all differ from the 21^4 case.
@@ -197,12 +217,20 @@ def test_th1_matches_dense_path_at_fig3_mesh():
 
 def test_bc_pr_evaluates_forms_once_per_block():
     params = ChannelParams(0.3, 0.6, 2.0, 3.0)
-    forms = mock.Mock(wraps=_split_forms)
+    shapes = []
+
+    def forms(params, *split):
+        shapes.append(np.broadcast_shapes(*(np.shape(v) for v in split)))
+        return _split_forms(params, *split)
+
     with mock.patch.object(outer_bounds, "_split_forms", forms):
         bc_pr_bound(params, 21, 51)
-    # The witness sample, both rho2 ends of all 9261 lines, then the 2482
-    # lines kept, in two blocks of at most 1560 whole lines.
-    assert forms.call_count == 1 + 1 + 2
+    # Each rectangle on its own 21^3 mesh: the witness samples of both
+    # meshes (every 17th split of 21^2 * 2 rho2 ends, then of 21^3), both
+    # rho2 ends of the 441 lines at the largest rho1, the 228 of them kept
+    # in one block, and the 9261 one-split lines at the largest rho2 once,
+    # in one block, with no line step before them.
+    assert shapes == [(52,), (545,), (2, 441), (228, 21), (9261, 1)]
 
 
 def _evaluated_splits(build, params, split_grid):
@@ -218,14 +246,27 @@ def _evaluated_splits(build, params, split_grid):
     return sum(sizes)
 
 
+def _pinned_mesh_size(family, params, split_grid):
+    """Splits of the meshes a family's kinds run on, each pinned axis cut."""
+    axes = outer_bounds._split_mesh(params, split_grid)
+    sizes = [a.size for a in axes]
+    total = 0
+    for pin in set(family.pins or [None]):
+        cut = [1 if pin == name else n for name, n in zip(outer_bounds._SPLIT_AXES, sizes)]
+        total += math.prod(cut)
+    return total
+
+
 @pytest.mark.parametrize(
     "build", [th1_bound, bc_dms_region, bc_pr_bound], ids=["th1", "bcdms", "bcpr"]
 )
 def test_split_hull_skips_lines_the_witness_beats(build):
     # At the fig3 point the line step leaves unevaluated more splits than
-    # the witness and the line ends cost, on the default and tuned meshes.
+    # the witness and the line ends cost, on the default and tuned meshes:
+    # the whole 4-D mesh for th1 and bcdms, both 3-D meshes for bcpr.
+    family = FAMILIES[{th1_bound: "th1", bc_dms_region: "bcdms", bc_pr_bound: "bcpr"}[build]]
     for split_grid in (21, (sweep_grid(401), 21, 5, 21)):
-        mesh = math.prod(a.size for a in outer_bounds._split_mesh(FIG3, split_grid))
+        mesh = _pinned_mesh_size(family, FIG3, split_grid)
         assert _evaluated_splits(build, FIG3, split_grid) < mesh
 
 
@@ -287,6 +328,50 @@ def test_line_caps_are_monotone_and_bound_the_line(params, name, seed):
         assert np.logical_or.reduce(under).all()
 
 
+# Per pinned kind of point, the coordinates that do not read its pinned axis.
+_UNREAD = {("bcpr", 0): (1,), ("bcpr", 1): (0,)}
+
+
+def test_pins_are_declared_where_the_point_is_dominated():
+    pinned = {
+        (name, kind)
+        for name, family in FAMILIES.items()
+        for kind, pin in enumerate(family.pins)
+        if pin is not None
+    }
+    assert pinned == set(_UNREAD)
+    assert not FAMILIES["th1"].pins and not FAMILIES["bcdms"].pins
+
+
+@settings(max_examples=150, deadline=None)
+@given(_channels(), st.sampled_from(sorted(_UNREAD)), st.integers(0, 2**32 - 1))
+def test_pinned_kinds_are_dominated_at_the_largest_value(params, pinned, seed):
+    # Along the pinned axis, the rest of the split fixed, each coordinate of
+    # the kind's point does not fall, and those that do not read the axis
+    # keep their bits; so the point at the axis's largest value is at least
+    # every other one in both coordinates.
+    name, kind = pinned
+    family = FAMILIES[name]
+    axis = outer_bounds._SPLIT_AXES.index(family.pins[kind])
+    rng = np.random.default_rng(seed)
+    splits = 16
+    split = [
+        rng.choice([lo, 0.0, 1.0, *rng.uniform(lo, 1, 6)], splits)[:, None]
+        for lo in (0.0, 0.0, -1.0, -1.0)
+    ]
+    lo, hi = np.sort(rng.choice([-1.0, 1.0, *rng.uniform(-1, 1, 4)], 2))
+    split[axis] = np.unique(np.concatenate([[lo, hi], rng.uniform(lo, hi, 40)]))
+    (x, y), = family.corners(params, *split, kinds=(kind,))
+    point = np.broadcast_arrays(x, y, *split)[:2]
+    for i, coord in enumerate(point):
+        if i in _UNREAD[pinned]:
+            first = np.broadcast_to(coord[:, :1], coord.shape)
+            assert np.array_equal(_bits_of(coord), _bits_of(first))
+        else:
+            assert np.all(np.diff(coord, axis=1) >= 0.0)
+        assert np.all(coord <= coord[:, -1:])
+
+
 @st.composite
 def _split_grids(draw):
     """Small split grids: integers, or explicit axes, with rho2 axes that
@@ -331,10 +416,11 @@ def test_split_hull_rejects_non_finite_corners():
     params = object.__new__(ChannelParams)
     for name, value in zip(("a", "b", "p1", "p2"), (0.0, 1e200, 1e200, 1.0)):
         object.__setattr__(params, name, value)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        ValueError, match="corner coordinates must be finite"
-    ):
-        bc_dms_region(params, 5)
+    for build in (bc_dms_region, th1_bound, bc_pr_bound):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="corner coordinates must be finite"
+        ):
+            build(params, 5)
 
 
 # ------------------------------------------------------------------ memory
@@ -367,6 +453,18 @@ def test_split_hull_evaluates_at_most_one_slab_per_call():
     want = th1_bound(params, split_grid, alpha_grid=51)
     assert _bits(intersect_frontiers(got, unifying_region(params, 51))) == _bits(want)
 
+
+
+def test_split_hull_memory_is_bounded_at_81_points_per_axis():
+    # 43M splits, whose caps alone would take over 1 GB as dense arrays.
+    for build in (bc_pr_bound, bc_dms_region):
+        tracemalloc.start()
+        try:
+            build(FIG3, split_grid=81)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 def test_th1_fig3_mesh_memory_is_bounded():
