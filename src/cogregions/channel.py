@@ -19,13 +19,14 @@ __all__ = ["ChannelParams", "RegimeReport", "classify", "gaussian_rate"]
 _LN2 = math.log(2.0)
 
 
-def gaussian_rate(snr):
+def gaussian_rate(snr, out=None):
     """Rate in bits of a unit-noise Gaussian channel at the given SNR.
 
     ``log2(1 + snr)`` evaluated through ``log1p`` so small SNRs keep full
-    relative precision.  Accepts scalars or arrays.
+    relative precision.  Accepts scalars or arrays; ``out``, an array,
+    receives the rate (it may be ``snr`` itself).
     """
-    rate = np.log1p(snr)
+    rate = np.log1p(snr, out=out)
     rate /= _LN2  # in place for arrays: one temporary fewer
     return rate
 

@@ -65,30 +65,38 @@ class Family(NamedTuple):
     The builder is looked up by name at each :meth:`build`, so a wrapper
     installed over that name sees the call.  ``caps`` broadcasts over the
     split: one power split ``t`` in [0, 1], named ``axis``, or the four
-    parameters of a :class:`CovarianceSplit`.  A split family may give
-    ``corners``, the points :func:`_split_hull` takes, in its place, and
-    then has no :meth:`pentagon`.  A split family's ``line`` gives groups
-    of caps, each monotone in ``rho2``, that bound its points (see
-    :func:`_line_corners`), so :func:`_split_hull` can skip the rho2 lines
-    the sampled hull already beats.  A split family's ``pins`` names, per
-    kind of point, the split axis (``"rho1"`` or ``"rho2"``) at whose
-    largest value the kind's point is at least its point at any other value
-    of that axis in both coordinates, the rest of the split fixed, or
-    ``None``; :func:`_split_hull` runs each pinned kind on the mesh with
-    that axis cut to its last point.  Every point so dropped is beaten or
-    an exact copy, so the hull keeps its bits: each rounded step up to
-    ``log1p`` is monotone, and ``log1p``, within a few ulps, would move a
-    vertex by no more where it is not.  Where ``single_split`` holds the
-    family's one split is ``t = 1``: an integer grid is cut to it and any
-    other ``t`` is refused.
+    parameters of a :class:`CovarianceSplit`.  A split family reads its
+    points from form tables instead (see :func:`_split_hull`):
+    ``tables(layer, alpha1, alpha2, rho)`` gives the columns of one
+    layer's table, each quadratic form evaluated once on the three split
+    axes that layer reads; ``corners`` takes the table rows of splits,
+    layer 1's columns then layer 2's, and returns groups, the caps ``(r1,
+    r2, sum)`` of a pentagon, whose two corners are its points, or one
+    kind of point ``(x, y)``; ``line`` takes the rows of ``(alpha1,
+    alpha2, rho1)`` lines, layer 2 at the rho2 axis's first and last
+    values, and returns per group the largest value of each cap on each
+    line, every cap monotone in rho2 (see :func:`_line_corners`), so
+    :func:`_split_hull` can skip the rho2 lines the sampled hull already
+    beats.  Both may write into the rows they are given.  A split family's
+    ``pins`` names, per kind of point, the split axis (``"rho1"`` or
+    ``"rho2"``) at whose largest value the kind's point is at least its
+    point at any other value of that axis in both coordinates, the rest of
+    the split fixed, or ``None``; :func:`_split_hull` runs each pinned kind
+    on the mesh with that axis cut to its last point.  Every point so
+    dropped is beaten or an exact copy, so the hull keeps its bits: each
+    rounded step up to ``log1p`` is monotone, and ``log1p``, within a few
+    ulps, would move a vertex by no more where it is not.  Where
+    ``single_split`` holds the family's one split is ``t = 1``: an integer
+    grid is cut to it and any other ``t`` is refused.
     """
 
     role: str  # "outer", "inner", or "reference" (a containment reference)
     builder: str  # "module.function", taking params and the grids
     grids: Tuple[str, ...]  # the grid flags the builder takes by keyword
     caps: Optional[Callable] = None  # (params, *split) -> (r1, r2, sum)
-    corners: Optional[Callable] = None  # (params, *split) -> _split_hull's points
-    line: Optional[Callable] = None  # (params, *split) -> caps monotone in rho2
+    tables: Optional[Callable] = None  # (params, layer, alpha1, alpha2, rho) -> columns
+    corners: Optional[Callable] = None  # (params, *rows) -> pentagons or points
+    line: Optional[Callable] = None  # (params, *rows at both ends) -> line maxima
     pins: Tuple[Optional[str], ...] = ()  # per kind of point: its pinned axis
     invalid: Callable = lambda params: False  # where the family does not apply
     single_split: Callable = lambda params: False
@@ -129,13 +137,12 @@ class Family(NamedTuple):
     def hull(self, params: ChannelParams, split_grid) -> Frontier:
         """:func:`hull_frontier` of a split family's points over a split grid."""
         self._check(params)
-        points = self.corners or (lambda p, *split: _corner_kinds(*self.caps(p, *split)))
         return _split_hull(
             params,
             split_grid,
-            functools.partial(points, params),
-            functools.partial(self.line, params),
+            *(functools.partial(f, params) for f in (self.corners, self.line)),
             self.pins,
+            functools.partial(self.tables, params),
         )
 
 
@@ -275,60 +282,92 @@ class CovarianceSplit:
     @property
     def rho(self) -> float:
         """Correlation coefficient of the summed layers at unit powers."""
-        (_, _, c1), (_, _, c2) = _layer_entries(1.0, 1.0, *astuple(self))
-        return float(c1 + c2)
+        alpha1, alpha2, rho1, rho2 = astuple(self)
+        return float(_rho_term(1, alpha1, alpha2, rho1) + _rho_term(2, alpha1, alpha2, rho2))
 
 
-def _layer_entries(p1: float, p2: float, alpha1, alpha2, rho1, rho2):
-    """``(var1, var2, cov)`` of each layer covariance of a :class:`CovarianceSplit`.
-
-    Broadcasts over array split parameters.
-    """
-    v11, v12 = alpha1 * p1, alpha2 * p2
-    v21, v22 = (1.0 - alpha1) * p1, (1.0 - alpha2) * p2
-    return (
-        (v11, v12, rho1 * np.sqrt(v11 * v12)),
-        (v21, v22, rho2 * np.sqrt(v21 * v22)),
-    )
+def _fractions(layer: int, alpha1, alpha2):
+    """The fractions ``(f1, f2)`` of the two powers that layer 1 or 2 takes."""
+    return (alpha1, alpha2) if layer == 1 else (1.0 - alpha1, 1.0 - alpha2)
 
 
-def _split_forms(params: ChannelParams, alpha1, alpha2, rho1, rho2):
-    """Quadratic forms of the receive vectors against the layer covariances.
+def _rho_term(layer: int, alpha1, alpha2, rho):
+    """One layer's term of the split's total correlation: its covariance at unit powers."""
+    f1, f2 = _fractions(layer, alpha1, alpha2)
+    return rho * np.sqrt(f1 * f2)
 
-    Broadcasts over array inputs.  Returns ``(q1_layer1, q1_layer2,
-    q2_layer1, q2_layer2)``: the power of each layer seen at each receiver.
-    The total input power at receiver 2 is ``q2_layer1 + q2_layer2`` since
-    the form is linear in the covariance.
+
+def _layer_forms(params: ChannelParams, layer: int, alpha1, alpha2, rho):
+    """``(q1, q2)``: the power of one layer of a split at receivers 1 and 2.
+
+    Each is the quadratic form of a receive vector against the layer
+    covariance, so it reads the layer's own ``(alpha1, alpha2, rho)`` and
+    nothing of the other layer's correlation.  Broadcasts over array
+    inputs.  The total input power at receiver 2 is the sum of the two
+    layers' ``q2``, since the form is linear in the covariance.
 
     Each form is clamped at zero.  The layer covariances are PSD, so a
     negative value is only rounding: where a rank-one layer (``|rho| = 1``)
     nearly cancels, the expanded form can come out near ``-eps * power``,
     and below ``-1`` the rate's ``log1p`` would be NaN.
     """
-    a, b = params.a, params.b
-    layer1, layer2 = _layer_entries(params.p1, params.p2, alpha1, alpha2, rho1, rho2)
+    f1, f2 = _fractions(layer, alpha1, alpha2)
+    v1, v2 = f1 * params.p1, f2 * params.p2
+    cov = rho * np.sqrt(v1 * v2)
 
-    def form(h1, h2, m11, m22, m12):
-        q = h1 * h1 * m11 + 2.0 * h1 * h2 * m12 + h2 * h2 * m22
+    def form(h1, h2):
+        q = h1 * h1 * v1 + 2.0 * h1 * h2 * cov + h2 * h2 * v2
         return np.maximum(q, 0.0, out=q if isinstance(q, np.ndarray) else None)
 
-    return (
-        form(1.0, a, *layer1),
-        form(1.0, a, *layer2),
-        form(b, 1.0, *layer1),
-        form(b, 1.0, *layer2),
-    )
+    return form(1.0, params.a), form(params.b, 1.0)
 
 
-def _layer2_last_caps(q1l1, q1l2, q2l2):
-    """``(r1, r2)`` caps with layer 2 encoded last, from :func:`_split_forms`."""
-    return gaussian_rate(q1l1 / (1.0 + q1l2)), gaussian_rate(q2l2)
+def _split_forms(params: ChannelParams, alpha1, alpha2, rho1, rho2):
+    """``(q1_layer1, q1_layer2, q2_layer1, q2_layer2)`` of each split (see
+    :func:`_layer_forms`); broadcasts over the split."""
+    q1l1, q2l1 = _layer_forms(params, 1, alpha1, alpha2, rho1)
+    q1l2, q2l2 = _layer_forms(params, 2, alpha1, alpha2, rho2)
+    return q1l1, q1l2, q2l1, q2l2
 
 
 def _split_caps(params: ChannelParams, alpha1, alpha2, rho1, rho2):
-    """``(r1, r2, sum)`` caps of the broadcast pentagons; broadcasts over the split."""
+    """``(r1, r2, sum)`` caps of the broadcast pentagons; broadcasts over the split.
+
+    Layer 2 is encoded last: ``log2(1 + q1l1 / (1 + q1l2))``,
+    ``log2(1 + q2l2)`` and ``log2(1 + q2l1 + q2l2)``, as
+    :func:`_pentagon_caps` reads them from the form tables.
+    """
     q1l1, q1l2, q2l1, q2l2 = _split_forms(params, alpha1, alpha2, rho1, rho2)
-    return (*_layer2_last_caps(q1l1, q1l2, q2l2), gaussian_rate(q2l1 + q2l2))
+    return (
+        gaussian_rate(q1l1 / (1.0 + q1l2)),
+        gaussian_rate(q2l2),
+        gaussian_rate(q2l1 + q2l2),
+    )
+
+
+def _th1_cut(params: ChannelParams, rho):
+    """``log2(1 + Var(X1|X2))`` at total correlations ``rho``, in rho's buffer.
+
+    ``Var(X1|X2)`` is ``p1*(1-rho^2)`` with the split's total correlation
+    ``rho`` (see :attr:`CovarianceSplit.rho`), or ``p1`` when ``p2 = 0``:
+    there is no X2 to condition on, whatever ``rho`` the split nominally
+    carries.  ``rho`` is an array the cut overwrites.
+    """
+    if params.p2 == 0.0:
+        return gaussian_rate(params.p1)
+    # p1 * max(1 - rho^2, 0), written into rho's own buffer.
+    var = np.multiply(rho, rho, out=rho)
+    np.subtract(1.0, var, out=var)
+    np.maximum(var, 0.0, out=var)
+    return gaussian_rate(np.multiply(params.p1, var, out=var), out=var)
+
+
+def _conditional_r1_caps(params: ChannelParams, split):
+    """:func:`_th1_cut` of every split of ``(alpha1, alpha2, rho1, rho2)`` arrays."""
+    alpha1, alpha2, rho1, rho2 = split
+    return _th1_cut(
+        params, _rho_term(1, alpha1, alpha2, rho1) + _rho_term(2, alpha1, alpha2, rho2)
+    )
 
 
 def _split_mesh(params: ChannelParams, split_grid):
@@ -377,107 +416,270 @@ _WITNESS_STRIDE = 17
 _LINE_MARGIN = 16.0 * np.finfo(float).eps
 
 
-def _line_corners(groups, lines: int):
-    """Each line's raised bound corner per group, from the group's caps at both ends.
+def _line_corners(groups):
+    """Each line's raised bound corner per group, from the group's line maxima.
 
-    ``groups`` is what a :class:`Family`'s ``line`` returns on splits whose
-    leading axis holds the two rho2 ends of ``lines`` lines.  A group
-    ``(x, y)`` bounds points by its caps' largest values ``(X, Y)``; a
-    group ``(r1, r2, sum)`` bounds a pentagon's corners by
-    ``(min(R1, S), min(R2, S))``.  Each coordinate is raised by
-    ``_LINE_MARGIN * (1 + largest cap)``.
+    ``groups`` is what a :class:`Family`'s ``line`` returns: per group,
+    the largest value each cap takes on each line.  A group ``(X, Y)``
+    bounds points by ``(X, Y)``; a group ``(R1, R2, S)`` bounds a
+    pentagon's corners by ``(min(R1, S), min(R2, S))``.  Each coordinate
+    is raised by ``_LINE_MARGIN * (1 + largest cap)``.
     """
     for caps in groups:
-        top = [np.broadcast_to(cap, (2, lines)).max(axis=0) for cap in caps]
-        x, y, *sum_cap = top
+        x, y, *sum_cap = caps
         if sum_cap:
             x, y = np.minimum(x, sum_cap[0]), np.minimum(y, sum_cap[0])
-        margin = _LINE_MARGIN * (1.0 + np.maximum.reduce(top))
+        margin = _LINE_MARGIN * (1.0 + functools.reduce(np.maximum, caps))
         # A cap that is not finite makes a corner that is not finite; at the
-        # largest float it keeps the line, whose evaluation then refuses it.
-        yield tuple(np.nan_to_num(v + margin, nan=np.finfo(float).max) for v in (x, y))
+        # largest float (fmin drops NaN) it keeps the line, whose evaluation
+        # then refuses it.
+        top = np.finfo(float).max
+        yield tuple(np.fmin(v + margin, top) for v in (x, y))
 
 
-# The split parameters in the order every split function takes them.
+# The split axes in the order of a split grid, by the names pins give them.
 _SPLIT_AXES = ("alpha1", "alpha2", "rho1", "rho2")
 
 
-def _split_hull(params: ChannelParams, split_grid, points, line, pins=()) -> Frontier:
+def _split_values(layer: int, alpha1, alpha2, rho):
+    """Tables of the split parameters themselves: rows read as ``(alpha1,
+    alpha2, rho1, rho2)``."""
+    return (alpha1, alpha2, rho) if layer == 1 else (rho,)
+
+
+def _table(columns, shape, pool: dict, key) -> np.ndarray:
+    """The columns a family's ``tables`` returns, broadcast to ``shape`` and
+    stacked, shape ``(columns, *shape)``, in the buffer ``key`` of ``pool``
+    (see :func:`_buffer`)."""
+    shape = (len(columns), *shape)
+    table = _buffer(pool, key, math.prod(shape)).reshape(shape)
+    for column, values in zip(table, columns):
+        column[...] = values
+    return table
+
+
+def _buffer(pool: dict, key, size: int) -> np.ndarray:
+    """The first ``size`` entries of ``pool[key]``, a flat buffer that
+    grows to the largest size asked of it."""
+    if key not in pool or pool[key].size < size:
+        pool[key] = np.empty(size)
+    return pool[key][:size]
+
+
+def _gather(table: np.ndarray, rows: np.ndarray, pool: dict, key, axis: int = 1):
+    """``table``'s rows (along ``axis``) at ``rows``, written into the
+    buffer ``key`` of ``pool`` (see :func:`_buffer`) in the table's layout."""
+    shape = list(table.shape)
+    shape[axis] = rows.size
+    out = _buffer(pool, key, math.prod(shape)).reshape(shape)
+    return np.take(table, rows, axis=axis, out=out, mode="clip")
+
+
+def _finite(*arrays):
+    """The arrays broadcast against each other; refused unless finite."""
+    arrays = np.broadcast_arrays(*arrays)
+    if not all(np.all(np.isfinite(v)) for v in arrays):
+        raise ValueError("corner coordinates must be finite")
+    return arrays
+
+
+def _points_of(groups):
+    """Every kind of point of a callable's groups: a pentagon ``(r1, r2,
+    sum)`` gives its two corner kinds, a point ``(x, y)`` itself."""
+    for group in groups:
+        yield from _corner_kinds(*group) if len(group) == 3 else (group,)
+
+
+def _lines_kept(layer1: np.ndarray, ends: np.ndarray, bound, prefilter, pool) -> np.ndarray:
+    """The lines of a slab whose bound corners the bucket test keeps (step
+    2 of :func:`_split_hull`), in flat order.
+
+    ``ends`` is layer 2's table at the rho2 axis's two ends, shape
+    ``(columns, 2, pairs)``: the ends lead, so that each end of a column
+    is one contiguous row of a chunk.
+    """
+    m1 = layer1.shape[1] // ends.shape[2]
+    lines = np.arange(layer1.shape[1])
+    keep = np.zeros(lines.size, dtype=bool)
+    step = max(_BLOCK_SPLITS // 2, 1)
+    for start in range(0, lines.size, step):
+        index = lines[start : start + step]
+        rows1 = _gather(layer1, index, pool, 1)
+        rows2 = _gather(ends, index // m1, pool, 2, axis=2)
+        for x, y in _line_corners(bound(*rows1, *rows2)):
+            keep[index[prefilter(x, y)]] = True
+    return np.flatnonzero(keep)
+
+
+def _stream(layer1: np.ndarray, layer2, lines, m1: int, m2: int, evaluate, prefilter, pool):
+    """The points of the given lines of a slab that the bucket test keeps
+    (step 3 of :func:`_split_hull`): ``(group, corner, x, y)`` per block,
+    group and corner kind, in flat order within each.
+
+    Line ``l`` reads row ``l`` of layer 1 and, in ``layer2(pairs)``, the
+    table of layer 2 on the ``(alpha1, alpha2)`` pairs of a block's lines,
+    the row of its pair ``l // m1``.
+    """
+    step = max(_BLOCK_SPLITS // m2, 1)
+    for start in range(0, lines.size, step):
+        index = lines[start : start + step]
+        pair = index // m1
+        new = np.ones(pair.size, dtype=bool)
+        new[1:] = pair[1:] != pair[:-1]
+        rows1 = _gather(layer1, index, pool, 1)[:, :, None]
+        rows2 = _gather(layer2(pair[new], pool), np.cumsum(new) - 1, pool, 2)
+        for g, group in enumerate(evaluate(*rows1, *rows2)):
+            if len(group) == 2:
+                x, y = _finite(*group)
+                keep = prefilter(x, y)
+                yield g, 0, x.take(keep), y.take(keep)
+                continue
+            # A pentagon: its box corner first, then the corners of the
+            # splits whose box the test keeps.
+            caps = _finite(*group)
+            keep = prefilter(*caps)
+            for corner, (x, y) in enumerate(_corner_kinds(*(c.take(keep) for c in caps))):
+                keep = prefilter(x, y)
+                yield g, corner, x[keep], y[keep]
+
+
+def _layer2(tables, alpha1, alpha2, rho2, pairs, pool) -> np.ndarray:
+    """Layer 2's table on the given ``(alpha1, alpha2)`` pairs, in the
+    buffer ``"layer 2"`` of ``pool``: shape ``(columns, pairs, rho2)``."""
+    i1, i2 = np.divmod(pairs, alpha2.size)
+    columns = tables(2, alpha1[i1, None], alpha2[i2, None], rho2)
+    return _table(columns, (pairs.size, rho2.size), pool, "layer 2")
+
+
+def _survivors(mesh, tables, evaluate, bound, prefilter):
+    """Steps 2 and 3 of :func:`_split_hull` on one mesh, a slab of alpha1
+    at a time: ``(group, corner, x, y)`` pieces in flat order."""
+    alpha1, alpha2, rho1, rho2 = mesh
+    # Buffers allocated once per mesh: a slab's tables, and the rows that
+    # the line step and the stream gather in turn.
+    pool = {}
+    slab = max(_BLOCK_SPLITS // (alpha2.size * rho1.size), 1)
+    for start in range(0, alpha1.size, slab):
+        rows = alpha1[start : start + slab]
+        shape = (rows.size, alpha2.size)
+        layer1 = tables(1, rows[:, None, None], alpha2[:, None], rho1)
+        layer1 = _table(layer1, (*shape, rho1.size), pool, "layer 1").reshape(len(layer1), -1)
+        lines = np.arange(layer1.shape[1])
+        if rho2.size > 1:
+            ends = tables(2, rows[:, None], alpha2, rho2[[0, -1], None, None])
+            ends = _table(ends, (2, *shape), pool, "ends").reshape(len(ends), 2, -1)
+            lines = _lines_kept(layer1, ends, bound, prefilter, pool)
+        layer2 = functools.partial(_layer2, tables, rows, alpha2, rho2)
+        yield from _stream(layer1, layer2, lines, rho1.size, rho2.size, evaluate, prefilter, pool)
+
+
+def _split_hull(
+    params: ChannelParams, split_grid, points, line, pins=(), tables=_split_values
+) -> Frontier:
     """:func:`hull_frontier` of a point cloud spanning every split of a split grid.
 
-    ``points(alpha1, alpha2, rho1, rho2)`` broadcasts over split parameters
-    and returns one ``(x, y)`` pair per kind of point (the two corners of a
-    pentagon, say); each pair broadcasts to the shape of the split
-    parameters, splits in ``ij`` order.  The cloud is every split's first
-    kind, then every split's second, and so on, as the dense builders
-    concatenated it.  ``line`` broadcasts the same way and returns groups
-    of caps, each monotone in ``rho2``, that bound the points (see
-    :func:`_line_corners`).
+    The quadratic forms of a layer read that layer's ``(alpha1, alpha2,
+    rho)`` alone, three of the four split axes.  So ``tables(layer,
+    alpha1, alpha2, rho)`` (layer 1 or 2) broadcasts over those three and
+    returns the layer's columns, evaluated on those axes, not per split:
+    layer 1 once per ``(alpha1, alpha2, rho1)`` line, layer 2 at the rho2
+    ends of every line's pair and, on the whole rho2 axis, once per
+    ``(alpha1, alpha2)`` pair of each block's lines.  ``points(*layer1, *layer2)`` takes
+    the two layers' table rows of splits, which broadcast to the shape of
+    the splits, and returns groups: a pentagon's caps ``(r1, r2, sum)``,
+    whose points are its two corners (:func:`_corner_kinds`), or one kind
+    of point ``(x, y)``.  It may write into the rows, which are copies.
+    The cloud is every split's first kind, then every split's second, and
+    so on, as the dense builders concatenated it.  ``line`` takes the rows
+    of lines, layer 2 at the rho2 axis's two ends (first end first along
+    the leading axis), and returns per group the largest value each cap
+    takes on each line, every cap being monotone in rho2 (see
+    :func:`_line_corners`).  The default tables hold the split parameters
+    themselves.
 
-    ``pins`` names, per kind, the split axis whose largest value dominates
-    the rest of it for that kind (see :class:`Family`), or ``None``; empty,
-    no kind is pinned.  Each kind runs only on its own mesh, the split grid
-    with its pinned axis cut to its last point.  Kinds that share a pin
-    share a mesh; where the kinds fall on more than one mesh, ``points``
-    and ``line`` take ``kinds``, the indices of the kinds to return or to
-    bound.  The cloud is then every kind on its own mesh, kinds in order.
+    ``pins`` names, per kind, ``"rho1"`` or ``"rho2"`` where that axis's
+    largest value dominates the rest of it for that kind (see
+    :class:`Family`), or ``None``; empty, no kind is pinned.  Each kind
+    runs only on its own mesh, the split grid with its pinned axis cut to
+    its last point, and reads tables built on that mesh.  Kinds that share
+    a pin share a mesh; where the kinds fall on more than one mesh,
+    ``points`` and ``line`` take ``kinds``, the indices of the kinds to
+    return or to bound.  The cloud is then every kind on its own mesh,
+    kinds in order.
 
     The result is the cloud's hull bit for bit, but neither the cloud nor
-    the caps of a whole mesh are ever built: each evaluation spans at most
-    ``_BLOCK_SPLITS`` splits, or one line, and memory is that block plus a
-    flag and an index per line and the survivors of step 3:
+    the caps of a whole mesh are ever built.  A mesh is read a slab of
+    alpha1 at a time, whose layer-1 table holds at most ``_BLOCK_SPLITS``
+    lines or one alpha1 row of them; each evaluation spans at most
+    ``_BLOCK_SPLITS`` splits, or one line, and writes into buffers
+    allocated once per mesh.  Memory is a slab's tables, those buffers, a
+    flag and an index per line of a slab, and the survivors:
 
     1. Witness: on each mesh, the points of every ``stride``-th split by
-       flat index with the rho2 axis cut to its two ends, evaluated on
-       gathered 1-D parameters, and the staircase of all of them.  The
-       hull's vertices cluster at those rank-one layers (``|rho2| = 1`` on
-       the default axis), so a sample there beats more.  The stride is
-       odd, so it reaches both ends; it is ``_WITNESS_STRIDE``, or larger
-       where that mesh has more than ``_WITNESS_STRIDE * _BLOCK_SPLITS``
-       splits, so no sample is more than ``_BLOCK_SPLITS`` splits.  The
-       staircase gives one bucket test, :func:`_witness_filter`, that
-       drops most points some witness beats (``x_w >= x`` and ``y_w > y``)
-       and only those.
-    2. Lines: on a mesh with two rho2 points or more, ``line`` at the rho2
-       axis's two ends for every ``(alpha1, alpha2, rho1)`` line, in chunks
-       of at most ``_BLOCK_SPLITS`` splits, and the raised corners of
+       flat index with the rho2 axis cut to its two ends, from ``tables``
+       on the splits' gathered parameters, and the staircase of all of
+       them.  The hull's vertices cluster at those rank-one layers
+       (``|rho2| = 1`` on the default axis), so a sample there beats more.
+       The stride is odd, so it reaches both ends; it is
+       ``_WITNESS_STRIDE``, or larger where that mesh has more than
+       ``_WITNESS_STRIDE * _BLOCK_SPLITS`` splits, so no sample is more
+       than ``_BLOCK_SPLITS`` splits.  The staircase gives one bucket
+       test, :func:`_witness_filter`, that drops most points some witness
+       beats (``x_w >= x`` and ``y_w > y``) and only those.
+    2. Lines: on a mesh with two rho2 points or more, ``line`` on the rows
+       of every ``(alpha1, alpha2, rho1)`` line of the slab, in chunks of
+       at most ``_BLOCK_SPLITS // 2`` lines, and the raised corners of
        :func:`_line_corners` through the bucket test.  A line none of
        whose corners survives is never evaluated.  With a witness span of
        zero every line is kept.  A line of one split is kept unread: its
        bound would cost what its points do.
-    3. Stream: the other lines, gathered in blocks of whole lines in flat
-       ``ij`` order, and the bucket test on their points.  A kind's x and
-       y are broadcast against each other as views, not copied to the
+    3. Stream: the slab's other lines in blocks of whole lines in flat
+       ``ij`` order, each block's layer-2 table built on its lines' pairs
+       and the rows gathered from the tables.  A pentagon's box corner
+       ``(min(r1, sum), min(r2, sum))`` goes through the bucket test first,
+       and only the splits it keeps get their two corners and the bucket
+       test on them; a point kind goes through it as it is.  A kind's x
+       and y are broadcast against each other as views, not copied to the
        block's shape; the survivors are gathered from them.
     4. Hull: one :func:`hull_frontier` call on the survivors, in the
        cloud's order.
 
-    Why no bit changes.  The caps are elementwise, so a split's points have
-    the same bits whichever block or gather computes them, and every
-    witness is a point of the cloud.  The Pareto staircase is a function of
-    the point set, save which of several equal copies (``0.0`` and
-    ``-0.0``) it keeps, and it keeps the first.  Every dropped point is
-    beaten by a real cloud point, so the staircase drops it too.  No copy
-    of a staircase point is ever beaten (its beater would beat the
-    staircase point), so every copy survives and the first one stays
-    first.  So the survivors have the cloud's staircase, and the monotone
-    chain over it gives the same hull.
+    Why no bit changes.  Every table entry and every step that combines
+    the layers is elementwise, with the operations and operands of the
+    per-split formula (:func:`_split_caps`, :func:`_conditional_r1_caps`),
+    so a split's points have the same bits whichever slab, block, buffer
+    or gather computes them, and every witness is a point of the cloud.
+    The Pareto staircase is a function of the point set, save which of
+    several equal copies (``0.0`` and ``-0.0``) it keeps, and it keeps the
+    first.  Every dropped point is beaten by a real cloud point, so the
+    staircase drops it too.  No copy of a staircase point is ever beaten
+    (its beater would beat the staircase point), so every copy survives
+    and the first one stays first.  So the survivors have the cloud's
+    staircase, and the monotone chain over it gives the same hull.  The
+    box test drops a split only where the bucket test would drop both
+    corners: each corner is a ``min`` of caps, or a difference such as
+    ``fl(sum - r2)`` clamped to the cap it stands for, so it lies at or
+    below the box corner in both coordinates; the bucket of x does not
+    fall as x rises and its table value does not rise with the bucket, so
+    a box corner the test drops takes both corners with it.  A pentagon
+    whose caps are finite has finite corners, and a valid channel's caps
+    are; a cap that is not finite is refused, as a corner that is not
+    finite is.
 
     Why a skipped line holds only beaten points.  Each line cap's argument
     to ``log1p`` is monotone in rho2 in floats: the quadratic forms are
     linear in rho2 with nonnegative gains, and every rounded step
     (products by a nonnegative factor, sums, the clamp at zero, a quotient
     by a rising denominator) is monotone.  So each cap's largest value on a
-    line sits at an end, up to log1p's few ulps; with two rho2 points the
-    two ends are the whole line.  A pentagon corner is a ``min`` of caps,
-    or a difference such as ``fl(sum - r2)`` clamped to the cap it stands
-    for, so it never exceeds its caps.  The margin covers log1p, so every
-    point of the line lies at or below its group's raised corner
+    line sits at the end ``line`` reads it at, up to log1p's few ulps;
+    with two rho2 points the two ends are the whole line.  A pentagon
+    corner never exceeds its caps, as above.  The margin covers log1p, so
+    every point of the line lies at or below its group's raised corner
     ``(X, Y)``.  The bucket test drops that corner only if a witness has
     ``x_w >= X`` and ``y_w > Y``, and then the witness strictly beats
     every point of the group on that line.
     """
-    axes = _split_mesh(params, split_grid)
+    alpha1, alpha2, rho1, rho2 = _split_mesh(params, split_grid)
     groups = {}
     for kind, pin in enumerate(pins):
         groups.setdefault(pin, []).append(kind)
@@ -486,59 +688,29 @@ def _split_hull(params: ChannelParams, split_grid, points, line, pins=()) -> Fro
         groups = {next(iter(groups), None): None}
     meshes = []
     for pin, kinds in groups.items():
-        mesh = list(axes)
-        if pin is not None:
-            i = _SPLIT_AXES.index(pin)
-            mesh[i] = mesh[i][-1:]
         select = {} if kinds is None else {"kinds": tuple(kinds)}
-        meshes.append(
-            (mesh, kinds, functools.partial(points, **select), functools.partial(line, **select))
-        )
+        rho = (rho1[-1:] if pin == "rho1" else rho1, rho2[-1:] if pin == "rho2" else rho2)
+        evaluate = functools.partial(points, **select)
+        meshes.append((rho, kinds, evaluate, functools.partial(line, **select)))
 
     witness = []
-    for mesh, _, evaluate, _ in meshes:
-        rho2 = mesh[3]
+    for (rho1, rho2), _, evaluate, _ in meshes:
         ends = rho2[[0, -1]] if rho2.size > 1 else rho2
-        sampled = (*(axis.size for axis in mesh[:3]), ends.size)
+        sampled = (alpha1.size, alpha2.size, rho1.size, ends.size)
         splits = math.prod(sampled)
         stride = max(_WITNESS_STRIDE, -(-splits // _BLOCK_SPLITS)) | 1
-        sample = np.unravel_index(np.arange(0, splits, stride), sampled)
-        gathered = (axis[i] for axis, i in zip((*mesh[:3], ends), sample))
-        witness += [np.broadcast_arrays(*kind) for kind in evaluate(*gathered)]
+        i1, i2, j1, j2 = np.unravel_index(np.arange(0, splits, stride), sampled)
+        a1, a2 = alpha1[i1], alpha2[i2]
+        rows = (*tables(1, a1, a2, rho1[j1]), *tables(2, a1, a2, ends[j2]))
+        witness += [_finite(*point) for point in _points_of(evaluate(*rows))]
     wx, wy = (np.concatenate([c.ravel() for c in coords]) for coords in zip(*witness))
-    if not (np.all(np.isfinite(wx)) and np.all(np.isfinite(wy))):
-        raise ValueError("corner coordinates must be finite")
     prefilter = _witness_filter(*_staircase(wx, wy))
 
     kept = []
-    for mesh, kinds, evaluate, bound in meshes:
-        shape = tuple(axis.size for axis in mesh)
-        rho2 = mesh[3]
-
-        def lines_of(index):
-            """``(alpha1, alpha2, rho1)`` of the given flat line indices."""
-            return [axis[i] for axis, i in zip(mesh, np.unravel_index(index, shape[:3]))]
-
-        lines = np.arange(math.prod(shape[:3]))
-        if rho2.size > 1:
-            keep = np.zeros(lines.size, dtype=bool)
-            step = max(_BLOCK_SPLITS // 2, 1)
-            ends = rho2[[0, -1]]
-            for start in range(0, lines.size, step):
-                index = lines[start : start + step]
-                for x, y in _line_corners(bound(*lines_of(index), ends[:, None]), index.size):
-                    keep[index[prefilter(x, y)]] = True
-            lines = np.flatnonzero(keep)
-
-        step = max(_BLOCK_SPLITS // rho2.size, 1)
-        for start in range(0, lines.size, step):
-            split = [v[:, None] for v in lines_of(lines[start : start + step])]
-            for j, (x, y) in enumerate(evaluate(*split, rho2)):
-                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                    raise ValueError("corner coordinates must be finite")
-                x, y = np.broadcast_arrays(x, y)
-                keep = prefilter(x, y)
-                kept.append((j if kinds is None else kinds[j], x.take(keep), y.take(keep)))
+    for (rho1, rho2), kinds, evaluate, bound in meshes:
+        mesh = (alpha1, alpha2, rho1, rho2)
+        for g, corner, x, y in _survivors(mesh, tables, evaluate, bound, prefilter):
+            kept.append(((g if kinds is None else kinds[g], corner), x, y))
     # A stable sort restores the cloud's order: kinds, then splits.  The
     # block pieces go before the hull, which copies the survivors again.
     kept.sort(key=lambda item: item[0])
@@ -548,49 +720,94 @@ def _split_hull(params: ChannelParams, split_grid, points, line, pins=()) -> Fro
     return hull_frontier(x, y)
 
 
-def _conditional_r1_caps(params: ChannelParams, split):
-    """``log2(1 + Var(X1|X2))`` of every split's total input covariance.
+def _pentagon_tables(params: ChannelParams, layer: int, alpha1, alpha2, rho):
+    """The form tables of the broadcast pentagon (see :func:`_split_hull`).
 
-    ``Var(X1|X2)`` is ``p1*(1-rho^2)`` with the split's total correlation
-    ``rho`` (see :attr:`CovarianceSplit.rho`), or ``p1`` when ``p2 = 0``:
-    there is no X2 to condition on, whatever ``rho`` the split nominally
-    carries.
+    Layer 1: ``(q1l1, q2l1)``; layer 2: ``(1 + q1l2, q2l2, log2(1 +
+    q2l2))``, the last the r2 cap, which reads layer 2 alone.
     """
-    if params.p2 == 0.0:
-        return gaussian_rate(params.p1)
-    (_, _, c1), (_, _, c2) = _layer_entries(1.0, 1.0, *split)
-    # p1 * max(1 - rho^2, 0), written into rho's own buffer.
-    rho = c1 + c2
-    var = np.multiply(rho, rho, out=rho)
-    np.subtract(1.0, var, out=var)
-    np.maximum(var, 0.0, out=var)
-    return gaussian_rate(np.multiply(params.p1, var, out=var))
+    q1, q2 = _layer_forms(params, layer, alpha1, alpha2, rho)
+    if layer == 1:
+        return q1, q2
+    return 1.0 + q1, q2, gaussian_rate(q2)
 
 
-def _th1_corners(params: ChannelParams, *split):
-    """The corners of each split's broadcast pentagon, its r1 cap cut by its
-    own ``log2(1 + Var(X1|X2))`` (see :func:`th1_bound`)."""
-    r1_cap, r2_cap, sum_cap = _split_caps(params, *split)
-    np.minimum(r1_cap, _conditional_r1_caps(params, split), out=r1_cap)
-    return _corner_kinds(r1_cap, r2_cap, sum_cap)
+def _th1_tables(params: ChannelParams, layer: int, alpha1, alpha2, rho):
+    """The broadcast pentagon's form tables, each layer with its term of
+    the total correlation (:func:`_rho_term`) last."""
+    columns = _pentagon_tables(params, layer, alpha1, alpha2, rho)
+    return (*columns, _rho_term(layer, alpha1, alpha2, rho))
 
 
-def _pentagon_line(params: ChannelParams, *split):
-    """The broadcast pentagon's caps as one group of :func:`_line_corners`."""
-    return [_split_caps(params, *split)]
+def _layer2_last_r1(q1l1, q1l2_1):
+    """``log2(1 + q1l1 / (1 + q1l2))``, the r1 cap with layer 2 encoded last,
+    written into the row ``1 + q1l2``."""
+    return gaussian_rate(np.divide(q1l1, q1l2_1, out=q1l2_1), out=q1l2_1)
 
 
-def _bc_pr_corners(params: ChannelParams, *split, kinds=(0, 1)):
+def _pentagon_caps(params: ChannelParams, q1l1, q2l1, q1l2_1, q2l2, r2_cap):
+    """The broadcast pentagon's caps from :func:`_pentagon_tables` rows, as
+    one group of :func:`_split_hull`; the r1 cap and the sum cap are
+    written into the rows ``1 + q1l2`` and ``q2l2``."""
+    r1_cap = _layer2_last_r1(q1l1, q1l2_1)
+    sum_cap = gaussian_rate(np.add(q2l1, q2l2, out=q2l2), out=q2l2)
+    return [(r1_cap, r2_cap, sum_cap)]
+
+
+def _pentagon_line(params: ChannelParams, q1l1, q2l1, q1l2_1, q2l2, r2_cap):
+    """The broadcast pentagon's caps at the rho2 end where each is largest,
+    from rows at both ends: r1 falls with rho2, and r2 and the sum rise."""
+    return _pentagon_caps(params, q1l1, q2l1, q1l2_1[0], q2l2[1], r2_cap[1])
+
+
+def _th1_caps(params: ChannelParams, q1l1, q2l1, c1, q1l2_1, q2l2, r2_cap, c2):
+    """The broadcast pentagon's caps from :func:`_th1_tables` rows, its r1
+    cap cut by its own ``log2(1 + Var(X1|X2))`` (see :func:`th1_bound`)."""
+    [(r1_cap, r2_cap, sum_cap)] = _pentagon_caps(params, q1l1, q2l1, q1l2_1, q2l2, r2_cap)
+    np.minimum(r1_cap, _th1_cut(params, np.add(c1, c2, out=c2)), out=r1_cap)
+    return [(r1_cap, r2_cap, sum_cap)]
+
+
+def _line_cut(params: ChannelParams, rho):
+    """The largest Theorem-1 cut (:func:`_th1_cut`) on each rho2 line, from
+    the total correlation ``rho`` at its two ends, which it overwrites.
+
+    ``c1 + c2`` rises with rho2, since ``c2`` is rho2 times a factor at
+    least zero, so the cut, which falls as ``|rho|`` rises, is largest at
+    an end, or at ``rho = 0``, ``log2(1 + p1)``, where rho changes sign on
+    the line.
+    """
+    crosses = (rho[0] < 0.0) & (rho[1] > 0.0)
+    cut = np.broadcast_to(_th1_cut(params, rho), rho.shape)
+    return np.where(crosses, gaussian_rate(params.p1), np.maximum(cut[0], cut[1]))
+
+
+def _th1_line(params: ChannelParams, q1l1, q2l1, c1, q1l2_1, q2l2, r2_cap, c2):
+    """:func:`_pentagon_line`, the r1 cap cut by the line's largest cut."""
+    [(r1_cap, r2_cap, sum_cap)] = _pentagon_line(params, q1l1, q2l1, q1l2_1, q2l2, r2_cap)
+    np.minimum(r1_cap, _line_cut(params, np.add(c1, c2, out=c2)), out=r1_cap)
+    return [(r1_cap, r2_cap, sum_cap)]
+
+
+def _bc_pr_corners(params: ChannelParams, q1l1, q2l1, q1l2_1, q2l2, r2_cap, kinds=(0, 1)):
     """The corners of each split's two private-rate rectangles, of the given
-    kinds: 0, layer 2 encoded last (the broadcast pentagon's r1 and r2
-    caps), and 1, layer 1 encoded last."""
-    q1l1, q1l2, q2l1, q2l2 = _split_forms(params, *split)
+    kinds, from :func:`_pentagon_tables` rows: 0, layer 2 encoded last (the
+    broadcast pentagon's r1 and r2 caps), and 1, layer 1 encoded last."""
     rectangles = []
     if 0 in kinds:
-        rectangles.append(_layer2_last_caps(q1l1, q1l2, q2l2))
+        rectangles.append((_layer2_last_r1(q1l1, q1l2_1), r2_cap))
     if 1 in kinds:
-        rectangles.append((gaussian_rate(q1l1), gaussian_rate(q2l2 / (1.0 + q2l1))))
+        # log2(1 + q2l2 / (1 + q2l1)), written into the row q2l2.
+        ratio = np.divide(q2l2, np.add(1.0, q2l1, out=q2l1), out=q2l2)
+        rectangles.append((gaussian_rate(q1l1, out=q1l1), gaussian_rate(ratio, out=ratio)))
     return rectangles
+
+
+def _bc_pr_line(params: ChannelParams, q1l1, q2l1, q1l2_1, q2l2, r2_cap, kinds=(0,)):
+    """The layer-2-last rectangle at the rho2 end where each of its caps is
+    largest: r1 falls with rho2 and r2 rises.  The layer-1-last rectangle
+    is pinned to the largest rho2, a one-point axis with no line step."""
+    return _bc_pr_corners(params, q1l1, q2l1, q1l2_1[0], q2l2, r2_cap[1], (0,))
 
 
 # The broadcast pentagons of the enhanced channel, where a single encoder
@@ -604,6 +821,8 @@ _BC_DMS = Family(
     "outer_bounds.bc_dms_region",
     ("split_grid",),
     _split_caps,
+    tables=_pentagon_tables,
+    corners=_pentagon_caps,
     # r1 falls, r2 and the sum rise with rho2: q1l2 and q2l2 are linear in
     # rho2 with nonnegative gains, and the layer-1 forms do not read it.
     line=_pentagon_line,
@@ -620,9 +839,11 @@ _TH1 = Family(
     "outer",
     "outer_bounds.th1_bound",
     ("split_grid", "alpha_grid"),
-    corners=_th1_corners,
-    # The uncut broadcast caps, as for bcdms: the cut only lowers r1.
-    line=_pentagon_line,
+    tables=_th1_tables,
+    corners=_th1_caps,
+    # The broadcast caps, as for bcdms, the r1 cap cut by the line's
+    # largest cut.
+    line=_th1_line,
     # No pins: the cut log2(1 + p1 (1 - rho^2)) is not monotone in rho1.
     invalid=lambda params: params.b <= 1.0,
     error="Theorem 1 requires |b| > 1",
@@ -634,10 +855,11 @@ _BC_PR = Family(
     "outer",
     "outer_bounds.bc_pr_bound",
     ("split_grid", "alpha_grid"),
+    tables=_pentagon_tables,
     corners=_bc_pr_corners,
     # Each rectangle is its own caps: its r1 falls with rho2 or does not
     # read it, and its r2 rises, as q2l2 does over a q2l1 free of rho2.
-    line=_bc_pr_corners,
+    line=_bc_pr_line,
     # Layer 2 last at the largest rho1: its r1 rises with it and its r2 does
     # not read it.  Layer 1 last at the largest rho2: its r1 does not read
     # it and its r2 rises with it.
@@ -653,13 +875,16 @@ def bc_dms_region(params: ChannelParams, split_grid=DEFAULT_SPLIT_POINTS) -> Fro
     concavified.  The hull is assembled exactly from the pentagon corner
     cloud — no r1 sampling is involved, which keeps the steep edges of the
     envelope sharp at any grid size — and the cloud is streamed through it
-    block by block (:func:`_split_hull`), so memory does not grow with the
-    number of splits.  Both corners run on the whole split mesh: the
-    pentagon at the largest rho1 holds the others on its line, but its
-    corner on the r1 cap does not bound theirs (see the ``pins`` comment
-    of the record).  The result outer-bounds the cognitive region only for
-    ``|b| >= 1``; the function computes the enhanced-channel region for any
-    parameters and leaves regime policing to callers.
+    block by block (:func:`_split_hull`): each layer's forms are tabled
+    on the three split axes they read, a slab of alpha1 at a time, each
+    block combines table rows, and only the splits whose box corner
+    survives the witness get their corners, so memory grows with a slab,
+    not with the number of splits.  Both corners run on the whole split mesh: the pentagon at the
+    largest rho1 holds the others on its line, but its corner on the r1 cap
+    does not bound theirs (see the ``pins`` comment of the record).  The
+    result outer-bounds the cognitive region only for ``|b| >= 1``; the
+    function computes the enhanced-channel region for any parameters and
+    leaves regime policing to callers.
     """
     return _BC_DMS.hull(params, split_grid)
 
@@ -690,7 +915,10 @@ def th1_bound(
     (:func:`~cogregions.region_geometry.intersect_frontiers`).  As in
     :func:`bc_dms_region`, the corner cloud is streamed through the hull
     (:func:`_split_hull`) over the whole split mesh, and never held whole:
-    the cut is not monotone in rho1, so no axis is pinned.
+    the cut is not monotone in rho1, so no axis is pinned.  The tables
+    also hold each layer's term of the total correlation, so a split's cut
+    costs one sum and the cut's own steps, and a rho2 line's r1 bound is
+    cut by the line's largest cut.
     """
     return intersect_frontiers(
         _TH1.hull(params, split_grid), unifying_region(params, alpha_grid=alpha_grid)
@@ -710,12 +938,12 @@ def bc_pr_bound(
     concavified exactly from its corner cloud (the underlying region is
     convex), streamed through the hull like :func:`bc_dms_region`'s, and
     then cut by the unifying family's hull, keeping only the breakpoints of
-    that minimum.  Each rectangle runs on its own 3-D mesh: with layer 2
-    encoded last, the one at the largest rho1 is at least every other on
-    its rho1 axis in both rates, and with layer 1 encoded last the one at
-    the largest rho2 is; the other rectangles are beaten or exact copies,
-    so the hull keeps its bits from ``2 n^3`` splits where the whole mesh
-    has ``2 n^4``.
+    that minimum.  Each rectangle runs on its own 3-D mesh and reads form
+    tables built on it: with layer 2 encoded last, the one at the largest
+    rho1 is at least every other on its rho1 axis in both rates, and with
+    layer 1 encoded last the one at the largest rho2 is; the other
+    rectangles are beaten or exact copies, so the hull keeps its bits from
+    ``2 n^3`` splits where the whole mesh has ``2 n^4``.
     """
     return intersect_frontiers(
         _BC_PR.hull(params, split_grid), unifying_region(params, alpha_grid=alpha_grid)

@@ -333,7 +333,10 @@ def _witness_filter(wx: np.ndarray, wy: np.ndarray):
     which takes finite arrays of one shape and returns the flat indices, in
     ``x.ravel()`` order, of the points it keeps: every point no witness
     beats, and some that one does.  Callers take the exact staircase of the
-    survivors.
+    survivors.  ``prefilter(x, y, cap)`` tests the points ``(min(x, cap),
+    min(y, cap))`` instead, a pentagon's box corner from its caps, without
+    building them: ``t <= min(y, cap)`` iff ``t <= y`` and ``t <= cap``.
+    The test's buffers are allocated once, at the size of the largest input.
 
     x maps to one of ``_BUCKETS + 1`` buckets by
     ``f(x) = int((clip(x, wx[0], wx[-1]) - wx[0]) / span * _BUCKETS)``,
@@ -357,18 +360,39 @@ def _witness_filter(wx: np.ndarray, wy: np.ndarray):
     lo, hi = float(wx[0]), float(wx[-1])
     span = hi - lo
     if not 0.0 < span < math.inf:
-        return lambda x, y: np.arange(x.size)
+        return lambda x, y, cap=None: np.arange(x.size)
 
-    def bucket(v):
-        v = np.clip(v, lo, hi)
-        v -= lo
-        v /= span
-        v *= _BUCKETS
-        return v.astype(np.intp)
+    def bucket(v, values, index):
+        """``f(v)``, through the float buffer ``values``, into ``index``."""
+        np.minimum(v, hi, out=values)
+        np.maximum(values, lo, out=values)
+        values -= lo
+        values /= span
+        values *= _BUCKETS
+        np.copyto(index, values, casting="unsafe")
+        return index
 
     ext = np.append(wy, -np.inf)
-    table = ext[np.searchsorted(bucket(wx), np.arange(_BUCKETS + 1), side="right")]
-    return lambda x, y: np.flatnonzero(table[bucket(x)] <= y)
+    edges = bucket(wx, np.empty(wx.shape), np.empty(wx.shape, dtype=np.intp))
+    table = ext[np.searchsorted(edges, np.arange(_BUCKETS + 1), side="right")]
+    # Buffers of the test, grown to the largest input and reused.
+    buffers = []
+
+    def prefilter(x, y, cap=None):
+        shape = np.broadcast_shapes(*(np.shape(v) for v in (x, y, cap) if v is not None))
+        n = math.prod(shape)
+        if not buffers or buffers[0].size < n:
+            buffers[:] = (np.empty(n), np.empty(n, np.intp), np.empty(n, bool), np.empty(n, bool))
+        values, index, keep, below = (b[:n].reshape(shape) for b in buffers)
+        if cap is not None:
+            x = np.minimum(x, cap, out=values)
+        np.take(table, bucket(x, values, index), out=values, mode="clip")
+        np.less_equal(values, y, out=keep)
+        if cap is not None:
+            keep &= np.less_equal(values, cap, out=below)
+        return np.flatnonzero(keep)
+
+    return prefilter
 
 
 def _pops(xi, yi, xj, yj, xk, yk):
@@ -408,8 +432,8 @@ def _monotone_chain(x, y, hull_x, hull_y):
 # Vectorized rounds of _concave_chain's candidate step.  Most frontiers
 # settle in 2 to 6 rounds.  A round peels only one point off a dent (a
 # concave run that a later point pops one by one), so a dent of m points
-# would cost m rounds; past the last round the certificate stops at the
-# dent and the loop resumes there.
+# would cost m rounds; past the last round the certificate fails at the
+# dent and the loop replays its segment.
 _CANDIDATE_ROUNDS = 8
 
 
@@ -441,12 +465,19 @@ def _concave_chain(x: np.ndarray, y: np.ndarray):
        right after ``h_{t+1}`` is pushed.  One vectorized pass decides
        this for every segment.  If all are simple, by induction over ``t``
        the chain ends on exactly ``h``.
-    3. Resume.  Otherwise let segment ``t`` be the first that is not
-       simple.  Segments ``0 .. t - 1`` are, so by the same induction the
-       loop's stack is exactly ``h_0 .. h_t`` right after ``h_t`` is
-       pushed, and the loop's run from there on depends on nothing else:
-       :func:`_monotone_chain` resumes from that certified stack over the
-       points past ``h_t``.
+    3. Replay.  Otherwise take the segments that are not simple in
+       order.  Let segment ``t`` be the next, and the segments before it
+       simple or replayed: by the same induction the loop's stack is
+       exactly ``h_0 .. h_t`` right after ``h_t`` is pushed, and the
+       loop's run from there on depends on nothing else.  So
+       :func:`_monotone_chain` runs over the segment from that certified
+       stack.  If it ends on ``h_0 .. h_t, h_{t+1}``, the stack holds
+       ``h_0 .. h_{t+1}`` right after ``h_{t+1}`` is pushed, and the
+       induction goes on; the loop never read below ``h_t``.  Otherwise
+       the run goes on from where it stands over the points past the
+       segment, and its stack is the result.  So a staircase whose
+       candidate is the hull but for a few segments runs the loop over
+       those segments alone.
 
     The vectorized test and the loop evaluate ``T`` with the same
     operations in the same order, so no decision and no output bit differs
@@ -473,19 +504,21 @@ def _concave_chain(x: np.ndarray, y: np.ndarray):
         ax, ay = np.repeat(hx[:-2], counts[1:]), np.repeat(hy[:-2], counts[1:])
         c = h[1]
         bad[c:] |= _pops(ax, ay, bx[c:], by[c:], x[c + 1 :], y[c + 1 :])
-    if not bad.any():
-        return hx, hy
-    # The first failing position p is point p + 1, in segment t: h_t <= p.
-    t = np.searchsorted(h, np.argmax(bad), side="right") - 1
-    return _chain_arrays(x[h[t] + 1 :], y[h[t] + 1 :], hx[: t + 1], hy[: t + 1])
-
-
-def _chain_arrays(x, y, hull_x, hull_y):
-    """:func:`_monotone_chain` of arrays: push ``x, y`` onto the stack ``hull``."""
-    hull_x, hull_y = _monotone_chain(
-        x.tolist(), y.tolist(), hull_x.tolist(), hull_y.tolist()
-    )
-    return np.array(hull_x), np.array(hull_y)
+    # A failing position p is point p + 1, in segment t: h_t <= p.  The
+    # loop's stack h_0 .. h_t as lists, filled up to h_t as t advances.
+    stack_x, stack_y = [], []
+    segments = np.searchsorted(h, np.flatnonzero(bad), side="right") - 1
+    for t in _sorted_unique(segments).tolist():
+        stack_x += hx[len(stack_x) : t + 1].tolist()
+        stack_y += hy[len(stack_y) : t + 1].tolist()
+        lo, hi = h[t] + 1, h[t + 1] + 1
+        _monotone_chain(x[lo:hi].tolist(), y[lo:hi].tolist(), stack_x, stack_y)
+        # The run ends on h_0 .. h_{t+1} iff h_t, the one point with its x,
+        # is still second from the top.
+        if len(stack_x) != t + 2 or stack_x[t] != hx[t]:
+            _monotone_chain(x[hi:].tolist(), y[hi:].tolist(), stack_x, stack_y)
+            return np.array(stack_x), np.array(stack_y)
+    return hx, hy
 
 
 def _staircase_hull(x: np.ndarray, y: np.ndarray) -> Frontier:

@@ -541,8 +541,9 @@ def test_witness_prefilter_keeps_the_staircase_bitwise(cloud, stride):
 # segment that is not simple lies between simple ones.  The fifth has a
 # dent of ten points, which the candidate step peels one per round: it runs
 # out of rounds with part of the dent left, and the certificate stops there.
-# Each time the chain kernel resumes the sequential loop from the certified
-# stack h_0 .. h_t, over the points past h_t.
+# Each time the chain kernel runs the sequential loop over a segment that is
+# not simple, from the certified stack h_0 .. h_t; where that run pops h_t,
+# it goes on over the points past the segment.
 _ONE_SEGMENT = (
     [0.0, 0.06555800041283832, 0.46148527862338673, 0.8345174520624182,
      2.7092224775834413],
@@ -575,12 +576,13 @@ _LONG_DENT = (
 @pytest.mark.parametrize(
     "cloud, loops",
     [
-        # (stack held, points pushed): the loop resumes from h_0 .. h_t.
+        # (stack held, points pushed): the loop runs from h_0 .. h_t over
+        # the segment, then over what is left if the segment popped h_t.
         (_ONE_SEGMENT, [(2, 3)]),
-        (_NEAR_COLLINEAR, [(2, 3)]),
-        (_POPS_ITS_VERTEX, [(3, 2)]),
-        (_INTERIOR_SEGMENT, [(2, 4)]),
-        (_LONG_DENT, [(3, 9)]),
+        (_NEAR_COLLINEAR, [(2, 3), (4, 0)]),
+        (_POPS_ITS_VERTEX, [(3, 2), (4, 0)]),
+        (_INTERIOR_SEGMENT, [(2, 3)]),
+        (_LONG_DENT, [(3, 9), (3, 0)]),
     ],
 )
 def test_chain_kernel_resumes_from_certified_stack(cloud, loops):
@@ -598,6 +600,67 @@ def test_chain_kernel_resumes_from_certified_stack(cloud, loops):
     want_x, want_y = _unfiltered_hull(x, y)
     assert np.array_equal(_bits(got.r1), _bits(want_x))
     assert np.array_equal(_bits(got.r2), _bits(want_y))
+
+
+# A concave staircase whose first segment alone is not simple: the
+# candidate drops both points between (0, 10) and (3, 8.2) at once, but the
+# loop keeps (1, 9.3) until (3, 8.2) pops it, as (2, 8.4) does not.
+_FIRST_SEGMENT = (
+    [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+    [10.0, 9.3, 8.4, 8.2, 7.4, 6.4, 5.0, 3.0],
+)
+
+
+def test_chain_kernel_replays_only_the_segment_that_is_not_simple():
+    x, y = (np.array(v) for v in _FIRST_SEGMENT)
+    calls = []
+    loop = region_geometry._monotone_chain
+
+    def spy(xs, ys, hull_x, hull_y):
+        calls.append((len(hull_x), len(xs)))
+        return loop(xs, ys, hull_x, hull_y)
+
+    with mock.patch.object(region_geometry, "_monotone_chain", spy):
+        got = region_geometry._concave_chain(x, y)
+    # One run of the loop over the first segment, from the stack [h_0].
+    assert calls == [(1, 3)]
+    assert got[0].tolist() == [0.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+
+
+@st.composite
+def _chain_inputs(draw):
+    """Strictly increasing x, strictly decreasing y: zig-zags, collinear
+    runs, zeros of both signs, and bumps in the first segment."""
+    n = draw(st.integers(3, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mode = draw(st.sampled_from(["zigzag", "collinear", "zeros", "bumps"]))
+    x = np.cumsum(rng.choice([0.125, 0.25, 0.5], n)) if mode == "collinear" else np.cumsum(rng.uniform(0.01, 1.0, n))
+    if mode == "zigzag":  # slopes alternately steep and shallow
+        drops = np.where(np.arange(n) % 2 == 0, 1.0, 0.05) * rng.uniform(0.5, 1.5, n)
+    elif mode == "collinear":  # exact runs of a few slopes
+        drops = np.repeat(rng.choice([0.125, 0.25, 0.5], n // 8 + 1), 8)[:n] * (x - np.append(0.0, x[:-1]))
+    elif mode == "bumps":  # a concave chain with points pushed up or down
+        drops = np.sort(rng.uniform(0.01, 1.0, n)) * rng.choice([0.7, 1.0, 1.3], n)
+    else:
+        drops = rng.uniform(0.01, 1.0, n)
+    y = np.cumsum(drops[::-1])[::-1] - drops[-1]
+    if mode == "zeros":
+        x = x - x[0]
+        x[0] = draw(st.sampled_from([0.0, -0.0]))
+        y[-1] = draw(st.sampled_from([0.0, -0.0]))
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chain_inputs())
+def test_chain_kernel_matches_the_loop_bitwise(chain):
+    x, y = chain
+    got_x, got_y = region_geometry._concave_chain(x, y)
+    want_x, want_y = region_geometry._monotone_chain(
+        x[1:].tolist(), y[1:].tolist(), [float(x[0])], [float(y[0])]
+    )
+    assert np.array_equal(_bits(got_x), _bits(np.array(want_x)))
+    assert np.array_equal(_bits(got_y), _bits(np.array(want_y)))
 
 
 def _lexsort_staircase(x, y):

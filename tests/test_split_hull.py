@@ -1,16 +1,20 @@
 """The streamed covariance-split hull against the dense path it replaced.
 
-``_split_hull`` never builds the whole corner cloud of a split mesh, and it
-skips the rho2 lines whose bound corners the witness staircase beats.
-These tests pin that it returns that cloud's hull bit for bit, with the
-block size and the witness stride shrunk so that many blocks and witnesses
-take part, that the three split builders match a copy of the dense
-builders on random instances in every regime, that the lines it skips are
-really skipped and their caps really monotone, that each kind pinned to
-the largest value of an axis is dominated there, and that memory stays
-bounded at the fig3 mesh and at 81 points per axis.
+``_split_hull`` never builds the whole corner cloud of a split mesh: it
+reads each split's caps from per-layer form tables, skips the rho2 lines
+whose bound corners the witness staircase beats, and tests a pentagon's
+box corner before its corners.  These tests pin that it returns that
+cloud's hull bit for bit, with the block size and the witness stride shrunk
+so that many blocks and witnesses take part, that every cap read from the
+tables has the bits of the per-split formula, that the three split builders
+match a copy of the dense builders on random instances in every regime,
+that the box test and the lines it skips drop only beaten points and the
+line caps are really monotone, that each kind pinned to the largest value
+of an axis is dominated there, and that memory stays bounded at the fig3
+mesh and at 81 points per axis.
 """
 
+import functools
 import math
 import tracemalloc
 from unittest import mock
@@ -20,8 +24,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cogregions import outer_bounds
-from cogregions.channel import ChannelParams, gaussian_rate
+from cogregions import outer_bounds, region_geometry
+from cogregions.channel import ChannelParams, gaussian_rate, pdc_threshold, th3_threshold
 from cogregions.cli import FIG3
 from cogregions.inner_bounds import FAMILIES
 from cogregions.outer_bounds import (
@@ -194,6 +198,22 @@ def test_split_builders_match_dense_path_bitwise():
 
 
 @pytest.mark.parametrize(
+    "grid, every",
+    [(23, 8), ((7, 5, 5, 2), 3), ((7, 5, 5, [1.0]), 3), ((6, 4, 3, [0.25]), 3)],
+    ids=["prime", "two_rho2", "one_rho2", "one_inner_rho2"],
+)
+def test_split_builders_match_dense_path_at_a_prime_grid_and_short_rho2_axes(grid, every):
+    # A prime grid ends the slabs and the blocks off round sizes; two rho2
+    # points make the line step's two ends the whole line, and one point
+    # runs no line step.
+    for params in _instances()[::every]:
+        assert _bits(bc_dms_region(params, grid)) == _bits(_dense_bc_dms(params, grid))
+        assert _bits(bc_pr_bound(params, grid, 21)) == _bits(_dense_bc_pr(params, grid, 21))
+        if params.b > 1.0:
+            assert _bits(th1_bound(params, grid, 21)) == _bits(_dense_th1(params, grid, 21))
+
+
+@pytest.mark.parametrize(
     "params",
     [
         ChannelParams(0.3, 0.7, 2.0, 3.0),
@@ -215,35 +235,64 @@ def test_th1_matches_dense_path_at_fig3_mesh():
     assert _bits(th1_bound(FIG3, split, 201)) == _bits(_dense_th1(FIG3, split, 201))
 
 
+# The record each split builder reads its family from.
+_RECORDS = {th1_bound: "_TH1", bc_dms_region: "_BC_DMS", bc_pr_bound: "_BC_PR"}
+
+
+def _spied(build, calls):
+    """Patch ``build``'s record so that its tables, corners and line append
+    ``(callable, broadcast shape of what they read)`` to ``calls``."""
+    name = _RECORDS[build]
+    family = getattr(outer_bounds, name)
+
+    def spy(what, evaluate):
+        def wrapped(params, *args, **kwargs):
+            calls.append((what, np.broadcast_shapes(*(np.shape(v) for v in args))))
+            return evaluate(params, *args, **kwargs)
+
+        return wrapped
+
+    spies = {what: spy(what, getattr(family, what)) for what in ("tables", "corners", "line")}
+    return mock.patch.object(outer_bounds, name, family._replace(**spies))
+
+
 def test_bc_pr_evaluates_forms_once_per_block():
     params = ChannelParams(0.3, 0.6, 2.0, 3.0)
-    shapes = []
-
-    def forms(params, *split):
-        shapes.append(np.broadcast_shapes(*(np.shape(v) for v in split)))
-        return _split_forms(params, *split)
-
-    with mock.patch.object(outer_bounds, "_split_forms", forms):
+    calls = []
+    with _spied(bc_pr_bound, calls):
         bc_pr_bound(params, 21, 51)
     # Each rectangle on its own 21^3 mesh: the witness samples of both
-    # meshes (every 17th split of 21^2 * 2 rho2 ends, then of 21^3), both
-    # rho2 ends of the 441 lines at the largest rho1, the 228 of them kept
-    # in one block, and the 9261 one-split lines at the largest rho2 once,
-    # in one block, with no line step before them.
-    assert shapes == [(52,), (545,), (2, 441), (228, 21), (9261, 1)]
+    # meshes (every 17th split of 21^2 * 2 rho2 ends, then of 21^3), each
+    # read from its two layers' forms.  Then, at the largest rho1, layer
+    # 1's forms on its 441 lines and layer 2's at both rho2 ends, the line
+    # step, and layer 2's forms on the pairs of the 228 lines kept, in one
+    # block; at the largest rho2, layer 1's forms on its 9261 one-split
+    # lines and layer 2's on their 441 pairs, in one block, with no line
+    # step before them.
+    assert calls == [
+        ("tables", (52,)),
+        ("tables", (52,)),
+        ("corners", (52,)),
+        ("tables", (545,)),
+        ("tables", (545,)),
+        ("corners", (545,)),
+        ("tables", (21, 21, 1)),
+        ("tables", (2, 21, 21)),
+        ("line", (2, 441)),
+        ("tables", (228, 21)),
+        ("corners", (228, 21)),
+        ("tables", (21, 21, 21)),
+        ("tables", (441, 1)),
+        ("corners", (9261, 1)),
+    ]
 
 
 def _evaluated_splits(build, params, split_grid):
     """How many splits ``build`` evaluates, witness and line ends included."""
-    sizes = []
-
-    def forms(params, *split):
-        sizes.append(math.prod(np.broadcast_shapes(*(np.shape(v) for v in split))))
-        return _split_forms(params, *split)
-
-    with mock.patch.object(outer_bounds, "_split_forms", forms):
+    calls = []
+    with _spied(build, calls):
         build(params, split_grid)
-    return sum(sizes)
+    return sum(math.prod(shape) for what, shape in calls if what != "tables")
 
 
 def _pinned_mesh_size(family, params, split_grid):
@@ -288,18 +337,37 @@ def _channels(draw):
 _LINE_FAMILIES = ("bcdms", "th1", "bcpr")
 
 
-def _points(family, params, *split):
-    if family.corners:
-        return family.corners(params, *split)
-    return _corner_kinds(*family.caps(params, *split))
+def _rows(family, params, *split):
+    """A family's table rows at the given splits, each a writable array of
+    the splits' broadcast shape, as :func:`outer_bounds._split_hull` hands
+    them over."""
+    alpha1, alpha2, rho1, rho2 = split
+    shape = np.broadcast_shapes(*(np.shape(v) for v in split))
+    layer1 = family.tables(params, 1, alpha1, alpha2, rho1)
+    layer2 = family.tables(params, 2, alpha1, alpha2, rho2)
+    return [np.array(np.broadcast_to(column, shape)) for column in (*layer1, *layer2)]
+
+
+def _line_rows(family, params, alpha1, alpha2, rho1, ends):
+    """The table rows of lines: layer 1 per line, layer 2 at the ``ends``
+    (leading axis)."""
+    layer1 = family.tables(params, 1, alpha1, alpha2, rho1)
+    layer2 = family.tables(params, 2, alpha1, alpha2, ends[:, None])
+    shape = (ends.size, alpha1.size)
+    return [
+        *(np.array(np.broadcast_to(column, alpha1.shape)) for column in layer1),
+        *(np.array(np.broadcast_to(column, shape)) for column in layer2),
+    ]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_channels(), st.sampled_from(_LINE_FAMILIES), st.integers(0, 2**32 - 1))
 def test_line_caps_are_monotone_and_bound_the_line(params, name, seed):
-    # Each declared cap is monotone along every rho2 line within the
-    # margin, and each point of the line lies under a raised corner that
-    # _line_corners builds from the caps at the line's two ends.
+    # Each cap the line step reads at one end is monotone along every rho2
+    # line within the margin (Theorem 1's are the broadcast pentagon's,
+    # before the cut), Theorem 1's cut bound is at least the cut at every
+    # split of the line, and each point of the line lies under a raised
+    # corner that _line_corners builds from the line maxima.
     family = FAMILIES[name]
     rng = np.random.default_rng(seed)
     lines = 16
@@ -307,14 +375,9 @@ def test_line_caps_are_monotone_and_bound_the_line(params, name, seed):
     rho1 = rng.choice([-1.0, 0.0, 1.0, *rng.uniform(-1, 1, 6)], lines)
     lo, hi = np.sort(rng.choice([-1.0, 1.0, *rng.uniform(-1, 1, 4)], 2))
     rho2 = np.unique(np.concatenate([[lo, hi], rng.uniform(lo, hi, 60)]))
-    split = (alpha1[:, None], alpha2[:, None], rho1[:, None])
-    groups = family.line(params, *split, rho2)
-    corners = list(
-        outer_bounds._line_corners(
-            family.line(params, *(v[:, 0] for v in split), rho2[[0, -1], None]), lines
-        )
-    )
-    for caps in groups:
+    split = (alpha1[:, None], alpha2[:, None], rho1[:, None], rho2)
+    uncut = FAMILIES["bcdms"] if name == "th1" else family
+    for caps in uncut.corners(params, *_rows(uncut, params, *split)):
         caps = np.broadcast_arrays(*caps, rho2)[:-1]
         margin = outer_bounds._LINE_MARGIN * (1.0 + np.max(caps, axis=(0, 2)))
         for cap in caps:
@@ -322,10 +385,112 @@ def test_line_caps_are_monotone_and_bound_the_line(params, name, seed):
             rising = np.all(step >= -margin[:, None], axis=1)
             falling = np.all(step <= margin[:, None], axis=1)
             assert np.all(rising | falling)
-    for x, y in _points(family, params, *split, rho2):
+    if name == "th1":
+        def rho(alpha1, alpha2, rho1, rho2):
+            terms = (outer_bounds._rho_term(layer, alpha1, alpha2, r) for layer, r in ((1, rho1), (2, rho2)))
+            return np.add(*np.broadcast_arrays(*terms))
+
+        cut = outer_bounds._th1_cut(params, rho(*split))
+        top = outer_bounds._line_cut(params, rho(alpha1, alpha2, rho1, rho2[[0, -1], None]))
+        assert np.all(np.broadcast_to(top, (lines,))[:, None] >= cut)
+    # The kinds with a line step: those not pinned to a one-point rho2 axis.
+    kinds = [k for k, pin in enumerate(family.pins) if pin != "rho2"]
+    select = {"kinds": tuple(kinds)} if family.pins else {}
+    ends = _line_rows(family, params, alpha1, alpha2, rho1, rho2[[0, -1]])
+    corners = list(outer_bounds._line_corners(family.line(params, *ends, **select)))
+    points = family.corners(params, *_rows(family, params, *split), **select)
+    for x, y in outer_bounds._points_of(points):
         x, y = np.broadcast_arrays(x, y, rho2)[:2]
         under = [(x <= cx[:, None]) & (y <= cy[:, None]) for cx, cy in corners]
         assert np.logical_or.reduce(under).all()
+
+
+def _edge_powers():
+    special = [0.0, 5e-324, 1e-310, 1e17]
+    return st.sampled_from(special) | st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _edge_channels(draw):
+    """Zero, subnormal and huge powers; b at 1 and at both thresholds."""
+    p1, p2 = draw(_edge_powers()), draw(_edge_powers())
+    a = draw(st.just(0.0) | st.floats(0.0, 2.0))
+    at = draw(st.sampled_from(["one", "pdc", "th3", "any"]))
+    thresholds = {"one": 1.0, "pdc": pdc_threshold(p1, p2), "th3": th3_threshold(p1, p2)}
+    b = thresholds[at] if at in thresholds else draw(st.floats(0.0, 8.0))
+    try:
+        return ChannelParams(a, b, p1, p2)
+    except ValueError:  # past the ChannelParams limit
+        assume(False)
+
+
+def _axis(draw, rng, lo, special):
+    size = draw(st.integers(1, 4))
+    return np.unique(rng.choice([*special, *rng.uniform(lo, 1.0, 4)], size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_channels(), st.integers(0, 2**32 - 1), st.data())
+def test_table_caps_match_split_caps_bitwise(params, seed, data):
+    # Every cap a family reads from its form tables, slab rows broadcast
+    # against each other as _split_hull hands them over, has the bits of
+    # the per-split formula at the same split, |rho| = 1 included.
+    rng = np.random.default_rng(seed)
+    axes = [
+        _axis(data.draw, rng, lo, special)
+        for lo, special in ((0.0, [0.0, 1.0]), (0.0, [0.0, 1.0]), (-1.0, [-1.0, 0.0, 1.0]), (-1.0, [-1.0, 1.0]))
+    ]
+    alpha1, alpha2, rho1, rho2 = axes
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    shape = np.broadcast_shapes(*(m.shape for m in mesh))
+
+    def rows(family):
+        tables = functools.partial(family.tables, params)
+        grid = (alpha1[:, None, None], alpha2[:, None])
+        layer1 = outer_bounds._table(tables(1, *grid, rho1), shape[:3], {}, 1)[..., None]
+        layer2 = outer_bounds._table(tables(2, *grid, rho2), (*shape[:2], rho2.size), {}, 2)
+        layer2 = layer2[:, :, :, None, :]
+        return [np.array(np.broadcast_to(c, shape)) for c in (*layer1, *layer2)]
+
+    r1_cap, r2_cap, sum_cap = (np.broadcast_to(c, shape) for c in _split_caps(params, *mesh))
+    q1l1, _, q2l1, q2l2 = _split_forms(params, *mesh)
+    cut = np.minimum(r1_cap, _conditional_r1_caps(params, mesh))
+    want = {
+        "bcdms": [(r1_cap, r2_cap, sum_cap)],
+        "th1": [(cut, r2_cap, sum_cap)],
+        "bcpr": [(r1_cap, r2_cap), (gaussian_rate(q1l1), gaussian_rate(q2l2 / (1.0 + q2l1)))],
+    }
+    for name, groups in want.items():
+        family = FAMILIES[name]
+        got = family.corners(params, *rows(family))
+        assert len(got) == len(groups)
+        for got_caps, want_caps in zip(got, groups):
+            for g, w in zip(got_caps, want_caps):
+                assert np.array_equal(_bits_of(np.broadcast_to(g, shape)), _bits_of(np.broadcast_to(w, shape)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["pool", "uniform"]))
+def test_box_test_drops_only_beaten_points(seed, mode):
+    # A pentagon whose box corner (min(r1, sum), min(r2, sum)) the bucket
+    # test drops has both corners beaten by a witness, and the test on
+    # either corner drops it too.
+    rng = np.random.default_rng(seed)
+    n = 400
+    if mode == "pool":  # exact copies and zeros of both signs
+        caps = rng.choice([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0], (3, n))
+    else:
+        caps = rng.uniform(0.0, 3.0, (3, n))
+    corners = _corner_kinds(*caps)
+    wx = np.concatenate([x[:40] for x, _ in corners] + [rng.uniform(0.0, 3.0, 10)])
+    wy = np.concatenate([y[:40] for _, y in corners] + [rng.uniform(0.0, 3.0, 10)])
+    wx, wy = region_geometry._staircase(wx, wy)
+    prefilter = region_geometry._witness_filter(wx, wy)
+    dropped = np.setdiff1d(np.arange(n), prefilter(*caps))
+    for x, y in corners:
+        assert not np.isin(dropped, prefilter(x, y)).any()
+        beaten = (wx[:, None] >= x[dropped]) & (wy[:, None] > y[dropped])
+        assert beaten.any(axis=0).all()
 
 
 # Per pinned kind of point, the coordinates that do not read its pinned axis.
@@ -361,7 +526,7 @@ def test_pinned_kinds_are_dominated_at_the_largest_value(params, pinned, seed):
     ]
     lo, hi = np.sort(rng.choice([-1.0, 1.0, *rng.uniform(-1, 1, 4)], 2))
     split[axis] = np.unique(np.concatenate([[lo, hi], rng.uniform(lo, hi, 40)]))
-    (x, y), = family.corners(params, *split, kinds=(kind,))
+    (x, y), = family.corners(params, *_rows(family, params, *split), kinds=(kind,))
     point = np.broadcast_arrays(x, y, *split)[:2]
     for i, coord in enumerate(point):
         if i in _UNREAD[pinned]:
@@ -427,18 +592,19 @@ def test_split_hull_rejects_non_finite_corners():
 
 
 def test_split_hull_evaluates_at_most_one_slab_per_call():
-    # Neither the witness sample, the line ends nor a block spans more than
-    # _BLOCK_SPLITS splits unless one alpha1 row alone holds more, however
-    # many splits the mesh has: the witness stride grows with the mesh.
+    # Neither the witness sample, a slab's form tables, the line ends nor a
+    # block spans more than _BLOCK_SPLITS splits unless one alpha1 row
+    # alone holds more, however many splits the mesh has: the witness
+    # stride grows with the mesh.
     params = ChannelParams(0.3, 3.0, 2.0, 3.0)
     split_grid = (200, 3, 3, 3)
     block, row = 32, 3 * 3 * 3
     spans = []
 
     def spanned(evaluate):
-        def wrapped(*split):
-            spans.append(math.prod(np.broadcast_shapes(*(np.shape(v) for v in split))))
-            return evaluate(params, *split)
+        def wrapped(*rows):
+            spans.append(math.prod(np.broadcast_shapes(*(np.shape(v) for v in rows))))
+            return evaluate(params, *rows)
 
         return wrapped
 
@@ -446,8 +612,9 @@ def test_split_hull_evaluates_at_most_one_slab_per_call():
         got = outer_bounds._split_hull(
             params,
             split_grid,
-            spanned(outer_bounds._th1_corners),
-            spanned(outer_bounds._pentagon_line),
+            spanned(outer_bounds._th1_caps),
+            spanned(outer_bounds._th1_line),
+            tables=spanned(outer_bounds._th1_tables),
         )
     assert max(spans) <= max(block, row)
     want = th1_bound(params, split_grid, alpha_grid=51)
