@@ -140,9 +140,8 @@ class Family(NamedTuple):
         return _split_hull(
             params,
             split_grid,
-            *(functools.partial(f, params) for f in (self.corners, self.line)),
+            *(functools.partial(f, params) for f in (self.corners, self.line, self.tables)),
             self.pins,
-            functools.partial(self.tables, params),
         )
 
 
@@ -362,14 +361,6 @@ def _th1_cut(params: ChannelParams, rho):
     return gaussian_rate(np.multiply(params.p1, var, out=var), out=var)
 
 
-def _conditional_r1_caps(params: ChannelParams, split):
-    """:func:`_th1_cut` of every split of ``(alpha1, alpha2, rho1, rho2)`` arrays."""
-    alpha1, alpha2, rho1, rho2 = split
-    return _th1_cut(
-        params, _rho_term(1, alpha1, alpha2, rho1) + _rho_term(2, alpha1, alpha2, rho2)
-    )
-
-
 def _split_mesh(params: ChannelParams, split_grid):
     """The four 1-D axes ``(alpha1, alpha2, rho1, rho2)`` of a split grid.
 
@@ -439,12 +430,6 @@ def _line_corners(groups):
 
 # The split axes in the order of a split grid, by the names pins give them.
 _SPLIT_AXES = ("alpha1", "alpha2", "rho1", "rho2")
-
-
-def _split_values(layer: int, alpha1, alpha2, rho):
-    """Tables of the split parameters themselves: rows read as ``(alpha1,
-    alpha2, rho1, rho2)``."""
-    return (alpha1, alpha2, rho) if layer == 1 else (rho,)
 
 
 def _table(columns, shape, pool: dict, key) -> np.ndarray:
@@ -574,7 +559,7 @@ def _survivors(mesh, tables, evaluate, bound, prefilter):
 
 
 def _split_hull(
-    params: ChannelParams, split_grid, points, line, pins=(), tables=_split_values
+    params: ChannelParams, split_grid, points, line, tables, pins=()
 ) -> Frontier:
     """:func:`hull_frontier` of a point cloud spanning every split of a split grid.
 
@@ -594,8 +579,7 @@ def _split_hull(
     of lines, layer 2 at the rho2 axis's two ends (first end first along
     the leading axis), and returns per group the largest value each cap
     takes on each line, every cap being monotone in rho2 (see
-    :func:`_line_corners`).  The default tables hold the split parameters
-    themselves.
+    :func:`_line_corners`).
 
     ``pins`` names, per kind, ``"rho1"`` or ``"rho2"`` where that axis's
     largest value dominates the rest of it for that kind (see
@@ -646,7 +630,7 @@ def _split_hull(
 
     Why no bit changes.  Every table entry and every step that combines
     the layers is elementwise, with the operations and operands of the
-    per-split formula (:func:`_split_caps`, :func:`_conditional_r1_caps`),
+    per-split formula (:func:`_split_caps`, :func:`_th1_cut`),
     so a split's points have the same bits whichever slab, block, buffer
     or gather computes them, and every witness is a point of the cloud.
     The Pareto staircase is a function of the point set, save which of

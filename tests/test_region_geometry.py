@@ -283,20 +283,25 @@ def test_intersect_keeps_only_the_minimums_breakpoints(data):
     # Every value is the minimum at its abscissa, bit for bit.
     assert np.array_equal(_bits(h.r2), _bits(np.minimum(fx, gx)))
     # Every vertex is a vertex of an operand that attains the minimum there,
-    # a crossing of the two, or the right end.  A crossing lies in a cell
-    # between two operand vertices where f - g changes sign; when one
-    # difference is a rounding bit, the crossing rounds onto that cell's end
-    # (f falling through a vertex of a flat g, one bit below it there).
+    # a crossing of the two, or the right end.  A crossing lies strictly
+    # inside a cell between two operand vertices where f - g changes sign,
+    # unless its interpolation rounds onto the cell's end: then it is the
+    # cell's clipped crossing, where one difference is a rounding bit.
     xs = np.union1d(f.r1, g.r1)
     xs = xs[xs <= h.max_r1]
     d = f.interp(xs) - g.interp(xs)
+    i = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+    x0, x1 = xs[i], xs[i + 1]
+    clipped = np.clip(x0 + d[i] / (d[i] - d[i + 1]) * (x1 - x0), x0, x1)
+    clipped = set(clipped[np.isin(clipped, xs)].tolist())
     for x, fv, gv in zip(h.r1.tolist(), fx.tolist(), gx.tolist()):
         if x == h.max_r1 or (x in f.r1 and fv <= gv) or (x in g.r1 and gv <= fv):
             continue
-        # The cells ending at or past x and starting at or before x: one
-        # cell if x is inside it, the two on either side if x is a vertex.
-        cells = {np.searchsorted(xs, x, side="left") - 1, np.searchsorted(xs, x, side="right") - 1}
-        assert any(d[i] * d[i + 1] < 0.0 for i in cells if 0 <= i < xs.size - 1)
+        if x in clipped:
+            continue
+        assert x not in xs
+        i = np.searchsorted(xs, x) - 1
+        assert d[i] * d[i + 1] < 0.0
     # Every operand vertex in range lies on the polyline.
     for op in (f, g):
         v = op.r1[op.r1 <= h.max_r1]

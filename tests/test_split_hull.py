@@ -29,7 +29,6 @@ from cogregions.channel import ChannelParams, gaussian_rate, pdc_threshold, th3_
 from cogregions.cli import FIG3
 from cogregions.inner_bounds import FAMILIES
 from cogregions.outer_bounds import (
-    _conditional_r1_caps,
     _split_caps,
     _split_forms,
     bc_dms_region,
@@ -80,6 +79,12 @@ def _tables(draw):
     return x, y
 
 
+def _split_values(layer, alpha1, alpha2, rho):
+    """Tables of the split parameters themselves: rows read as ``(alpha1,
+    alpha2, rho1, rho2)``."""
+    return (alpha1, alpha2, rho) if layer == 1 else (rho,)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tables(), st.integers(1, 40), st.integers(1, 7))
 def test_streamed_hull_matches_whole_cloud_bitwise(table, block, stride):
@@ -103,7 +108,7 @@ def test_streamed_hull_matches_whole_cloud_bitwise(table, block, stride):
         outer_bounds, "_WITNESS_STRIDE", stride
     ):
         params = ChannelParams(0.5, 2.0, 1.0, 1.0)
-        got = outer_bounds._split_hull(params, axes, points, line)
+        got = outer_bounds._split_hull(params, axes, points, line, _split_values)
     want = hull_frontier(
         np.concatenate([xk.ravel() for xk in x]),
         np.concatenate([yk.ravel() for yk in y]),
@@ -132,6 +137,16 @@ def _dense_bc_dms(params, split_grid):
     mesh = _dense_mesh(split_grid)
     caps = _split_caps(params, *mesh)
     return hull_frontier(*corner_cloud(*(_expand(cap, mesh) for cap in caps)))
+
+
+def _conditional_r1_caps(params, split):
+    """The Theorem-1 cut of every split of ``(alpha1, alpha2, rho1, rho2)`` arrays."""
+    alpha1, alpha2, rho1, rho2 = split
+    return outer_bounds._th1_cut(
+        params,
+        outer_bounds._rho_term(1, alpha1, alpha2, rho1)
+        + outer_bounds._rho_term(2, alpha1, alpha2, rho2),
+    )
 
 
 def _dense_th1(params, split_grid, alpha_grid):
