@@ -283,9 +283,14 @@ def _degradedness_report(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(stderr > 0.0, diff / stderr, np.where(diff == 0.0, 0.0, np.inf))
     # Entries that tie in exact arithmetic (at input_rho = +-1, X1 is a
-    # multiple of X2) differ by rounding: report the first of them.
+    # multiple of X2) differ by rounding: report the first of them.  A
+    # moment's rounding reaches a discrepancy in standard errors about
+    # sqrt(n) times larger (measured below 1e-15 * sqrt(n)), so the band is
+    # that with a wide margin; entries that truly differ by more, as at an
+    # input_rho one ulp inside +-1, are not ties.
     top = float(ratio.max())
-    i, j = divmod(int(np.argmax(ratio >= top * (1.0 - 1e-9))), 3)
+    band = 1e-13 * (top + math.sqrt(n))
+    i, j = divmod(int(np.argmax(ratio >= top - band)), 3)
     a, p1, p2 = params.a, params.p1, params.p2
     var_y1_closed_form = (
         1.0 + p1 + a * a * p2 + 2.0 * a * rho * math.sqrt(p1 * p2)

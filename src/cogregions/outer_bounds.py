@@ -7,10 +7,12 @@ command-line names.  A one-parameter family's one vectorized caps function,
 :class:`~cogregions.region_geometry.Pentagon` at one split
 (:meth:`Family.pentagon`) and the
 :class:`~cogregions.region_geometry.Frontier` of its union over a grid
-(:meth:`Family.union`), so each rate formula is written once.  Frontier
-builders accept either integer grid resolutions or explicit parameter
-arrays, so two families can be evaluated on matched grids and compared
-corner by corner.
+(:meth:`Family.union`); a covariance-split family's form tables and the
+callables that read them give both its pentagon at one split and its hull
+over a split grid (:meth:`Family.hull`).  So each rate formula is written
+once.  Frontier builders accept either integer grid resolutions or
+explicit parameter arrays, so two families can be evaluated on matched
+grids and compared corner by corner.
 """
 
 from __future__ import annotations
@@ -63,29 +65,31 @@ class Family(NamedTuple):
 
     Every callable in the record takes the :class:`ChannelParams` first.
     The builder is looked up by name at each :meth:`build`, so a wrapper
-    installed over that name sees the call.  ``caps`` broadcasts over the
-    split: one power split ``t`` in [0, 1], named ``axis``, or the four
-    parameters of a :class:`CovarianceSplit`.  A split family reads its
-    points from form tables instead (see :func:`_split_hull`):
+    installed over that name sees the call.  A one-parameter family has
+    ``caps``, which broadcasts over one power split ``t`` in [0, 1], named
+    ``axis``.  A split family, whose split is a :class:`CovarianceSplit`,
+    reads its points from form tables instead (see :func:`_split_hull`):
     ``tables(layer, alpha1, alpha2, rho)`` gives the columns of one
     layer's table, each quadratic form evaluated once on the three split
     axes that layer reads; ``corners`` takes the table rows of splits,
     layer 1's columns then layer 2's, and returns groups, the caps ``(r1,
     r2, sum)`` of a pentagon, whose two corners are its points, or one
-    kind of point ``(x, y)``; ``line`` takes the rows of ``(alpha1,
-    alpha2, rho1)`` lines, layer 2 at the rho2 axis's first and last
-    values, and returns per group the largest value of each cap on each
-    line, every cap monotone in rho2 (see :func:`_line_corners`), so
-    :func:`_split_hull` can skip the rho2 lines the sampled hull already
-    beats.  Both may write into the rows they are given.  A split family's
-    ``pins`` names, per kind of point, the split axis (``"rho1"`` or
-    ``"rho2"``) at whose largest value the kind's point is at least its
-    point at any other value of that axis in both coordinates, the rest of
-    the split fixed, or ``None``; :func:`_split_hull` runs each pinned kind
-    on the mesh with that axis cut to its last point.  Every point so
-    dropped is beaten or an exact copy, so the hull keeps its bits: each
-    rounded step up to ``log1p`` is monotone, and ``log1p``, within a few
-    ulps, would move a vertex by no more where it is not.  Where
+    kind of point ``(x, y)``, the corner of a rectangle; ``line`` takes
+    the rows of ``(alpha1, alpha2, rho1)`` lines, layer 2 at the rho2
+    axis's first and last values, and returns per group the largest value
+    of each cap on each line, every cap monotone in rho2 (see
+    :func:`_line_corners`), so :func:`_split_hull` can skip the rho2 lines
+    the sampled hull already beats.  Both may write into the rows they are
+    given.  A split family's ``pins`` names, per kind of point, the split
+    axis (``"rho1"`` or ``"rho2"``) at whose largest value the kind's
+    point is at least its point at any other value of that axis in both
+    coordinates, the rest of the split fixed, or ``None``; ``corners`` and
+    ``line`` of a family with pins take ``kinds``, the indices of the
+    kinds to return, and :func:`_split_hull` runs each kind on its own
+    mesh, its pinned axis cut to its last point.  Every point so dropped
+    is beaten or an exact copy, so the hull keeps its bits: each rounded
+    step up to ``log1p`` is monotone, and ``log1p``, within a few ulps,
+    would move a vertex by no more where it is not.  Where
     ``single_split`` holds the family's one split is ``t = 1``: an integer
     grid is cut to it and any other ``t`` is refused.
     """
@@ -93,7 +97,7 @@ class Family(NamedTuple):
     role: str  # "outer", "inner", or "reference" (a containment reference)
     builder: str  # "module.function", taking params and the grids
     grids: Tuple[str, ...]  # the grid flags the builder takes by keyword
-    caps: Optional[Callable] = None  # (params, *split) -> (r1, r2, sum)
+    caps: Optional[Callable] = None  # (params, t) -> (r1, r2, sum)
     tables: Optional[Callable] = None  # (params, layer, alpha1, alpha2, rho) -> columns
     corners: Optional[Callable] = None  # (params, *rows) -> pentagons or points
     line: Optional[Callable] = None  # (params, *rows at both ends) -> line maxima
@@ -118,10 +122,30 @@ class Family(NamedTuple):
             raise ValueError(self.error)
 
     def pentagon(self, params: ChannelParams, t) -> Pentagon:
-        """The pentagon at one split: a power split ``t`` or a :class:`CovarianceSplit`."""
-        split = astuple(t) if isinstance(t, CovarianceSplit) else (grid_point(t, self.axis),)
-        self._check(params, split)
-        return Pentagon(*self.caps(params, *split))
+        """The pentagon at one split: a power split ``t`` of a one-parameter
+        family, or a :class:`CovarianceSplit` of a split family.
+
+        A split family's pentagon is its ``corners`` on its ``tables`` at
+        that one split, as 1-element rows: the path on which its hull
+        reads a split.  A family whose split gives rectangles, not one
+        pentagon, and a split of the other kind are refused.
+        """
+        if isinstance(t, CovarianceSplit) != (self.caps is None):
+            wanted = "a CovarianceSplit" if self.caps is None else "a power split"
+            raise ValueError(f"{self.builder} takes {wanted}, got {t!r}")
+        if self.caps is not None:
+            split = grid_point(t, self.axis)
+            self._check(params, split)
+            return Pentagon(*self.caps(params, split))
+        self._check(params)
+        alpha1, alpha2, rho1, rho2 = (np.array([v]) for v in astuple(t))
+        layer1 = self.tables(params, 1, alpha1, alpha2, rho1)
+        groups = self.corners(params, *layer1, *self.tables(params, 2, alpha1, alpha2, rho2))
+        if [len(group) for group in groups] != [3]:
+            raise ValueError(
+                f"a split of {self.builder} gives {len(groups)} rectangles, not one pentagon"
+            )
+        return Pentagon(*(float(cap[0]) for cap in groups[0]))
 
     def union(self, params: ChannelParams, grid) -> Frontier:
         """Union of the pentagons over a power-split grid, as the concave hull
@@ -321,29 +345,6 @@ def _layer_forms(params: ChannelParams, layer: int, alpha1, alpha2, rho):
     return form(1.0, params.a), form(params.b, 1.0)
 
 
-def _split_forms(params: ChannelParams, alpha1, alpha2, rho1, rho2):
-    """``(q1_layer1, q1_layer2, q2_layer1, q2_layer2)`` of each split (see
-    :func:`_layer_forms`); broadcasts over the split."""
-    q1l1, q2l1 = _layer_forms(params, 1, alpha1, alpha2, rho1)
-    q1l2, q2l2 = _layer_forms(params, 2, alpha1, alpha2, rho2)
-    return q1l1, q1l2, q2l1, q2l2
-
-
-def _split_caps(params: ChannelParams, alpha1, alpha2, rho1, rho2):
-    """``(r1, r2, sum)`` caps of the broadcast pentagons; broadcasts over the split.
-
-    Layer 2 is encoded last: ``log2(1 + q1l1 / (1 + q1l2))``,
-    ``log2(1 + q2l2)`` and ``log2(1 + q2l1 + q2l2)``, as
-    :func:`_pentagon_caps` reads them from the form tables.
-    """
-    q1l1, q1l2, q2l1, q2l2 = _split_forms(params, alpha1, alpha2, rho1, rho2)
-    return (
-        gaussian_rate(q1l1 / (1.0 + q1l2)),
-        gaussian_rate(q2l2),
-        gaussian_rate(q2l1 + q2l2),
-    )
-
-
 def _th1_cut(params: ChannelParams, rho):
     """``log2(1 + Var(X1|X2))`` at total correlations ``rho``, in rho's buffer.
 
@@ -426,10 +427,6 @@ def _line_corners(groups):
         # then refuses it.
         top = np.finfo(float).max
         yield tuple(np.fmin(v + margin, top) for v in (x, y))
-
-
-# The split axes in the order of a split grid, by the names pins give them.
-_SPLIT_AXES = ("alpha1", "alpha2", "rho1", "rho2")
 
 
 def _table(columns, shape, pool: dict, key) -> np.ndarray:
@@ -583,13 +580,12 @@ def _split_hull(
 
     ``pins`` names, per kind, ``"rho1"`` or ``"rho2"`` where that axis's
     largest value dominates the rest of it for that kind (see
-    :class:`Family`), or ``None``; empty, no kind is pinned.  Each kind
-    runs only on its own mesh, the split grid with its pinned axis cut to
-    its last point, and reads tables built on that mesh.  Kinds that share
-    a pin share a mesh; where the kinds fall on more than one mesh,
-    ``points`` and ``line`` take ``kinds``, the indices of the kinds to
-    return or to bound.  The cloud is then every kind on its own mesh,
-    kinds in order.
+    :class:`Family`), or ``None``.  Empty, every kind runs on the one
+    split grid.  Otherwise each kind runs on its own mesh, the split grid
+    with its pinned axis (if any) cut to its last point, and reads tables
+    built on that mesh; ``points`` and ``line`` then take ``kinds``, the
+    one kind to return or to bound.  The cloud is then every kind on its
+    own mesh, kinds in order.
 
     The result is the cloud's hull bit for bit, but neither the cloud nor
     the caps of a whole mesh are ever built.  A mesh is read a slab of
@@ -629,10 +625,10 @@ def _split_hull(
        cloud's order.
 
     Why no bit changes.  Every table entry and every step that combines
-    the layers is elementwise, with the operations and operands of the
-    per-split formula (:func:`_split_caps`, :func:`_th1_cut`),
-    so a split's points have the same bits whichever slab, block, buffer
-    or gather computes them, and every witness is a point of the cloud.
+    the layers is elementwise, so a split's points have the same bits
+    whichever slab, block, buffer or gather computes them, those of
+    ``points`` on that split's 1-element rows (as :meth:`Family.pentagon`
+    reads a pentagon), and every witness is a point of the cloud.
     The Pareto staircase is a function of the point set, save which of
     several equal copies (``0.0`` and ``-0.0``) it keeps, and it keeps the
     first.  Every dropped point is beaten by a real cloud point, so the
@@ -664,18 +660,12 @@ def _split_hull(
     every point of the group on that line.
     """
     alpha1, alpha2, rho1, rho2 = _split_mesh(params, split_grid)
-    groups = {}
-    for kind, pin in enumerate(pins):
-        groups.setdefault(pin, []).append(kind)
-    if len(groups) < 2:
-        # One mesh: every kind points returns, in order.
-        groups = {next(iter(groups), None): None}
     meshes = []
-    for pin, kinds in groups.items():
-        select = {} if kinds is None else {"kinds": tuple(kinds)}
+    for kind, pin in enumerate(pins) if pins else [(None, None)]:
+        select = {} if kind is None else {"kinds": (kind,)}
         rho = (rho1[-1:] if pin == "rho1" else rho1, rho2[-1:] if pin == "rho2" else rho2)
         evaluate = functools.partial(points, **select)
-        meshes.append((rho, kinds, evaluate, functools.partial(line, **select)))
+        meshes.append((rho, kind, evaluate, functools.partial(line, **select)))
 
     witness = []
     for (rho1, rho2), _, evaluate, _ in meshes:
@@ -691,10 +681,10 @@ def _split_hull(
     prefilter = _witness_filter(*_staircase(wx, wy))
 
     kept = []
-    for (rho1, rho2), kinds, evaluate, bound in meshes:
+    for (rho1, rho2), kind, evaluate, bound in meshes:
         mesh = (alpha1, alpha2, rho1, rho2)
         for g, corner, x, y in _survivors(mesh, tables, evaluate, bound, prefilter):
-            kept.append(((g if kinds is None else kinds[g], corner), x, y))
+            kept.append(((g if kind is None else kind, corner), x, y))
     # A stable sort restores the cloud's order: kinds, then splits.  The
     # block pieces go before the hull, which copies the survivors again.
     kept.sort(key=lambda item: item[0])
@@ -804,7 +794,6 @@ _BC_DMS = Family(
     "outer",
     "outer_bounds.bc_dms_region",
     ("split_grid",),
-    _split_caps,
     tables=_pentagon_tables,
     corners=_pentagon_caps,
     # r1 falls, r2 and the sum rise with rho2: q1l2 and q2l2 are linear in

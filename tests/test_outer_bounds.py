@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cogregions import outer_bounds
 from cogregions.channel import ChannelParams, gaussian_rate
 from cogregions.inner_bounds import FAMILIES, scheme_e_region
 from cogregions.outer_bounds import (
@@ -371,27 +372,63 @@ _CHANNELS = st.builds(ChannelParams, st.floats(0.0, 5.0), st.floats(0.0, 10.0), 
 _UNIT = st.floats(0.0, 1.0)
 
 
+def _kernel_caps(family, params, axes):
+    """A split family's caps on the mesh of four split axes, from its form
+    tables as its hull reads them: layer 1 tabled on the ``(alpha1, alpha2,
+    rho1)`` axes, layer 2 on the ``(alpha1, alpha2, rho2)`` axes, the rows
+    broadcast to the mesh."""
+    alpha1, alpha2, rho1, rho2 = axes
+    shape = tuple(axis.size for axis in axes)
+    grid = (alpha1[:, None, None], alpha2[:, None])
+    layer1 = outer_bounds._table(family.tables(params, 1, *grid, rho1), shape[:3], {}, 1)
+    layer2 = outer_bounds._table(
+        family.tables(params, 2, *grid, rho2), (*shape[:2], shape[3]), {}, 2
+    )
+    rows = (*layer1[..., None], *layer2[:, :, :, None, :])
+    [caps] = family.corners(params, *(np.array(np.broadcast_to(r, shape)) for r in rows))
+    return [np.broadcast_to(cap, shape) for cap in caps]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_CHANNELS, st.data())
 def test_family_pentagon_is_its_caps_at_one_split(params, data):
     # Every family reads one ChannelParams: its pentagon at split t is, bit
-    # for bit, the t entry of its caps over a grid holding t.
+    # for bit, the t entry of its caps over a grid holding t; a pentagon
+    # split family's caps are its kernel's, on form tables of a random mesh.
     for name, family in FAMILIES.items():
-        if family.caps is None or family.invalid(params):
+        if name == "bcpr" or family.invalid(params):
             continue
         size = data.draw(st.integers(1, 8), label="grid size")
-        if "split_grid" in family.grids:
-            grid = [
-                np.array(data.draw(st.lists(axis, min_size=size, max_size=size)))
+        if family.tables is not None:
+            axes = [
+                np.array(data.draw(st.lists(axis, min_size=1, max_size=size)))
                 for axis in (_UNIT, _UNIT, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
             ]
-        elif family.single_split(params):
-            grid = [np.ones(size)]
+            caps = _kernel_caps(family, params, axes)
+            i = tuple(data.draw(st.integers(0, axis.size - 1), label="split") for axis in axes)
+            t = CovarianceSplit(*(float(axis[k]) for axis, k in zip(axes, i)))
         else:
-            grid = [np.array(data.draw(st.lists(_UNIT, min_size=size, max_size=size)))]
-        caps = [np.broadcast_to(cap, (size,)) for cap in family.caps(params, *grid)]
-        i = data.draw(st.integers(0, size - 1), label="split")
-        t = [float(axis[i]) for axis in grid]
-        t = CovarianceSplit(*t) if len(t) == 4 else t[0]
+            if family.single_split(params):
+                grid = np.ones(size)
+            else:
+                grid = np.array(data.draw(st.lists(_UNIT, min_size=size, max_size=size)))
+            caps = [np.broadcast_to(cap, (size,)) for cap in family.caps(params, grid)]
+            i = data.draw(st.integers(0, size - 1), label="split")
+            t = float(grid[i])
         want = Pentagon(*(cap[i] for cap in caps))
         assert _bits(family.pentagon(params, t)) == _bits(want), name
+
+
+def test_pentagon_refuses_rectangles_and_splits_of_the_other_kind():
+    # bcpr's split gives two rectangles, not a pentagon; a split family takes
+    # only a CovarianceSplit, and a one-parameter family only a power split.
+    split = CovarianceSplit(0.5, 0.5, 0.0, 0.0)
+    with pytest.raises(ValueError, match="gives 2 rectangles, not one pentagon"):
+        FAMILIES["bcpr"].pentagon(STRONG_Z, split)
+    for name, family in FAMILIES.items():
+        if family.tables is not None:
+            with pytest.raises(ValueError, match="takes a CovarianceSplit"):
+                family.pentagon(STRONG_Z, 0.5)
+        else:
+            with pytest.raises(ValueError, match="takes a power split"):
+                family.pentagon(STRONG_Z, split)

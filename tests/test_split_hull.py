@@ -6,8 +6,10 @@ whose bound corners the witness staircase beats, and tests a pentagon's
 box corner before its corners.  These tests pin that it returns that
 cloud's hull bit for bit, with the block size and the witness stride shrunk
 so that many blocks and witnesses take part, that every cap read from the
-tables has the bits of the per-split formula, that the three split builders
-match a copy of the dense builders on random instances in every regime,
+tables has the bits of a per-split reference formula kept here, that
+Theorem 1's pentagon at one split is the broadcast one with its r1 cap cut,
+that the three split builders match a copy of the dense builders on random
+instances in every regime,
 that the box test and the lines it skips drop only beaten points and the
 line caps are really monotone, that each kind pinned to the largest value
 of an axis is dominated there, and that memory stays bounded at the fig3
@@ -17,6 +19,7 @@ mesh and at 81 points per axis.
 import functools
 import math
 import tracemalloc
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -29,14 +32,14 @@ from cogregions.channel import ChannelParams, gaussian_rate, pdc_threshold, th3_
 from cogregions.cli import FIG3
 from cogregions.inner_bounds import FAMILIES
 from cogregions.outer_bounds import (
-    _split_caps,
-    _split_forms,
+    CovarianceSplit,
     bc_dms_region,
     bc_pr_bound,
     th1_bound,
     unifying_region,
 )
 from cogregions.region_geometry import (
+    Pentagon,
     _corner_kinds,
     corner_cloud,
     grid_axis,
@@ -131,6 +134,26 @@ def _dense_mesh(split_grid):
 def _expand(values, mesh):
     shape = np.broadcast_shapes(*(axis.shape for axis in mesh))
     return np.broadcast_to(values, shape).reshape(-1)
+
+
+def _split_forms(params, alpha1, alpha2, rho1, rho2):
+    """``(q1_layer1, q1_layer2, q2_layer1, q2_layer2)`` of each split;
+    broadcasts over the split."""
+    q1l1, q2l1 = outer_bounds._layer_forms(params, 1, alpha1, alpha2, rho1)
+    q1l2, q2l2 = outer_bounds._layer_forms(params, 2, alpha1, alpha2, rho2)
+    return q1l1, q1l2, q2l1, q2l2
+
+
+def _split_caps(params, alpha1, alpha2, rho1, rho2):
+    """``(r1, r2, sum)`` caps of the broadcast pentagons, layer 2 encoded
+    last, per split: ``log2(1 + q1l1 / (1 + q1l2))``, ``log2(1 + q2l2)``
+    and ``log2(1 + q2l1 + q2l2)``."""
+    q1l1, q1l2, q2l1, q2l2 = _split_forms(params, alpha1, alpha2, rho1, rho2)
+    return (
+        gaussian_rate(q1l1 / (1.0 + q1l2)),
+        gaussian_rate(q2l2),
+        gaussian_rate(q2l1 + q2l2),
+    )
 
 
 def _dense_bc_dms(params, split_grid):
@@ -310,13 +333,18 @@ def _evaluated_splits(build, params, split_grid):
     return sum(math.prod(shape) for what, shape in calls if what != "tables")
 
 
+# The split axes in the order of a split grid, by the names pins give them.
+_AXES = ("alpha1", "alpha2", "rho1", "rho2")
+
+
 def _pinned_mesh_size(family, params, split_grid):
-    """Splits of the meshes a family's kinds run on, each pinned axis cut."""
+    """Splits of the meshes a family's kinds run on: one mesh per kind,
+    its pinned axis cut, where the family has pins, else the whole mesh."""
     axes = outer_bounds._split_mesh(params, split_grid)
     sizes = [a.size for a in axes]
     total = 0
-    for pin in set(family.pins or [None]):
-        cut = [1 if pin == name else n for name, n in zip(outer_bounds._SPLIT_AXES, sizes)]
+    for pin in family.pins or [None]:
+        cut = [1 if pin == name else n for name, n in zip(_AXES, sizes)]
         total += math.prod(cut)
     return total
 
@@ -485,6 +513,26 @@ def test_table_caps_match_split_caps_bitwise(params, seed, data):
 
 
 @settings(max_examples=200, deadline=None)
+@given(_edge_channels(), st.integers(0, 2**32 - 1))
+def test_th1_pentagon_is_the_broadcast_pentagon_with_its_r1_cut(params, seed):
+    # Theorem 1's pentagon at one split is bcdms's, its r1 cap cut by the
+    # reference cut at that split's total correlation; r2 and the raw sum
+    # cap keep their bits.
+    assume(params.b > 1.0)
+    rng = np.random.default_rng(seed)
+    alphas = (rng.choice([0.0, 1.0, rng.random()]) for _ in "12")
+    rhos = (rng.choice([-1.0, 0.0, 1.0, rng.uniform(-1.0, 1.0)]) for _ in "12")
+    split = CovarianceSplit(*alphas, *rhos)
+    broadcast = FAMILIES["bcdms"].pentagon(params, split)
+    cut = _conditional_r1_caps(params, [np.array([v]) for v in astuple(split)])
+    r1 = np.minimum(broadcast.r1_max, np.broadcast_to(cut, (1,))[0])
+    want = Pentagon(r1, broadcast.r2_max, broadcast.sum_max)
+    got = FAMILIES["th1"].pentagon(params, split)
+    fields = ("r1_max", "r2_max", "sum_max")
+    assert [_bits_of(getattr(got, f)) for f in fields] == [_bits_of(getattr(want, f)) for f in fields]
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["pool", "uniform"]))
 def test_box_test_drops_only_beaten_points(seed, mode):
     # A pentagon whose box corner (min(r1, sum), min(r2, sum)) the bucket
@@ -532,7 +580,7 @@ def test_pinned_kinds_are_dominated_at_the_largest_value(params, pinned, seed):
     # every other one in both coordinates.
     name, kind = pinned
     family = FAMILIES[name]
-    axis = outer_bounds._SPLIT_AXES.index(family.pins[kind])
+    axis = _AXES.index(family.pins[kind])
     rng = np.random.default_rng(seed)
     splits = 16
     split = [
