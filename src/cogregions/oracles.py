@@ -287,9 +287,10 @@ def _degradedness_report(
     # moment's rounding reaches a discrepancy in standard errors about
     # sqrt(n) times larger (measured below 1e-15 * sqrt(n)), so the band is
     # that with a wide margin; entries that truly differ by more, as at an
-    # input_rho one ulp inside +-1, are not ties.
+    # input_rho one ulp inside +-1, are not ties.  An infinite top (an entry
+    # that differs with zero standard error) takes no band: inf - inf is nan.
     top = float(ratio.max())
-    band = 1e-13 * (top + math.sqrt(n))
+    band = 1e-13 * (top + math.sqrt(n)) if math.isfinite(top) else 0.0
     i, j = divmod(int(np.argmax(ratio >= top - band)), 3)
     a, p1, p2 = params.a, params.p1, params.p2
     var_y1_closed_form = (

@@ -710,10 +710,11 @@ def test_verify_reports_match_one_by_one_oracle_calls(capsys, suite, a, b, err):
 @pytest.mark.parametrize("seed", [0, 4, 11])
 @pytest.mark.parametrize("block, n", [(1, 10_000), (97, 10_001), (None, 65_537)])
 def test_verify_all_draws_both_sampled_suites_at_once(capsys, monkeypatch, seed, block, n):
-    # verify all makes one sampling pass for both sampled suites.  Its
-    # Monte Carlo lines are, byte for byte, those of verify mc and its
-    # degradedness lines those of verify degraded, with one-row blocks,
-    # ragged ones, and the default block (8 whole blocks and a one-row one).
+    # verify all makes one sampling pass for both sampled suites.  All three
+    # commands pass, and verify all's Monte Carlo lines are, byte for byte,
+    # those of verify mc and its degradedness lines those of verify degraded,
+    # with one-row blocks, ragged ones, and the default block (8 whole blocks
+    # and a one-row one).
     if block is not None:
         monkeypatch.setattr(oracles, "_BLOCK", block)
     point = ["--a", "0.3", "--b", "2", "--p1", "2", "--p2", "3"]
@@ -721,7 +722,8 @@ def test_verify_all_draws_both_sampled_suites_at_once(capsys, monkeypatch, seed,
     for suite in ("all", "mc", "degraded"):
         code, out, _ = run(capsys, "verify", suite, *point, "--samples", str(n),
                            "--seed", str(seed))
-        assert code == (0 if all(json.loads(line)["passed"] for line in out.splitlines()) else 1)
+        assert code == 0
+        assert all(json.loads(line)["passed"] for line in out.splitlines())
         outs[suite] = out.splitlines()
     assert outs["all"][:5] == outs["mc"]
     assert outs["all"][5:7] == outs["degraded"]

@@ -246,7 +246,7 @@ def test_capacity_open_at_huge_powers_where_a_split_form_cancels(e):
 _HUGE_POWERS = st.sampled_from([0.0, 1e-310]) | st.floats(-5.0, 308.25).map(lambda e: 10.0**e)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.sampled_from([0.0]) | st.floats(0.0, 20.0),
     st.sampled_from([0.0, 1.0]) | st.floats(0.0, 20.0),

@@ -173,7 +173,7 @@ def _cauchy_schwarz_gap(first: np.ndarray, second: np.ndarray) -> float:
     return float(np.max(diff / np.where(scale > 0.0, scale, 1.0)))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     st.floats(0.0, 2.0),
     st.sampled_from([1.0]) | st.floats(1.0, 20.0),
@@ -195,7 +195,7 @@ def test_degradedness_rows_rebuild_receiver_1_exactly(a, b, p1, p2, rho):
 _FACTORED_POWERS = st.sampled_from([0.0]) | st.floats(1e-100, 10.0)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.floats(0.0, 2.0), st.floats(0.0, 20.0), _FACTORED_POWERS, _FACTORED_POWERS)
 def test_mc_cases_weights_carry_the_closed_form_variance(a, b, p1, p2):
     # |F^T h|^2 = h S h^T for the factor F F^T = S that the check samples

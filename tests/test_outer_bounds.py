@@ -389,7 +389,7 @@ def _kernel_caps(family, params, axes):
     return [np.broadcast_to(cap, shape) for cap in caps]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_CHANNELS, st.data())
 def test_family_pentagon_is_its_caps_at_one_split(params, data):
     # Every family reads one ChannelParams: its pentagon at split t is, bit

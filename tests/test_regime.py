@@ -77,7 +77,7 @@ def _same_bits(first, second):
     return np.array_equal(first.r1, second.r1) and np.array_equal(first.r2, second.r2)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(instances())
 def test_capacity_region_follows_the_classify_label(params):
     regime = classify(params).regime

@@ -290,7 +290,7 @@ def test_intersect_adds_the_crossing():
 _DROPPED_VERTEX_BITS = 1e-11
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_frontiers(), _frontiers())
 # f falls from 2 to 1 over one 1e-3 step across an edge of the staircase
 # g: the crossing's rounding puts the minimum 1.19e-12 off at one sample.
@@ -305,7 +305,7 @@ def test_intersect_is_the_pointwise_minimum(f, g):
     np.testing.assert_allclose(h.interp(xs), want, rtol=0.0, atol=_DROPPED_VERTEX_BITS)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_intersect_keeps_only_the_minimums_breakpoints(data):
     f, g = data.draw(_frontiers()), data.draw(_frontiers())
@@ -483,7 +483,7 @@ def _pentagon_corner_set(a, b, s):
     }
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_families())
 def test_union_is_the_hull_of_its_corners(family):
     f = union_frontier_arrays(*family)
@@ -548,7 +548,7 @@ def _clouds(draw):
     return x, y
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_clouds())
 def test_hull_frontier_matches_unfiltered_staircase_bitwise(cloud):
     x, y = cloud
@@ -558,7 +558,7 @@ def test_hull_frontier_matches_unfiltered_staircase_bitwise(cloud):
     assert np.array_equal(_bits(got.r2), _bits(want_y))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_clouds(), st.integers(1, 64))
 def test_witness_prefilter_keeps_the_staircase_bitwise(cloud, stride):
     # The split-hull builders drop the points a sampled staircase beats
@@ -691,7 +691,7 @@ def _chain_inputs(draw):
     return x, y
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_chain_inputs())
 def test_chain_kernel_matches_the_loop_bitwise(chain):
     x, y = chain
@@ -742,7 +742,7 @@ def _tied_clouds(draw):
     return x, y
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_tied_clouds())
 def test_staircase_matches_lexsort_reference_bitwise(cloud):
     x, y = cloud
@@ -771,7 +771,7 @@ def test_staircase_matches_lexsort_on_a_split_hull_survivor_cloud():
     assert np.array_equal(_bits(got_y), _bits(want_y))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_frontiers())
 def test_concavify_staircase_matches_sorted_staircase_bitwise(f):
     with mock.patch.object(
@@ -847,7 +847,7 @@ def _witness_cases(draw):
     return wx, wy, x, y
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_witness_cases())
 def test_witness_filter_keeps_every_unbeaten_point(case):
     # Flat indices in order, a superset of the unbeaten points: the filter

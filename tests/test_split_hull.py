@@ -88,7 +88,7 @@ def _split_values(layer, alpha1, alpha2, rho):
     return (alpha1, alpha2, rho) if layer == 1 else (rho,)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_tables(), st.integers(1, 40), st.integers(1, 7))
 def test_streamed_hull_matches_whole_cloud_bitwise(table, block, stride):
     x, y = table
@@ -403,7 +403,7 @@ def _line_rows(family, params, alpha1, alpha2, rho1, ends):
     ]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_channels(), st.sampled_from(_LINE_FAMILIES), st.integers(0, 2**32 - 1))
 def test_line_caps_are_monotone_and_bound_the_line(params, name, seed):
     # Each cap the line step reads at one end is monotone along every rho2
@@ -472,7 +472,7 @@ def _axis(draw, rng, lo, special):
     return np.unique(rng.choice([*special, *rng.uniform(lo, 1.0, 4)], size))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_edge_channels(), st.integers(0, 2**32 - 1), st.data())
 def test_table_caps_match_split_caps_bitwise(params, seed, data):
     # Every cap a family reads from its form tables, slab rows broadcast
@@ -512,7 +512,7 @@ def test_table_caps_match_split_caps_bitwise(params, seed, data):
                 assert np.array_equal(_bits_of(np.broadcast_to(g, shape)), _bits_of(np.broadcast_to(w, shape)))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_edge_channels(), st.integers(0, 2**32 - 1))
 def test_th1_pentagon_is_the_broadcast_pentagon_with_its_r1_cut(params, seed):
     # Theorem 1's pentagon at one split is bcdms's, its r1 cap cut by the
@@ -532,7 +532,7 @@ def test_th1_pentagon_is_the_broadcast_pentagon_with_its_r1_cut(params, seed):
     assert [_bits_of(getattr(got, f)) for f in fields] == [_bits_of(getattr(want, f)) for f in fields]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["pool", "uniform"]))
 def test_box_test_drops_only_beaten_points(seed, mode):
     # A pentagon whose box corner (min(r1, sum), min(r2, sum)) the bucket
@@ -571,7 +571,7 @@ def test_pins_are_declared_where_the_point_is_dominated():
     assert not FAMILIES["th1"].pins and not FAMILIES["bcdms"].pins
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_channels(), st.sampled_from(sorted(_UNREAD)), st.integers(0, 2**32 - 1))
 def test_pinned_kinds_are_dominated_at_the_largest_value(params, pinned, seed):
     # Along the pinned axis, the rest of the split fixed, each coordinate of
@@ -610,7 +610,7 @@ def _split_grids(draw):
     return (draw(power), draw(power), draw(rho), draw(rho | short))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_channels(), _split_grids(), st.integers(1, 200), st.integers(1, 20))
 def test_split_builders_match_dense_path_on_random_meshes(params, grid, block, stride):
     with mock.patch.object(outer_bounds, "_BLOCK_SPLITS", block), mock.patch.object(
